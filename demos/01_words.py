@@ -4,11 +4,10 @@ Run:  python3 demos/01_words.py
 """
 
 from linkhomotopy import (
-    apply_map,
+    GeneratorMap,
     commutator,
     generator,
     in_normal_closure,
-    invert,
     parse_word,
     print_word,
     reduce_word,
@@ -24,7 +23,7 @@ print(f"reduce x1 x1^-1 x2 x2^2      -> {print_word(reduce_word(raw))}")
 
 w = commutator(x1 * x2, x1)
 print(f"[x1 x2, x1]                  -> {print_word(w)}")
-print(f"its inverse                  -> {print_word(invert(w))}")
+print(f"its inverse                  -> {print_word(~w)}")
 print(f"[x1, x2]^3                   -> {print_word(commutator(x1, x2) ** 3)}")
 
 print("\nThe expression grammar accepts brackets, powers and parentheses:")
@@ -33,7 +32,7 @@ print(f"parse {expr!r:20} -> {print_word(parse_word(expr))}")
 
 print("\nSubstitution homomorphisms implement generator-killing maps;")
 print("killing x2 in [x1 x2, x1] collapses it to the identity:")
-print(f"  x2 -> 1 applied            -> {print_word(apply_map({2: parse_word('')}, w))}")
+print(f"  x2 -> 1 applied            -> {print_word(GeneratorMap({2: parse_word('')})(w))}")
 
 print("\nThat is exactly the membership test for the normal closure <<x2>>:")
 print(f"  [x1 x2, x1] in <<x2>>?     -> {in_normal_closure(w, 2)}")

@@ -59,7 +59,6 @@ from .links import (
 from .magnus import (
     InvisibilityReport,
     MagnusSeries,
-    ReducedSeries,
     gamma_class_lower_bound,
     magnus_expand,
     milnor_invisibility_report,
@@ -88,13 +87,10 @@ from .words import (
     GeneratorMap,
     Word,
     WordSyntaxError,
-    apply_map,
     commutator,
     conjugate,
     generator,
     in_normal_closure,
-    invert,
-    multiply,
     parse_word,
     print_word,
     reduce_word,

@@ -125,10 +125,7 @@ def _cmd_spheres(args: argparse.Namespace) -> int:
         entry = table.entry(args.n, args.m)
         if entry is None:
             print(f"pi_{args.n}(S^{args.m}) [unknown]")
-        elif args.table is not None and entry.provenance not in (
-            "builtin", "connectivity", "top cell degree",
-            "contractible universal cover",
-        ):
+        elif entry.user_supplied:
             print(f"{entry.group.render()} [{entry.provenance}]")
         else:
             print(entry.group.render())

@@ -225,10 +225,22 @@ def direct_sum(parts: Iterable[GroupDescription]) -> GroupDescription:
     return DirectSum(tuple(flat))
 
 
+#: Provenance notes of the entries this module supplies without a table file.
+_OWN_PROVENANCES = frozenset({
+    "builtin", "connectivity", "top cell degree", "contractible universal cover",
+})
+
+
 @dataclass(frozen=True)
 class TableEntry:
     group: GroupDescription
     provenance: str
+
+    @property
+    def user_supplied(self) -> bool:
+        """True unless the provenance is one this module assigns itself,
+        i.e. for entries loaded from a table file."""
+        return self.provenance not in _OWN_PROVENANCES
 
 
 class TableFormatError(ValueError):

@@ -33,7 +33,6 @@ from .words import Word
 __all__ = [
     "Monomial",
     "MagnusSeries",
-    "ReducedSeries",
     "magnus_expand",
     "reduced_expand",
     "gamma_class_lower_bound",
@@ -88,8 +87,6 @@ class MagnusSeries:
             if len(monomial) > self.truncation:
                 raise ValueError("monomial exceeds truncation degree")
 
-    _distinct_only = False
-
     @classmethod
     def one(cls, truncation: int) -> "MagnusSeries":
         return cls(truncation, {(): 1})
@@ -112,27 +109,11 @@ class MagnusSeries:
         if self.truncation != other.truncation:
             raise ValueError("cannot multiply series with different truncations")
         product = _convolve(self.terms, other.terms, self.truncation,
-                            distinct_only=self._distinct_only)
-        return type(self)(self.truncation, product)
+                            distinct_only=False)
+        return MagnusSeries(self.truncation, product)
 
     def __str__(self) -> str:
         return _format_terms(self.terms)
-
-
-class ReducedSeries(MagnusSeries):
-    """A Magnus series in which repeated-index monomials are annihilated.
-
-    Those monomials span a two-sided ideal, so multiplication stays inside
-    the reduced ring.
-    """
-
-    _distinct_only = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for monomial in self.terms:
-            if _has_repeat(monomial):
-                raise ValueError("repeated-index monomial in reduced series")
 
 
 def _convolve(
@@ -173,37 +154,37 @@ def _syllable_terms(index: int, exponent: int, truncation: int) -> dict[Monomial
     return terms
 
 
+def _expand(w: Word, truncation: int, distinct_only: bool) -> MagnusSeries:
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    # repeated-index monomials vanish in the reduced ring, so there
+    # x_i^e = (1 + X_i)^e is just 1 + e X_i
+    syllable_degree = 1 if distinct_only else truncation
+    terms: dict[Monomial, int] = {(): 1}
+    for index, exponent in w.syllables:
+        terms = _convolve(terms, _syllable_terms(index, exponent, syllable_degree),
+                          truncation, distinct_only)
+    return MagnusSeries(truncation, terms)
+
+
 def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     """Expand a word at the given truncation degree.
 
     Multiplicative (``expand(uv) = expand(u) expand(v)`` truncated) and
     sends the identity to 1.
     """
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    terms: dict[Monomial, int] = {(): 1}
-    for index, exponent in w.syllables:
-        terms = _convolve(terms, _syllable_terms(index, exponent, truncation),
-                          truncation, distinct_only=False)
-    return MagnusSeries(truncation, terms)
+    return _expand(w, truncation, distinct_only=False)
 
 
-def reduced_expand(w: Word, truncation: int) -> ReducedSeries:
+def reduced_expand(w: Word, truncation: int) -> MagnusSeries:
     """The Magnus expansion with repeated-index monomials deleted.
 
     Computed by filtering during the product, which agrees with filtering
-    afterwards because the deleted monomials form an ideal.
+    afterwards because the deleted monomials form an ideal.  The result is
+    a plain :class:`MagnusSeries`, so ``*`` on two reduced expansions
+    multiplies in the full ring; expand the product word instead.
     """
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    terms: dict[Monomial, int] = {(): 1}
-    for index, exponent in w.syllables:
-        syllable = {
-            m: c for m, c in _syllable_terms(index, exponent, truncation).items()
-            if not _has_repeat(m)
-        }
-        terms = _convolve(terms, syllable, truncation, distinct_only=True)
-    return ReducedSeries(truncation, terms)
+    return _expand(w, truncation, distinct_only=True)
 
 
 def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:

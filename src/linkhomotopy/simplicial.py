@@ -11,24 +11,28 @@ Faces and degeneracies act on generators by
     d_i x_j = x_j (j < i+1),   1 (j = i+1),          x_{j-1} (j > i+1)
     s_i x_j = x_j (j < i+1),   x_j x_{j+1} (j = i+1), x_{j+1} (j > i+1)
 
-for ``0 <= i <= n``.  The kernel of ``d_i`` is the normal closure of
-``x_{i+1}``, the Moore chains are the intersection of the kernels of
-``d_1..d_n``, and the Moore cycles additionally lie in ``Ker d_0``.  The
-homology of the Moore complex computes the homotopy groups of the loop
-space of the 2-sphere, and the suspension-Hopf composition acts on cycles
-by ``z -> [s_0 z, s_1 z]``; iterating it from the degree-1 generator yields
-the tower words returned by :func:`eta_tower`.
+for ``0 <= i <= n``.  Each face and degeneracy is a single cached
+:class:`~linkhomotopy.words.GeneratorMap` on canonical words whose images
+are already canonical in the target degree.  The kernel of ``d_i`` is the
+normal closure of ``x_{i+1}``, the Moore chains are the intersection of
+the kernels of ``d_1..d_n``, and the Moore cycles additionally lie in
+``Ker d_0``.  The homology of the Moore complex computes the homotopy
+groups of the loop space of the 2-sphere, and the suspension-Hopf
+composition acts on cycles by ``z -> [s_0 z, s_1 z]``; iterating it from
+the degree-1 generator yields the tower words returned by
+:func:`eta_tower`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .words import (
     IDENTITY,
+    GeneratorMap,
     Word,
-    apply_map,
     commutator,
     conjugate,
     generator,
@@ -109,28 +113,33 @@ def element(degree: int, word: Word | str) -> SimplicialElement:
             f"word uses x{word.max_generator}; degree-{degree} elements "
             f"allow at most x{degree + 1}"
         )
-    canonical = apply_map({degree + 1: prefix_product(degree).inverse()}, word)
-    return SimplicialElement(degree, canonical)
+    return SimplicialElement(degree, _canonical_map(degree)(word))
 
 
-def _face_map(i: int, degree: int) -> dict[int, Word]:
+@lru_cache
+def _canonical_map(degree: int) -> GeneratorMap:
+    """Rewrite ``x_{degree+1}`` to ``(x1...x_degree)^-1``."""
+    return GeneratorMap({degree + 1: prefix_product(degree).inverse()})
+
+
+@lru_cache
+def _structure_map(kind: str, i: int, n: int) -> GeneratorMap:
+    """``d_i`` (kind ``"face"``) or ``s_i`` (``"degeneracy"``) on degree-``n``
+    canonical words, with images already canonical in the target degree.
+
+    Only ``d_n`` needs a rewrite: it fixes ``x1..xn``, and ``x_n`` is the
+    eliminated generator at degree ``n - 1``.  Degeneracy images stop at
+    ``x_{n+1}`` and so never reach the eliminated ``x_{n+2}``.
+    """
+    if kind == "face" and i == n:
+        return _canonical_map(n - 1)
     images: dict[int, Word] = {}
-    for j in range(1, degree + 2):
-        if j == i + 1:
-            images[j] = IDENTITY
-        elif j > i + 1:
-            images[j] = generator(j - 1)
-    return images
-
-
-def _degeneracy_map(i: int, degree: int) -> dict[int, Word]:
-    images: dict[int, Word] = {}
-    for j in range(1, degree + 2):
-        if j == i + 1:
-            images[j] = generator(j) * generator(j + 1)
-        elif j > i + 1:
-            images[j] = generator(j + 1)
-    return images
+    for j in range(i + 1, n + 1):
+        if kind == "face":
+            images[j] = IDENTITY if j == i + 1 else generator(j - 1)
+        else:
+            images[j] = generator(j) * generator(j + 1) if j == i + 1 else generator(j + 1)
+    return GeneratorMap(images)
 
 
 def face(i: int, e: SimplicialElement) -> SimplicialElement:
@@ -140,7 +149,7 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
         raise ValueError("degree-0 elements have no faces")
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range 0..{n}")
-    return element(n - 1, apply_map(_face_map(i, n), e.word))
+    return SimplicialElement(n - 1, _structure_map("face", i, n)(e.word))
 
 
 def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
@@ -148,7 +157,7 @@ def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
     n = e.degree
     if not 0 <= i <= n:
         raise ValueError(f"degeneracy index {i} out of range 0..{n}")
-    return element(n + 1, apply_map(_degeneracy_map(i, n), e.word))
+    return SimplicialElement(n + 1, _structure_map("degeneracy", i, n)(e.word))
 
 
 def is_moore_chain(e: SimplicialElement) -> bool:
@@ -180,7 +189,7 @@ def eta_word(z: SimplicialElement) -> SimplicialElement:
     if not is_cycle(z):
         raise NotACycleError(f"not a Moore cycle: {z}")
     word = commutator(degeneracy(0, z).word, degeneracy(1, z).word)
-    return element(z.degree + 1, word)
+    return SimplicialElement(z.degree + 1, word)
 
 
 def eta_tower(k: int) -> SimplicialElement:

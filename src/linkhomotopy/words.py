@@ -7,7 +7,9 @@ tuple is the identity.  Every operation reduces its result eagerly, so two
 words represent the same group element exactly when they compare equal.
 
 Exponents are ordinary Python integers and therefore exact at any size;
-overflow cannot occur.
+overflow cannot occur.  Products and inverses are the operators ``*`` and
+``~``; substitution homomorphisms are :class:`GeneratorMap` instances,
+called on words.
 
 The module also provides a parser/printer for a small expression grammar::
 
@@ -35,11 +37,8 @@ __all__ = [
     "IDENTITY",
     "reduce_word",
     "generator",
-    "multiply",
-    "invert",
     "commutator",
     "conjugate",
-    "apply_map",
     "in_normal_closure",
     "parse_word",
     "print_word",
@@ -164,16 +163,6 @@ def generator(index: int, exponent: int = 1) -> Word:
     return Word(((index, exponent),))
 
 
-def multiply(u: Word, v: Word) -> Word:
-    """Reduced product ``u v``."""
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    """Reduced inverse ``w^-1``."""
-    return w.inverse()
-
-
 def commutator(a: Word, b: Word) -> Word:
     """The commutator ``[a, b] = a b a^-1 b^-1`` (this sign convention is
     used throughout the package)."""
@@ -190,20 +179,20 @@ class GeneratorMap:
     """A substitution homomorphism between free groups.
 
     ``images`` sends a generator index to the image word; indices missing
-    from the mapping are fixed (``x_i -> x_i``).  Applying the map always
-    returns a reduced word, so the homomorphism law holds on the nose.
+    from the mapping are fixed (``x_i -> x_i``).  Calling the map, as in
+    ``GeneratorMap({2: IDENTITY})(w)``, always returns a reduced word, so
+    the homomorphism law holds on the nose.
     """
 
     images: Mapping[int, Word]
 
-    def image_of(self, index: int) -> Word:
-        image = self.images.get(index)
-        return generator(index) if image is None else image
-
     def __call__(self, w: Word) -> Word:
         stack: list[Syllable] = []
         for gen, exp in w.syllables:
-            image = self.image_of(gen)
+            image = self.images.get(gen)
+            if image is None:
+                _push(stack, gen, exp)
+                continue
             if not image.syllables:
                 continue
             if len(image.syllables) == 1:
@@ -218,13 +207,6 @@ class GeneratorMap:
         return Word(tuple(stack))
 
 
-def apply_map(mapping: GeneratorMap | Mapping[int, Word], w: Word) -> Word:
-    """Apply a substitution homomorphism to ``w`` and reduce."""
-    if not isinstance(mapping, GeneratorMap):
-        mapping = GeneratorMap(mapping)
-    return mapping(w)
-
-
 def in_normal_closure(w: Word, index: int) -> bool:
     """Decide membership of ``w`` in the normal closure of ``x_index``.
 
@@ -233,7 +215,7 @@ def in_normal_closure(w: Word, index: int) -> bool:
     """
     if index < 1:
         raise ValueError(f"generator index must be >= 1, got {index}")
-    return apply_map({index: IDENTITY}, w).is_identity
+    return GeneratorMap({index: IDENTITY})(w).is_identity
 
 
 def print_word(w: Word, letter: str = "x") -> str:

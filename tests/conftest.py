@@ -60,6 +60,36 @@ def as_letters(syllables: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return letters
 
 
+def naive_structure_map(kind: str, i: int, degree: int, word: Word) -> list[tuple[int, int]]:
+    """Letters of ``d_i`` (kind ``"face"``) or ``s_i`` (``"degeneracy"``) of a
+    canonical degree-``degree`` word, in canonical form at the target degree.
+
+    Applies the literal generator formulas of the simplicial module's
+    docstring letter by letter, then eliminates the target degree's last
+    generator ``x_{m+1} = (x1...xm)^-1`` by naive substitution and
+    letter-level reduction.
+    """
+    target = degree - 1 if kind == "face" else degree + 1
+    letters = []
+    for j, sign in as_letters(list(word.syllables)):
+        if j < i + 1:
+            image = [j]
+        elif j == i + 1:
+            image = [] if kind == "face" else [j, j + 1]
+        else:
+            image = [j - 1] if kind == "face" else [j + 1]
+        letters.extend((g, sign) for g in (image if sign > 0 else reversed(image)))
+    prefix = list(range(1, target + 1))
+    canonical = []
+    for j, sign in letters:
+        if j == target + 1:
+            # x_{m+1} = xm^-1 ... x1^-1 and x_{m+1}^-1 = x1 ... xm
+            canonical.extend((g, -sign) for g in (prefix[::-1] if sign > 0 else prefix))
+        else:
+            canonical.append((j, sign))
+    return naive_reduce_letters(canonical)
+
+
 def random_profile(rng: random.Random, n: int) -> LinkProfile:
     """A profile satisfying the basic genus constraints, otherwise arbitrary."""
     from itertools import combinations

@@ -1,7 +1,9 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import linkhomotopy
 from linkhomotopy.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -231,9 +233,12 @@ def test_spheres_with_table_file(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # the child process runs the same package these tests imported
+    package_root = str(Path(linkhomotopy.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "linkhomotopy", "word", "reduce", "x2 x2^-1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"

@@ -6,7 +6,6 @@ from linkhomotopy import (
     VARIANT_ETA_DEGREE3,
     VARIANT_ETA_DEGREE4,
     MagnusSeries,
-    ReducedSeries,
     commutator,
     eta_tower,
     gamma_class_lower_bound,
@@ -101,8 +100,6 @@ def test_series_validation_and_errors():
         MagnusSeries(2, {(): 1, (1,): 0})
     with pytest.raises(ValueError):
         MagnusSeries(1, {(1, 2): 1})
-    with pytest.raises(ValueError):
-        ReducedSeries(2, {(1, 1): 1})
     with pytest.raises(ValueError):
         magnus_expand(x1, 2) * magnus_expand(x1, 3)
 

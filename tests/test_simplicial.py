@@ -6,8 +6,8 @@ from linkhomotopy import (
     IDENTITY,
     VARIANT_ETA_DEGREE3,
     VARIANT_ETA_DEGREE4,
+    GeneratorMap,
     NotACycleError,
-    apply_map,
     commutator,
     degeneracy,
     element,
@@ -23,7 +23,7 @@ from linkhomotopy import (
     prefix_product,
     symmetric_commutator_sample,
 )
-from conftest import random_element
+from conftest import as_letters, naive_structure_map, random_element
 
 
 def test_element_canonicalizes_last_generator():
@@ -85,6 +85,17 @@ def test_face_and_degeneracy_are_homomorphisms():
             )
 
 
+def test_face_and_degeneracy_match_letter_oracle():
+    rng = random.Random(43)
+    for degree in range(1, 7):
+        for _ in range(25):
+            e = random_element(rng, degree, max_syllables=8)
+            for i in range(degree + 1):
+                for kind, op in (("face", face), ("degeneracy", degeneracy)):
+                    got = as_letters(list(op(i, e).word.syllables))
+                    assert got == naive_structure_map(kind, i, degree, e.word), (kind, i, e)
+
+
 def test_moore_chain_examples():
     assert is_moore_chain(element(3, ""))
     assert is_moore_chain(element(1, "x1"))
@@ -109,7 +120,7 @@ def test_cycle_agrees_with_normal_closure_membership():
         in_all = all(in_normal_closure(e.word, i) for i in range(1, degree + 1))
         if in_all:
             # x_{degree+1} is the inverted prefix product; kill it by Tietze
-            image = apply_map({degree: prefix_product(degree - 1).inverse()}, e.word)
+            image = GeneratorMap({degree: prefix_product(degree - 1).inverse()})(e.word)
             in_all = image.is_identity
         assert is_cycle(e) == in_all
 
