@@ -36,6 +36,6 @@ print(f"  pi_6(S^2 v S^2) = {hilton_pi(6, [2, 2]).render(mark_unknown=True)}")
 print("\nA user table extends coverage (each entry carries provenance):")
 table = HomotopyTable()
 table.entries[(6, 2)] = TableEntry(
-    homotopy_table_lookup(6, 3), "matches the fibration image"
+    homotopy_table_lookup(6, 3), "matches the fibration image", user_supplied=True
 )
 print(f"  pi_6(S^2 v S^2) = {hilton_pi(6, [2, 2], table).render(mark_unknown=True)}")

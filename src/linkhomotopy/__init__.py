@@ -21,6 +21,7 @@ as ``python -m linkhomotopy``).
 
 from .homotopy import (
     COUNTABLE,
+    DEFAULT_TABLE,
     Cyclic,
     DirectSum,
     FreeAbelian,
@@ -31,7 +32,6 @@ from .homotopy import (
     SphereWedge,
     SymbolicGroup,
     Trivial,
-    default_table,
     direct_sum,
     hilton_pi,
     homotopy_table_lookup,

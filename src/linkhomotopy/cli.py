@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import links, magnus, simplicial, words
-from .homotopy import HomotopyTable, default_table, hilton_pi
+from .homotopy import DEFAULT_TABLE, HomotopyTable, PiOfSphere, hilton_pi
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -25,7 +25,7 @@ EXIT_UNREALIZABLE = 4
 
 def _load_table(path: str | None) -> HomotopyTable:
     if path is None:
-        return default_table()
+        return DEFAULT_TABLE
     table = HomotopyTable()
     table.load_file(path)
     return table
@@ -124,11 +124,9 @@ def _cmd_spheres(args: argparse.Namespace) -> int:
     if args.action == "pi":
         entry = table.entry(args.n, args.m)
         if entry is None:
-            print(f"pi_{args.n}(S^{args.m}) [unknown]")
-        elif entry.user_supplied:
-            print(f"{entry.group.render()} [{entry.provenance}]")
+            print(PiOfSphere(args.n, args.m).render(mark_unknown=True))
         else:
-            print(entry.group.render())
+            print(entry.render())
     else:  # wedge
         dims = _parse_int_list(args.dims)
         print(hilton_pi(args.n, dims, table).render(mark_unknown=True))

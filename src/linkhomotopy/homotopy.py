@@ -6,8 +6,15 @@ unevaluated ``pi_n`` of a sphere or wedge, direct sums, or an opaque
 symbolic factor).  A :class:`HomotopyTable` resolves ``pi_n(S^m)`` queries:
 below-diagonal and diagonal values follow from connectivity, a handful of
 classical entries ship as builtins, and further entries can be loaded from
-a text file where every line carries a provenance note.  Lookups that miss
-the table stay symbolic; the package never fabricates a value.
+a text file where every line carries a provenance note; each
+:class:`TableEntry` stores that note and whether it came from such a file.
+Lookups that miss the table stay symbolic; the package never fabricates a
+value.
+
+Every ``pi_n(S^m)`` fact is read through one chain:
+:meth:`HomotopyTable.entry` -> :func:`homotopy_table_lookup` (which alone
+falls back to :data:`DEFAULT_TABLE`) -> :meth:`PiOfSphere.evaluate` ->
+:func:`hilton_pi` and ``links.classify_A``.
 
 :func:`hilton_pi` computes the homotopy group of a wedge of spheres by
 summing sphere contributions over basic products, one for every Lyndon
@@ -35,7 +42,7 @@ __all__ = [
     "TableEntry",
     "TableFormatError",
     "HomotopyTable",
-    "default_table",
+    "DEFAULT_TABLE",
     "homotopy_table_lookup",
     "lyndon_words",
     "hilton_pi",
@@ -145,8 +152,7 @@ class PiOfSphere(GroupDescription):
         return False
 
     def evaluate(self, table: "HomotopyTable | None" = None) -> GroupDescription:
-        table = table or default_table()
-        known = table.lookup(self.n, self.m)
+        known = homotopy_table_lookup(self.n, self.m, table)
         return self if known is None else known
 
     def render(self, mark_unknown: bool = False) -> str:
@@ -225,22 +231,19 @@ def direct_sum(parts: Iterable[GroupDescription]) -> GroupDescription:
     return DirectSum(tuple(flat))
 
 
-#: Provenance notes of the entries this module supplies without a table file.
-_OWN_PROVENANCES = frozenset({
-    "builtin", "connectivity", "top cell degree", "contractible universal cover",
-})
-
-
 @dataclass(frozen=True)
 class TableEntry:
+    """A known ``pi_n(S^m)`` with its provenance note; ``user_supplied``
+    marks entries loaded by :meth:`HomotopyTable.load_file`."""
+
     group: GroupDescription
     provenance: str
+    user_supplied: bool = False
 
-    @property
-    def user_supplied(self) -> bool:
-        """True unless the provenance is one this module assigns itself,
-        i.e. for entries loaded from a table file."""
-        return self.provenance not in _OWN_PROVENANCES
+    def render(self) -> str:
+        """The group, with ``[provenance]`` appended for user-supplied entries."""
+        text = self.group.render()
+        return f"{text} [{self.provenance}]" if self.user_supplied else text
 
 
 class TableFormatError(ValueError):
@@ -260,10 +263,8 @@ _BUILTIN_ENTRIES: dict[tuple[int, int], TableEntry] = {
 class HomotopyTable:
     """Resolves ``pi_n(S^m)``; misses return ``None`` rather than a guess."""
 
-    def __init__(self, entries: dict[tuple[int, int], TableEntry] | None = None):
+    def __init__(self) -> None:
         self.entries = dict(_BUILTIN_ENTRIES)
-        if entries:
-            self.entries.update(entries)
 
     def entry(self, n: int, m: int) -> TableEntry | None:
         if n < 1 or m < 1:
@@ -275,10 +276,6 @@ class HomotopyTable:
         if m == 1:
             return TableEntry(Trivial(), "contractible universal cover")
         return self.entries.get((n, m))
-
-    def lookup(self, n: int, m: int) -> GroupDescription | None:
-        found = self.entry(n, m)
-        return None if found is None else found.group
 
     def load_file(self, path: str) -> None:
         """Extend the table from a text file.
@@ -309,7 +306,7 @@ class HomotopyTable:
                 except ValueError as exc:
                     raise TableFormatError(f"{path}:{number}: {exc}") from exc
                 provenance = " ".join(fields[4:])
-                self.entries[(n, m)] = TableEntry(group, provenance)
+                self.entries[(n, m)] = TableEntry(group, provenance, user_supplied=True)
 
 
 def parse_group_token(token: str) -> GroupDescription:
@@ -328,24 +325,19 @@ def parse_group_token(token: str) -> GroupDescription:
             parts.append(FreeAbelian(int(piece[2:])))
         else:
             raise ValueError(f"unrecognized group token {piece!r}")
-    return direct_sum(parts) if len(parts) != 1 else parts[0]
+    return direct_sum(parts)
 
 
-_DEFAULT_TABLE: HomotopyTable | None = None
-
-
-def default_table() -> HomotopyTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = HomotopyTable()
-    return _DEFAULT_TABLE
+#: The builtin entries alone; used wherever no table is passed.
+DEFAULT_TABLE = HomotopyTable()
 
 
 def homotopy_table_lookup(
     n: int, m: int, table: HomotopyTable | None = None
 ) -> GroupDescription | None:
     """Table-backed value of ``pi_n(S^m)``; ``None`` when unknown."""
-    return (table or default_table()).lookup(n, m)
+    found = (table or DEFAULT_TABLE).entry(n, m)
+    return None if found is None else found.group
 
 
 def lyndon_words(alphabet_size: int, max_length: int) -> list[tuple[int, ...]]:
@@ -389,13 +381,10 @@ def hilton_pi(
         raise ValueError("sphere dimensions must be >= 2")
     if not dims:
         return Trivial()
-    table = table or default_table()
     sorted_dims = sorted(dims)
     parts: list[GroupDescription] = []
     for word in lyndon_words(len(sorted_dims), n - 1):
         dim = 1 + sum(sorted_dims[letter] - 1 for letter in word)
-        if dim > n:
-            continue
-        known = table.lookup(n, dim)
-        parts.append(PiOfSphere(n, dim) if known is None else known)
+        if dim <= n:
+            parts.append(PiOfSphere(n, dim).evaluate(table))
     return direct_sum(parts)

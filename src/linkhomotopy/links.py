@@ -562,13 +562,6 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
 
     if n is None:
         raise ProfileFormatError(f"{source}: missing 'components' line")
-    if preset is None:
-        expected = 2 ** n
-        if len(overrides) != expected:
-            raise ProfileFormatError(
-                f"{source}: no preset given, so all {expected} sublinks need "
-                f"a 'nu' line; got {len(overrides)}"
-            )
     try:
         return build_profile(n, preset=preset, overrides=overrides)
     except ProfileError as exc:

@@ -119,7 +119,7 @@ def element(degree: int, word: Word | str) -> SimplicialElement:
 @lru_cache
 def _canonical_map(degree: int) -> GeneratorMap:
     """Rewrite ``x_{degree+1}`` to ``(x1...x_degree)^-1``."""
-    return GeneratorMap({degree + 1: prefix_product(degree).inverse()})
+    return GeneratorMap({degree + 1: ~prefix_product(degree)})
 
 
 @lru_cache
@@ -265,7 +265,7 @@ def symmetric_commutator_sample(degree: int, seed: int) -> SimplicialElement:
     entries = degree + 1
     seed, perm_index = seed // factorial(entries), seed % factorial(entries)
     perm = _nth_permutation(entries, perm_index)
-    xlast = prefix_product(degree).inverse()  # canonical form of x_{degree+1}
+    xlast = ~prefix_product(degree)  # canonical form of x_{degree+1}
     word: Word | None = None
     conj_count = _conjugator_count(degree)
     for j in range(entries):
@@ -274,7 +274,7 @@ def symmetric_commutator_sample(degree: int, seed: int) -> SimplicialElement:
         kernel_gen = perm[j] + 1
         core = xlast if kernel_gen == degree + 1 else generator(kernel_gen)
         if sign_bit:
-            core = core.inverse()
+            core = ~core
         entry = conjugate(core, _decode_conjugator(conj_index, degree))
         word = entry if word is None else commutator(word, entry)
     assert word is not None

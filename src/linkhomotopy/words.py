@@ -104,11 +104,8 @@ class Word:
             for _ in range(abs(exp)):
                 yield gen, sign
 
-    def inverse(self) -> "Word":
-        return Word(tuple((gen, -exp) for gen, exp in reversed(self.syllables)))
-
     def __invert__(self) -> "Word":
-        return self.inverse()
+        return Word(tuple((gen, -exp) for gen, exp in reversed(self.syllables)))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -121,7 +118,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return Word()
-        base = self if n > 0 else self.inverse()
+        base = self if n > 0 else ~self
         n = abs(n)
         result = Word()
         while n:
@@ -166,12 +163,12 @@ def generator(index: int, exponent: int = 1) -> Word:
 def commutator(a: Word, b: Word) -> Word:
     """The commutator ``[a, b] = a b a^-1 b^-1`` (this sign convention is
     used throughout the package)."""
-    return a * b * a.inverse() * b.inverse()
+    return a * b * ~a * ~b
 
 
 def conjugate(w: Word, g: Word) -> Word:
     """The conjugate ``g w g^-1``."""
-    return g * w * g.inverse()
+    return g * w * ~g
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,7 @@ class GeneratorMap:
                 g, e = image.syllables[0]
                 _push(stack, g, e * exp)
                 continue
-            piece = image if exp > 0 else image.inverse()
+            piece = image if exp > 0 else ~image
             for _ in range(abs(exp)):
                 for g, e in piece.syllables:
                     _push(stack, g, e)

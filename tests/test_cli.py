@@ -223,6 +223,15 @@ def test_spheres_with_table_file(capsys, tmp_path):
     table.write_text("pi 7 3 Z/2 classical tables\n")
     code, out, _ = run_cli(capsys, "spheres", "pi", "7", "3", "--table", table)
     assert (code, out) == (0, "Z/2 [classical tables]\n")
+    # loaded entries are echoed even when their note reads like a builtin one
+    echoed = tmp_path / "echoed.tab"
+    echoed.write_text("pi 7 3 Z/2 builtin\npi 7 4 Z+Z/12 connectivity\n")
+    code, out, _ = run_cli(capsys, "spheres", "pi", "7", "3", "--table", echoed)
+    assert (code, out) == (0, "Z/2 [builtin]\n")
+    code, out, _ = run_cli(capsys, "spheres", "pi", "7", "4", "--table", echoed)
+    assert (code, out) == (0, "Z + Z/12 [connectivity]\n")
+    code, out, _ = run_cli(capsys, "spheres", "pi", "6", "3", "--table", echoed)
+    assert (code, out) == (0, "Z/12\n")
     # builtin values are not annotated even when a table file is supplied
     code, out, _ = run_cli(capsys, "spheres", "pi", "6", "3", "--table", table)
     assert (code, out) == (0, "Z/12\n")

@@ -4,6 +4,7 @@ import pytest
 
 from linkhomotopy import (
     COUNTABLE,
+    DEFAULT_TABLE,
     Cyclic,
     DirectSum,
     FreeAbelian,
@@ -12,7 +13,6 @@ from linkhomotopy import (
     PiOfWedge,
     SphereWedge,
     Trivial,
-    default_table,
     direct_sum,
     hilton_pi,
     homotopy_table_lookup,
@@ -52,14 +52,25 @@ def test_table_file_loading(tmp_path):
         "# extension entries\n"
         "pi 7 3 Z/2 classical tables\n"
         "pi 7 4 Z+Z/12 classical tables\n"
+        "pi 8 3 Z/2 builtin\n"
+        "pi 8 4 Z/2+Z/2 connectivity\n"
     )
     table = HomotopyTable()
     table.load_file(str(path))
-    assert table.lookup(7, 3) == Cyclic(2)
-    assert table.lookup(7, 4) == direct_sum([Z, Cyclic(12)])
+    assert homotopy_table_lookup(7, 3, table) == Cyclic(2)
+    assert homotopy_table_lookup(7, 4, table) == direct_sum([Z, Cyclic(12)])
     assert table.entry(7, 3).provenance == "classical tables"
+    # every loaded entry is user-supplied, whatever its provenance wording
+    for n, m in [(7, 3), (7, 4), (8, 3), (8, 4)]:
+        assert table.entry(n, m).user_supplied
+    assert table.entry(8, 3).render() == "Z/2 [builtin]"
+    assert table.entry(8, 4).render() == "Z/2 + Z/2 [connectivity]"
+    # entries this module supplies itself are not
+    for n, m in [(6, 3), (3, 5), (4, 4), (3, 1)]:
+        assert not table.entry(n, m).user_supplied
+    assert table.entry(6, 3).render() == "Z/12"
     # the default table is untouched
-    assert default_table().lookup(7, 3) is None
+    assert homotopy_table_lookup(7, 3, DEFAULT_TABLE) is None
 
 
 @pytest.mark.parametrize(

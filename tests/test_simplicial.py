@@ -120,7 +120,7 @@ def test_cycle_agrees_with_normal_closure_membership():
         in_all = all(in_normal_closure(e.word, i) for i in range(1, degree + 1))
         if in_all:
             # x_{degree+1} is the inverted prefix product; kill it by Tietze
-            image = GeneratorMap({degree: prefix_product(degree - 1).inverse()})(e.word)
+            image = GeneratorMap({degree: ~prefix_product(degree - 1)})(e.word)
             in_all = image.is_identity
         assert is_cycle(e) == in_all
 
