@@ -283,7 +283,8 @@ class HomotopyTable:
         Each non-comment line reads ``pi <n> <m> <group> <provenance...>``
         where the group token is ``0``, ``Z``, ``Z/k``, ``Z^k``,
         ``Z^(countable)`` or a ``+``-joined sum of those, and the provenance
-        text is mandatory.
+        text is mandatory.  A line whose ``(n, m)`` the table already answers
+        (a structural index, a builtin or an earlier line) is rejected.
         """
         with open(path, encoding="utf-8") as handle:
             for number, raw in enumerate(handle, start=1):
@@ -301,6 +302,12 @@ class HomotopyTable:
                     raise TableFormatError(f"{path}:{number}: bad indices") from exc
                 if n < 1 or m < 1:
                     raise TableFormatError(f"{path}:{number}: indices must be >= 1")
+                known = self.entry(n, m)
+                if known is not None:
+                    raise TableFormatError(
+                        f"{path}:{number}: pi_{n}(S^{m}) is already given "
+                        f"({known.provenance}); a table file may only add new entries"
+                    )
                 try:
                     group = parse_group_token(fields[3])
                 except ValueError as exc:

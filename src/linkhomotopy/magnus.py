@@ -14,11 +14,23 @@ exact certificate.  Deleting every monomial with a repeated index gives the
 Milnor-type invariants: a nonzero coefficient certifies nontriviality in
 the quotient of the group by the commutators of each meridian closure with
 itself, while vanishing up to a truncation certifies nothing.
+
+Expansions are computed densely (Magnus-Karrass-Solitar, ch. 5).  With the
+word's ``r`` distinct generators relabelled ``0..r-1``, degree ``d`` is a list
+of ``r**d`` integers indexed by the base-``r`` code of a monomial, so a
+truncation-``T`` expansion holds ``sum_{d <= T} r**d`` slots (``d`` up to
+``min(T, r)`` for the reduced expansion).  Each syllable ``x_a^e`` updates
+the lists in place, one strided slice per degree and binomial term.  The
+cost follows the slot count, not the number of nonzero terms, so a word on
+many generators with few syllables is slower than a sparse product would
+be.  :func:`mu_coefficient` needs no expansion: one pass over the syllables,
+``O(syllables + k)`` for ``k`` indices (Fox 1953).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Mapping, Sequence
 
 from .simplicial import (
@@ -108,62 +120,77 @@ class MagnusSeries:
             return NotImplemented
         if self.truncation != other.truncation:
             raise ValueError("cannot multiply series with different truncations")
-        product = _convolve(self.terms, other.terms, self.truncation,
-                            distinct_only=False)
-        return MagnusSeries(self.truncation, product)
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self.terms.items():
+            room = self.truncation - len(m1)
+            for m2, c2 in other.terms.items():
+                if len(m2) <= room:
+                    monomial = m1 + m2
+                    out[monomial] = out.get(monomial, 0) + c1 * c2
+        return MagnusSeries(self.truncation, {m: c for m, c in out.items() if c})
 
     def __str__(self) -> str:
         return _format_terms(self.terms)
 
 
-def _convolve(
-    a: Mapping[Monomial, int],
-    b: Mapping[Monomial, int],
-    truncation: int,
-    distinct_only: bool,
-) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for m1, c1 in a.items():
-        room = truncation - len(m1)
-        for m2, c2 in b.items():
-            if len(m2) > room:
-                continue
-            monomial = m1 + m2
-            if distinct_only and _has_repeat(monomial):
-                continue
-            value = out.get(monomial, 0) + c1 * c2
-            if value:
-                out[monomial] = value
-            else:
-                out.pop(monomial, None)
-    return out
+def _dense_blocks(
+    w: Word, truncation: int, reduced: bool
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Coefficients of ``w``'s expansion as ``(support, blocks)``.
 
-
-def _syllable_terms(index: int, exponent: int, truncation: int) -> dict[Monomial, int]:
-    """Expansion of ``x_index ^ exponent`` as ``(1 + X)^exponent`` truncated.
-
-    Uses the generalized binomial recurrence, which is exact for negative
-    exponents as well (the alternating geometric series).
+    ``support`` is the sorted tuple of the ``r`` generators of ``w`` and
+    ``blocks[d]`` lists the ``r**d`` degree-``d`` coefficients: slot ``i``
+    is the monomial whose base-``r`` digits of ``i``, most significant
+    first, index ``support``.  Reduced blocks stop at degree
+    ``min(truncation, r)``, and syllables contribute only ``1 + e X``; their
+    repeated-index slots are not the full expansion's and must be ignored.
     """
-    terms: dict[Monomial, int] = {}
-    coeff = 1
-    for j in range(truncation + 1):
-        if coeff:
-            terms[(index,) * j] = coeff
-        coeff = coeff * (exponent - j) // (j + 1)
-    return terms
-
-
-def _expand(w: Word, truncation: int, distinct_only: bool) -> MagnusSeries:
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    # repeated-index monomials vanish in the reduced ring, so there
-    # x_i^e = (1 + X_i)^e is just 1 + e X_i
-    syllable_degree = 1 if distinct_only else truncation
-    terms: dict[Monomial, int] = {(): 1}
+    support = tuple(sorted({index for index, _ in w.syllables}))
+    r = len(support)
+    if reduced:
+        # repeated-index monomials vanish in the reduced ring, so degrees
+        # stop at r and x_i^e = (1 + X_i)^e is just 1 + e X_i
+        truncation = min(truncation, r)
+    syllable_degree = 1 if reduced else truncation
+    steps = [r**j for j in range(truncation + 1)]
+    # offsets[x][j] is the code of X_x^j; right-multiplying a degree d - j
+    # monomial with code c by it gives code c * r**j + offsets[x][j]
+    offsets = {}
+    for a, index in enumerate(support):
+        codes = [0]
+        for _ in range(truncation):
+            codes.append(codes[-1] * r + a)
+        offsets[index] = codes
+    blocks = [[0] * steps[d] for d in range(truncation + 1)]
+    blocks[0][0] = 1
     for index, exponent in w.syllables:
-        terms = _convolve(terms, _syllable_terms(index, exponent, syllable_degree),
-                          truncation, distinct_only)
+        offset = offsets[index]
+        # generalized binomial coefficients C(e, j), exact for e < 0 as well
+        binomials = [1]
+        for j in range(syllable_degree):
+            binomials.append(binomials[-1] * (exponent - j) // (j + 1))
+        # descending degrees, so every block read below is still the old one
+        for d in range(truncation, 0, -1):
+            block = blocks[d]
+            for j in range(1, min(d, syllable_degree) + 1):
+                c = binomials[j]
+                if c:
+                    off, step = offset[j], steps[j]
+                    block[off::step] = [
+                        x + c * y for x, y in zip(block[off::step], blocks[d - j])
+                    ]
+    return support, blocks
+
+
+def _expand(w: Word, truncation: int, reduced: bool) -> MagnusSeries:
+    support, blocks = _dense_blocks(w, truncation, reduced)
+    terms: dict[Monomial, int] = {}
+    for d, block in enumerate(blocks):
+        for monomial, coeff in zip(product(support, repeat=d), block):
+            if coeff and not (reduced and _has_repeat(monomial)):
+                terms[monomial] = coeff
     return MagnusSeries(truncation, terms)
 
 
@@ -173,18 +200,19 @@ def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     Multiplicative (``expand(uv) = expand(u) expand(v)`` truncated) and
     sends the identity to 1.
     """
-    return _expand(w, truncation, distinct_only=False)
+    return _expand(w, truncation, reduced=False)
 
 
 def reduced_expand(w: Word, truncation: int) -> MagnusSeries:
     """The Magnus expansion with repeated-index monomials deleted.
 
-    Computed by filtering during the product, which agrees with filtering
-    afterwards because the deleted monomials form an ideal.  The result is
-    a plain :class:`MagnusSeries`, so ``*`` on two reduced expansions
-    multiplies in the full ring; expand the product word instead.
+    Computed in the dense layout with ``1 + e X_i`` syllables up to degree
+    ``min(truncation, r)``, which agrees with filtering the full expansion
+    because the deleted monomials form an ideal.  The result is a plain
+    :class:`MagnusSeries`, so ``*`` on two reduced expansions multiplies in
+    the full ring; expand the product word instead.
     """
-    return _expand(w, truncation, distinct_only=True)
+    return _expand(w, truncation, reduced=True)
 
 
 def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
@@ -198,7 +226,8 @@ def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    return magnus_expand(w, max_degree).lowest_positive_degree()
+    _, blocks = _dense_blocks(w, max_degree, reduced=False)
+    return next((d for d in range(1, max_degree + 1) if any(blocks[d])), None)
 
 
 def mu_coefficient(w: Word, indices: Sequence[int]) -> int:
@@ -206,6 +235,10 @@ def mu_coefficient(w: Word, indices: Sequence[int]) -> int:
 
     A nonzero value certifies that ``w`` survives in the quotient by the
     self-commutators of the meridian closures; zero is inconclusive.
+    Computed in one pass over the syllables: a distinct-index coefficient
+    only sees the ``e X_i`` term of each syllable ``x_i^e``, so it counts
+    the weighted ways to pick ``indices`` as a subsequence of the word's
+    syllables (the Fox-derivative recursion).
     """
     indices = tuple(indices)
     if not indices:
@@ -214,7 +247,15 @@ def mu_coefficient(w: Word, indices: Sequence[int]) -> int:
         raise ValueError("indices must be >= 1")
     if _has_repeat(indices):
         raise ValueError(f"repeated index in {indices}; mu indices must be distinct")
-    return reduced_expand(w, len(indices)).coefficient(indices)
+    position = {index: p for p, index in enumerate(indices)}
+    # matched[p] is the coefficient of X_{indices[0]} ... X_{indices[p-1]}
+    # in the expansion of the prefix read so far
+    matched = [1] + [0] * len(indices)
+    for index, exponent in w.syllables:
+        p = position.get(index)
+        if p is not None:
+            matched[p + 1] += exponent * matched[p]
+    return matched[-1]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import linkhomotopy
-from linkhomotopy.cli import main
+from linkhomotopy.cli import EXIT_INPUT, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -239,6 +241,23 @@ def test_spheres_with_table_file(capsys, tmp_path):
                            "--profile", DATA / "hopf4.lnk",
                            "--L0", "empty", "--sub", "full", "--table", table)
     assert (code, out) == (0, "pi_4(S^3) = Z/2\n")
+
+
+@pytest.mark.parametrize(
+    "content, n, m",
+    [
+        ("pi 3 5 Z/2 wrong\n", 3, 5),
+        ("pi 6 3 Z/5 x\n", 6, 3),
+        ("pi 7 3 Z/2 first\npi 7 3 Z/2 second\n", 7, 3),
+    ],
+    ids=["structural", "builtin", "repeated"],
+)
+def test_spheres_table_rejects_known_indices(capsys, tmp_path, content, n, m):
+    table = tmp_path / "restated.tab"
+    table.write_text(content)
+    code, out, err = run_cli(capsys, "spheres", "pi", n, m, "--table", table)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "already given" in err
 
 
 def test_module_entry_point():

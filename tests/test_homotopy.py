@@ -81,6 +81,10 @@ def test_table_file_loading(tmp_path):
         "pi 7 3 Q src",
         "pj 7 3 Z/2 src",
         "pi 0 3 Z/2 src",
+        # indices the table already answers: structural, builtin, earlier line
+        "pi 3 5 Z/2 wrong",
+        "pi 6 3 Z/5 x",
+        "pi 7 3 Z/2 first\npi 7 3 Z/2 second",
     ],
 )
 def test_table_file_rejects_bad_lines(tmp_path, content):

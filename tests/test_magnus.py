@@ -14,9 +14,10 @@ from linkhomotopy import (
     milnor_invisibility_report,
     mu_coefficient,
     parse_word,
+    reduce_word,
     reduced_expand,
 )
-from conftest import random_word
+from conftest import random_syllables, random_word
 
 x1, x2, x3 = generator(1), generator(2), generator(3)
 
@@ -61,11 +62,34 @@ def test_expand_commutator_matches_oracle():
     assert magnus_expand(w, 2).terms == expected
 
 
+# (generators, words, max syllables, max exponent, max truncation): the
+# later families give the dense layout non-contiguous and wide supports,
+# exponents up to +-3 and truncations above the support size
+WORD_FAMILIES = [
+    ((1, 2, 3), 150, 5, 2, 4),
+    ((2, 5, 9, 11), 40, 7, 3, 5),
+    ((5, 9), 40, 5, 3, 6),
+    ((3, 4, 7, 8, 12, 20), 20, 7, 2, 4),
+]
+
+
+def _family_cases(seed):
+    rng = random.Random(seed)
+    for support, count, max_syllables, max_exponent, max_k in WORD_FAMILIES:
+        def word():
+            syllables = random_syllables(rng, len(support), max_syllables, max_exponent)
+            return reduce_word([(support[g - 1], e) for g, e in syllables])
+
+        for _ in range(count):
+            yield word(), rng.randint(1, max_k)
+        # every truncation from 1, on the identity and on one random word
+        for k in range(1, max_k + 1):
+            yield parse_word(""), k
+            yield word(), k
+
+
 def test_expand_matches_oracle_on_random_words():
-    rng = random.Random(41)
-    for _ in range(150):
-        w = random_word(rng, 3, max_syllables=5, max_exponent=2)
-        k = rng.randint(1, 4)
+    for w, k in _family_cases(41):
         assert magnus_expand(w, k).terms == oracle_expand(w, k)
 
 
@@ -138,10 +162,7 @@ def test_reduced_expand_examples():
 
 
 def test_reduced_expand_equals_filtered_full_expansion():
-    rng = random.Random(61)
-    for _ in range(150):
-        w = random_word(rng, 3, max_syllables=5, max_exponent=2)
-        k = rng.randint(1, 4)
+    for w, k in _family_cases(61):
         full = magnus_expand(w, k).terms
         filtered = {m: c for m, c in full.items() if len(set(m)) == len(m)}
         assert reduced_expand(w, k).terms == filtered
@@ -151,6 +172,16 @@ def test_mu_coefficient_detects_commutator_powers():
     base = commutator(x1, x2)
     for k in range(-3, 4):
         assert mu_coefficient(base ** k, (1, 2)) == k
+
+
+def test_mu_coefficient_matches_reduced_expansion():
+    # mu has its own pass over the syllables; the reduced expansion is the
+    # second route, on words whose support is wider than the index tuple
+    rng = random.Random(67)
+    for _ in range(150):
+        w = random_word(rng, 6, max_syllables=10, max_exponent=3)
+        indices = tuple(rng.sample(range(1, 7), rng.randint(1, 4)))
+        assert mu_coefficient(w, indices) == reduced_expand(w, len(indices)).coefficient(indices)
 
 
 def test_mu_coefficient_examples():
@@ -199,6 +230,11 @@ def test_invisibility_report_variant_checks():
         assert by_name[f"reduced expansion trivial below length {n}"] is True
         assert gamma_class_lower_bound(variant.word, n - 1) is None
         assert reduced_expand(variant.word, n - 1).is_one
+
+
+def test_tower5_lies_in_gamma8():
+    # all Magnus terms of degrees 1..7 vanish, so eta_tower(5) is in gamma_8
+    assert gamma_class_lower_bound(eta_tower(5).word, 7) is None
 
 
 def test_three_strand_contrast_is_detected():
