@@ -35,12 +35,9 @@ __all__ = [
     "FreeAbelian",
     "PiOfSphere",
     "PiOfWedge",
-    "SymbolicGroup",
     "DirectSum",
     "direct_sum",
     "SphereWedge",
-    "TableEntry",
-    "TableFormatError",
     "HomotopyTable",
     "DEFAULT_TABLE",
     "homotopy_table_lookup",

@@ -20,6 +20,7 @@ commutator subgroup -- in terms of homotopy groups of spheres.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -45,7 +46,6 @@ __all__ = [
     "preset_profile",
     "build_profile",
     "parse_profile",
-    "parse_subset_token",
     "load_profile",
     "chi2",
     "chi3",
@@ -111,7 +111,7 @@ class LinkProfile:
                     f"got {genus}"
                 )
 
-    @property
+    @cached_property
     def full_set(self) -> frozenset[int]:
         return frozenset(range(1, self.size + 1))
 
@@ -138,8 +138,6 @@ def preset_profile(kind: str, n: int) -> LinkProfile:
     links. ``trivial``: every sublink splits completely. ``brunnian``: the
     full link is nonsplittable but every proper sublink splits completely.
     """
-    if n < 1:
-        raise ValueError(f"component count must be >= 1, got {n}")
     nu = {
         frozenset(sub): _preset_value(kind, frozenset(sub), n)
         for r in range(n + 1)

@@ -43,14 +43,11 @@ from .simplicial import (
 from .words import Word
 
 __all__ = [
-    "Monomial",
     "MagnusSeries",
     "magnus_expand",
     "reduced_expand",
     "gamma_class_lower_bound",
     "mu_coefficient",
-    "CheckResult",
-    "InvisibilityReport",
     "milnor_invisibility_report",
 ]
 
@@ -99,21 +96,12 @@ class MagnusSeries:
             if len(monomial) > self.truncation:
                 raise ValueError("monomial exceeds truncation degree")
 
-    @classmethod
-    def one(cls, truncation: int) -> "MagnusSeries":
-        return cls(truncation, {(): 1})
-
     @property
     def is_one(self) -> bool:
         return self.terms == {(): 1}
 
     def coefficient(self, monomial: Sequence[int]) -> int:
         return self.terms.get(tuple(monomial), 0)
-
-    def lowest_positive_degree(self) -> int | None:
-        """Smallest degree >= 1 carrying a nonzero term, or None."""
-        degrees = [len(m) for m in self.terms if m]
-        return min(degrees) if degrees else None
 
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
         if not isinstance(other, MagnusSeries):

@@ -21,6 +21,13 @@ groups of the loop space of the 2-sphere, and the suspension-Hopf
 composition acts on cycles by ``z -> [s_0 z, s_1 z]``; iterating it from
 the degree-1 generator yields the tower words returned by
 :func:`eta_tower`.
+
+Validation happens where values enter: a direct ``SimplicialElement(...)``
+call checks the degree and the canonical generator range, :func:`element`
+checks its input word's range, and :func:`eta_word` checks that its input
+is a cycle.  Faces, degeneracies and the tower step build their canonical
+results directly, without re-checking them; the tests rebuild such results
+through ``SimplicialElement(...)`` to confirm the invariant.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from .words import (
 
 __all__ = [
     "SimplicialElement",
-    "MeridianWord",
     "NotACycleError",
     "element",
     "prefix_product",
@@ -92,6 +98,14 @@ class SimplicialElement:
         return f"degree={self.degree}; word={print_word(self.word)}"
 
 
+def _element(degree: int, word: Word) -> SimplicialElement:
+    """An element from a word already canonical at ``degree``, unchecked."""
+    e = object.__new__(SimplicialElement)
+    object.__setattr__(e, "degree", degree)
+    object.__setattr__(e, "word", word)
+    return e
+
+
 def prefix_product(k: int) -> Word:
     """The word ``x1 x2 ... xk`` (identity for ``k = 0``)."""
     return reduce_word((i, 1) for i in range(1, k + 1))
@@ -113,7 +127,7 @@ def element(degree: int, word: Word | str) -> SimplicialElement:
             f"word uses x{word.max_generator}; degree-{degree} elements "
             f"allow at most x{degree + 1}"
         )
-    return SimplicialElement(degree, _canonical_map(degree)(word))
+    return _element(degree, _canonical_map(degree)(word))
 
 
 @lru_cache
@@ -149,7 +163,7 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
         raise ValueError("degree-0 elements have no faces")
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range 0..{n}")
-    return SimplicialElement(n - 1, _structure_map("face", i, n)(e.word))
+    return _element(n - 1, _structure_map("face", i, n)(e.word))
 
 
 def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
@@ -157,7 +171,7 @@ def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
     n = e.degree
     if not 0 <= i <= n:
         raise ValueError(f"degeneracy index {i} out of range 0..{n}")
-    return SimplicialElement(n + 1, _structure_map("degeneracy", i, n)(e.word))
+    return _element(n + 1, _structure_map("degeneracy", i, n)(e.word))
 
 
 def is_moore_chain(e: SimplicialElement) -> bool:
@@ -188,22 +202,29 @@ def eta_word(z: SimplicialElement) -> SimplicialElement:
         raise ValueError("eta_word needs degree >= 1")
     if not is_cycle(z):
         raise NotACycleError(f"not a Moore cycle: {z}")
+    return _eta_step(z)
+
+
+def _eta_step(z: SimplicialElement) -> SimplicialElement:
+    """``[s_0 z, s_1 z]`` for a cycle ``z`` of degree >= 1, unchecked."""
     word = commutator(degeneracy(0, z).word, degeneracy(1, z).word)
-    return SimplicialElement(z.degree + 1, word)
+    return _element(z.degree + 1, word)
 
 
 def eta_tower(k: int) -> SimplicialElement:
     """The degree-``k`` iterated tower word.
 
     ``eta_tower(1)`` is ``x1`` (the degree-1 generator) and each further
-    level applies :func:`eta_word`; the result represents the k-fold
-    Hopf-composite in the k-th homotopy group of the loop space.
+    level applies the step of :func:`eta_word`; the result represents the
+    k-fold Hopf-composite in the k-th homotopy group of the loop space.
+    No level is re-tested as a cycle: ``x1`` is one, and the step maps
+    cycles to cycles.
     """
     if k < 1:
         raise ValueError(f"tower degree must be >= 1, got {k}")
     e = element(1, generator(1))
     for _ in range(k - 1):
-        e = eta_word(e)
+        e = _eta_step(e)
     return e
 
 

@@ -6,6 +6,13 @@ Python integers, and adjacent syllables never share a generator.  The empty
 tuple is the identity.  Every operation reduces its result eagerly, so two
 words represent the same group element exactly when they compare equal.
 
+Validation happens where values enter: a direct ``Word(...)`` call checks
+the reduction invariant, and :func:`reduce_word`, :func:`generator` and
+:func:`parse_word` check generator indices.  Operations (``*``, ``~``,
+``**``, :class:`GeneratorMap`) build their already reduced results directly,
+without re-checking them; the tests rebuild such results through
+``Word(...)`` to confirm the invariant.
+
 Exponents are ordinary Python integers and therefore exact at any size;
 overflow cannot occur.  Products and inverses are the operators ``*`` and
 ``~``; substitution homomorphisms are :class:`GeneratorMap` instances,
@@ -28,7 +35,7 @@ accepts back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "Word",
@@ -97,15 +104,8 @@ class Word:
         """Largest generator index occurring in the word (0 for the identity)."""
         return max((gen for gen, _ in self.syllables), default=0)
 
-    def letters(self) -> Iterator[tuple[int, int]]:
-        """Yield single letters ``(generator, +-1)`` in order."""
-        for gen, exp in self.syllables:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield gen, sign
-
     def __invert__(self) -> "Word":
-        return Word(tuple((gen, -exp) for gen, exp in reversed(self.syllables)))
+        return _word(tuple((gen, -exp) for gen, exp in reversed(self.syllables)))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -113,7 +113,7 @@ class Word:
         stack = list(self.syllables)
         for gen, exp in other.syllables:
             _push(stack, gen, exp)
-        return Word(tuple(stack))
+        return _word(tuple(stack))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -135,6 +135,13 @@ class Word:
         return f"Word({print_word(self)!r})"
 
 
+def _word(syllables: tuple[Syllable, ...]) -> Word:
+    """A word from syllables already known to be reduced, unchecked."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "syllables", syllables)
+    return w
+
+
 IDENTITY = Word()
 
 
@@ -148,7 +155,7 @@ def reduce_word(raw: Iterable[Syllable]) -> Word:
         if gen < 1:
             raise ValueError(f"generator index must be >= 1, got {gen}")
         _push(stack, gen, exp)
-    return Word(tuple(stack))
+    return _word(tuple(stack))
 
 
 def generator(index: int, exponent: int = 1) -> Word:
@@ -157,7 +164,7 @@ def generator(index: int, exponent: int = 1) -> Word:
         raise ValueError(f"generator index must be >= 1, got {index}")
     if exponent == 0:
         return Word()
-    return Word(((index, exponent),))
+    return _word(((index, exponent),))
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -201,7 +208,7 @@ class GeneratorMap:
             for _ in range(abs(exp)):
                 for g, e in piece.syllables:
                     _push(stack, g, e)
-        return Word(tuple(stack))
+        return _word(tuple(stack))
 
 
 def in_normal_closure(w: Word, index: int) -> bool:

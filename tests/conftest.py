@@ -40,6 +40,23 @@ def random_element(rng: random.Random, degree: int, max_syllables: int = 6) -> S
     return element(degree, random_word(rng, degree, max_syllables, max_exponent=2))
 
 
+def syllable_text(syllables: list[tuple[int, int]]) -> str:
+    """Parser input for a syllable list, unreduced, e.g. ``x2^-1 x2^3 x1``."""
+    return " ".join(f"x{gen}^{exp}" for gen, exp in syllables) or "1"
+
+
+def assert_canonical_word(w: Word) -> None:
+    """Rebuilding ``w`` through the checking constructor gives ``w`` back."""
+    assert type(w.syllables) is tuple
+    assert Word(w.syllables) == w
+
+
+def assert_canonical_element(e: SimplicialElement) -> None:
+    """Rebuilding ``e`` through the checking constructor gives ``e`` back."""
+    assert_canonical_word(e.word)
+    assert SimplicialElement(e.degree, e.word) == e
+
+
 def naive_reduce_letters(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Letter-by-letter stack reduction; input and output are single letters
     ``(generator, +1 or -1)``."""

@@ -62,6 +62,9 @@ def test_presets():
     assert brunnian.genus((1, 2)) == 1
     with pytest.raises(ValueError):
         preset_profile("borromean", 3)
+    for n in (0, -2):
+        with pytest.raises(ProfileError, match=f"component count must be >= 1, got {n}"):
+            preset_profile("hopf", n)
 
 
 def test_profile_invariants_enforced():

@@ -23,7 +23,13 @@ from linkhomotopy import (
     prefix_product,
     symmetric_commutator_sample,
 )
-from conftest import as_letters, naive_structure_map, random_element
+from conftest import (
+    as_letters,
+    assert_canonical_element,
+    naive_structure_map,
+    random_element,
+    random_word,
+)
 
 
 def test_element_canonicalizes_last_generator():
@@ -94,6 +100,26 @@ def test_face_and_degeneracy_match_letter_oracle():
                 for kind, op in (("face", face), ("degeneracy", degeneracy)):
                     got = as_letters(list(op(i, e).word.syllables))
                     assert got == naive_structure_map(kind, i, degree, e.word), (kind, i, e)
+
+
+def test_operations_return_canonical_elements():
+    # operations skip SimplicialElement's check; rebuilding each result
+    # through SimplicialElement(...) confirms that they stay canonical
+    rng = random.Random(12)
+    for _ in range(200):
+        degree = rng.randint(0, 5)
+        e = element(degree, random_word(rng, degree + 1, 6, 2))
+        results = [e]
+        results += [degeneracy(i, e) for i in range(degree + 1)]
+        if degree >= 1:
+            results += [face(i, e) for i in range(degree + 1)]
+            results.append(eta_word(symmetric_commutator_sample(min(degree, 3),
+                                                               rng.randrange(10 ** 6))))
+            results.append(eta_word(element(degree, "")))
+        for result in results:
+            assert_canonical_element(result)
+    for k in range(1, 7):
+        assert_canonical_element(eta_tower(k))
 
 
 def test_moore_chain_examples():

@@ -15,7 +15,14 @@ from linkhomotopy import (
     print_word,
     reduce_word,
 )
-from conftest import as_letters, naive_reduce_letters, random_syllables, random_word
+from conftest import (
+    as_letters,
+    assert_canonical_word,
+    naive_reduce_letters,
+    random_syllables,
+    random_word,
+    syllable_text,
+)
 
 x1, x2, x3 = generator(1), generator(2), generator(3)
 
@@ -55,6 +62,28 @@ def test_word_constructor_rejects_unreduced():
         Word(((1, 0),))
     with pytest.raises(ValueError):
         Word(((0, 1),))
+
+
+def test_operations_return_reduced_words():
+    # operations skip Word's check; rebuilding each result through Word(...)
+    # confirms that they still build reduced words
+    rng = random.Random(11)
+    for _ in range(300):
+        a, b = random_word(rng, 3), random_word(rng, 3)
+        raw, other = random_syllables(rng, 3), random_syllables(rng, 3, 4)
+        images = {g: random_word(rng, 3, 3) for g in rng.sample((1, 2, 3), rng.randint(1, 3))}
+        text = f"({syllable_text(raw)})^{rng.randint(-2, 2)} [{syllable_text(other)}, x2 x1^-1]"
+        results = [
+            a * b,
+            ~a,
+            a ** rng.randint(-3, 3),
+            GeneratorMap(images)(a),
+            reduce_word(raw),
+            parse_word(text),
+            generator(rng.randint(1, 3), rng.randint(-2, 2)),
+        ]
+        for result in results:
+            assert_canonical_word(result)
 
 
 def test_multiply_examples():
