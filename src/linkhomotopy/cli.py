@@ -62,18 +62,16 @@ def _cmd_hatf(args: argparse.Namespace) -> int:
         print(simplicial.eta_tower(args.k))
     elif args.action == "meridian":
         print(simplicial.meridian_word(args.k))
-    elif args.action == "face":
+    else:
         e = simplicial.element(args.degree, args.expr)
-        print(simplicial.face(args.index, e))
-    elif args.action == "degen":
-        e = simplicial.element(args.degree, args.expr)
-        print(simplicial.degeneracy(args.index, e))
-    elif args.action == "cycle":
-        e = simplicial.element(args.degree, args.expr)
-        print("true" if simplicial.is_cycle(e) else "false")
-    else:  # eta
-        e = simplicial.element(args.degree, args.expr)
-        print(simplicial.eta_word(e))
+        if args.action == "face":
+            print(simplicial.face(args.index, e))
+        elif args.action == "degen":
+            print(simplicial.degeneracy(args.index, e))
+        elif args.action == "cycle":
+            print("true" if simplicial.is_cycle(e) else "false")
+        else:  # eta
+            print(simplicial.eta_word(e))
     return EXIT_OK
 
 

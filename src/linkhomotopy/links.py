@@ -7,7 +7,10 @@ decomposition minus one.  Conventions: the empty sublink has genus -1, a
 single component has genus 0, and a k-component sublink has genus between
 0 and k-1.  Accepting a profile is *not* a realizability claim; only the
 constraints proved for actual links are enforced (see
-:func:`realizability_findings`).
+:func:`realizability_findings`).  A profile caches values derived from
+``nu`` (its label set and its splittable sublinks), so ``nu`` must not be
+mutated after construction; :func:`strongly_nonsplittable` reads only the
+splittable sublinks.
 
 From a profile the module computes the deletion inclusion-exclusion
 invariants :func:`chi2` and :func:`chi3`, the homotopy types of the
@@ -115,6 +118,12 @@ class LinkProfile:
     def full_set(self) -> frozenset[int]:
         return frozenset(range(1, self.size + 1))
 
+    @cached_property
+    def _splittable(self) -> tuple[frozenset[int], ...]:
+        # Largest first: the full set or a size n-1 sublink usually ends a query.
+        splittable = [s for s, genus in self.nu.items() if genus > 0]
+        return tuple(sorted(splittable, key=len, reverse=True))
+
     def genus(self, subset: Iterable[int]) -> int:
         return self.nu[frozenset(subset)]
 
@@ -171,19 +180,17 @@ def _check_labels(p: LinkProfile, labels: tuple[int, ...]) -> None:
             raise ValueError(f"label {label} out of range 1..{p.size}")
 
 
+def _chi2_within(p: LinkProfile, full: frozenset[int], i: int, j: int) -> int:
+    return p.nu[full - {i, j}] - p.nu[full - {i}] - p.nu[full - {j}] + p.nu[full]
+
+
 def chi2(p: LinkProfile, i: int, j: int) -> int:
     """Genus inclusion-exclusion over deleting components ``i`` and ``j``.
 
     Symmetric in the two labels.
     """
     _check_labels(p, (i, j))
-    full = p.full_set
-    return (
-        p.nu[full - {i, j}]
-        - p.nu[full - {i}]
-        - p.nu[full - {j}]
-        + p.nu[full]
-    )
+    return _chi2_within(p, p.full_set, i, j)
 
 
 def chi3(p: LinkProfile, i: int, j: int, k: int) -> int:
@@ -194,16 +201,7 @@ def chi3(p: LinkProfile, i: int, j: int, k: int) -> int:
     """
     _check_labels(p, (i, j, k))
     full = p.full_set
-    return (
-        p.nu[full - {i, j, k}]
-        - p.nu[full - {i, j}]
-        - p.nu[full - {i, k}]
-        - p.nu[full - {j, k}]
-        + p.nu[full - {i}]
-        + p.nu[full - {j}]
-        + p.nu[full - {k}]
-        - p.nu[full]
-    )
+    return _chi2_within(p, full - {k}, i, j) - _chi2_within(p, full, i, j)
 
 
 def delete_component(p: LinkProfile, k: int) -> LinkProfile:
@@ -212,14 +210,11 @@ def delete_component(p: LinkProfile, k: int) -> LinkProfile:
     Remaining labels above ``k`` shift down by one.
     """
     _check_labels(p, (k,))
-
-    def old_label(label: int) -> int:
-        return label if label < k else label + 1
-
-    nu: dict[frozenset[int], int] = {}
-    for r in range(p.size):
-        for sub in combinations(range(1, p.size), r):
-            nu[frozenset(sub)] = p.nu[frozenset(old_label(s) for s in sub)]
+    nu = {
+        frozenset(s if s < k else s - 1 for s in subset): genus
+        for subset, genus in p.nu.items()
+        if k not in subset
+    }
     return LinkProfile(p.size - 1, nu)
 
 
@@ -228,11 +223,7 @@ def strongly_nonsplittable(p: LinkProfile, base: Iterable[int] = ()) -> bool:
     base = frozenset(base)
     if not base <= p.full_set:
         raise ValueError("base sublink is not within the profile's components")
-    return all(
-        genus == 0
-        for subset, genus in p.nu.items()
-        if base < subset
-    )
+    return not any(base < s for s in p._splittable)
 
 
 def _aspherical_factor(deleted: tuple[int, ...], retained: frozenset[int]) -> str | None:
@@ -472,8 +463,8 @@ def realizability_findings(p: LinkProfile) -> list[str]:
         chi = chi3(p, i, j, k)
         if chi < -1:
             findings.append(f"chi3({i},{j},{k}) = {chi} < -1: unrealizable")
-    if p.size == 3 and chi3(p, 1, 2, 3) == 1:
-        findings.append("chi3(1,2,3) = 1 is not realized by any 3-component link")
+        elif p.size == 3 and chi == 1:
+            findings.append("chi3(1,2,3) = 1 is not realized by any 3-component link")
     return findings
 
 

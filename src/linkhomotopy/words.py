@@ -232,6 +232,11 @@ def print_word(w: Word, letter: str = "x") -> str:
     return " ".join(parts)
 
 
+# The parser recurses three frames per bracket level; this keeps deep input
+# a syntax error instead of a RecursionError.
+_MAX_NESTING = 100
+
+
 class WordSyntaxError(ValueError):
     """Malformed word expression; carries the 0-based offset of the error."""
 
@@ -245,6 +250,7 @@ class _Parser:
         self.text = text
         self.letter = letter
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> WordSyntaxError:
         return WordSyntaxError(message, self.pos)
@@ -252,6 +258,12 @@ class _Parser:
     def skip_separators(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t*":
             self.pos += 1
+
+    def expect(self, char: str, message: str) -> None:
+        self.skip_separators()
+        if self.peek() != char:
+            raise self.error(message)
+        self.pos += 1
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -287,27 +299,20 @@ class _Parser:
         if ch == "1":
             self.pos += 1
             return Word()
-        if ch == "(":
+        if ch in ("(", "["):
+            if self.depth == _MAX_NESTING:
+                raise self.error(f"nesting deeper than {_MAX_NESTING} levels")
+            self.depth += 1
             self.pos += 1
             inner = self.parse_word()
-            self.skip_separators()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
+            if ch == "[":
+                self.expect(",", "expected ',' in commutator")
+                inner = commutator(inner, self.parse_word())
+                self.expect("]", "expected ']'")
+            else:
+                self.expect(")", "expected ')'")
+            self.depth -= 1
             return inner
-        if ch == "[":
-            self.pos += 1
-            left = self.parse_word()
-            self.skip_separators()
-            if self.peek() != ",":
-                raise self.error("expected ',' in commutator")
-            self.pos += 1
-            right = self.parse_word()
-            self.skip_separators()
-            if self.peek() != "]":
-                raise self.error("expected ']'")
-            self.pos += 1
-            return commutator(left, right)
         if ch == "":
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected character {ch!r}")
@@ -338,7 +343,8 @@ def parse_word(text: str, letter: str = "x") -> Word:
     the identity so that ``"1"``-producing pipelines round-trip.
 
     Raises :class:`WordSyntaxError` with the offending position on malformed
-    input, including a generator index of 0.
+    input, including a generator index of 0 and brackets nested deeper than
+    ``_MAX_NESTING`` levels.
     """
     parser = _Parser(text, letter)
     parser.skip_separators()

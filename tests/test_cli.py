@@ -44,6 +44,12 @@ def test_word_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+def test_word_parse_deep_nesting_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "word", "parse", "(" * 3000 + "x1" + ")" * 3000)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: nesting deeper than")
+
+
 def test_hatf_tower(capsys):
     code, out, _ = run_cli(capsys, "hatf", "tower", "2")
     assert (code, out) == (0, "degree=2; word=x1 x2 x1 x2^-1 x1^-2\n")

@@ -139,6 +139,15 @@ def test_delete_component_relabels():
     # a brunnian link falls apart after deleting any component
     assert delete_component(preset_profile("brunnian", 4), 3) == preset_profile("trivial", 3)
     assert delete_component(CHAIN3, 3).genus((1, 2)) == 0
+    # every sublink keeps its genus under the relabelling x -> x + 1 above k
+    rng = random.Random(113)
+    for _ in range(40):
+        p = random_profile(rng, rng.randint(2, 6))
+        for k in range(1, p.size + 1):
+            d = delete_component(p, k)
+            assert d.size == p.size - 1 and len(d.nu) == 2 ** d.size
+            for s in d.nu:
+                assert d.nu[s] == p.nu[frozenset(x if x < k else x + 1 for x in s)]
 
 
 def test_strongly_nonsplittable():
@@ -148,6 +157,25 @@ def test_strongly_nonsplittable():
     assert not strongly_nonsplittable(preset_profile("brunnian", 3))
     with pytest.raises(ValueError):
         strongly_nonsplittable(preset_profile("hopf", 3), (5,))
+    # every base against the literal definition, on random profiles and on
+    # presets with a few splittable overrides (so both answers occur)
+    rng = random.Random(127)
+    profiles = []
+    for n in range(1, 7):
+        profiles += [random_profile(rng, n) for _ in range(4)]
+        multi = [s for r in range(2, n + 1) for s in combinations(range(1, n + 1), r)]
+        for kind in ("hopf", "trivial", "brunnian"):
+            picks = rng.sample(multi, min(len(multi), rng.randint(1, 3)))
+            profiles.append(build_profile(n, kind, {
+                fs(*s): rng.randint(0, len(s) - 1) for s in picks
+            }))
+    seen = set()
+    for p in profiles:
+        for base in p.nu:
+            expected = all(p.nu[s] == 0 for s in p.nu if base < s)
+            assert strongly_nonsplittable(p, base) == expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_classify_X2_examples():

@@ -15,6 +15,7 @@ from linkhomotopy import (
     print_word,
     reduce_word,
 )
+from linkhomotopy.words import _MAX_NESTING
 from conftest import (
     as_letters,
     assert_canonical_word,
@@ -216,6 +217,20 @@ def test_parse_errors_carry_position():
     for bad in ("[x1", "[x1 x2]", "(x1", "x1 )", "x^2", "x1^", "y1", "x1]"):
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
+
+
+def test_parse_nesting_limit():
+    depth = _MAX_NESTING
+    assert parse_word("(" * depth + "x1" + ")" * depth) == generator(1)
+    assert parse_word("(" * (depth - 1) + "[x1, x2]" + ")" * (depth - 1)) == commutator(
+        generator(1), generator(2)
+    )
+    # the limit counts open brackets, not groups seen
+    assert parse_word("(x1) " * (depth + 1)) == generator(1) ** (depth + 1)
+    for innermost in ("(x1)", "[x1, x2]"):
+        with pytest.raises(WordSyntaxError, match="nesting deeper than") as info:
+            parse_word("(" * depth + innermost + ")" * depth)
+        assert info.value.position == depth
 
 
 def test_print_parse_round_trip():
