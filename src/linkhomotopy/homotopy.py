@@ -20,7 +20,9 @@ falls back to :data:`DEFAULT_TABLE`) -> :meth:`PiOfSphere.evaluate` ->
 summing sphere contributions over basic products, one for every Lyndon
 word in letters indexed by the wedge summands; a product of letters with
 dimensions ``d_1..d_w`` contributes the sphere of dimension
-``1 + sum(d_t - 1)``, and spheres above the query dimension are dropped.
+``1 + sum(d_t - 1)``.  The generator yields only the words whose sphere
+fits the query dimension (nothing is generated and then dropped); with
+unit weights it is :func:`lyndon_words`.
 """
 
 from __future__ import annotations
@@ -344,26 +346,38 @@ def homotopy_table_lookup(
     return None if found is None else found.group
 
 
-def lyndon_words(alphabet_size: int, max_length: int) -> list[tuple[int, ...]]:
-    """All Lyndon words over ``0..alphabet_size-1`` of length <= max_length.
-
-    Duval's generation, re-sorted by (length, lexicographic) so that the
-    enumeration order matches the weight grading of the free Lie algebra.
+def _lyndon_words(weights: Sequence[int], budget: int) -> list[tuple[int, ...]]:
+    """Lyndon words over ``0..len(weights)-1`` of total weight <= ``budget``,
+    sorted by (length, word): Duval's loop pruned on prefix weight (Cattell,
+    Ruskey, Sawada, Serra, Miers 2000).  ``weights`` must be positive and
+    nondecreasing, so a letter that does not fit rules out every larger one.
     """
-    if alphabet_size < 1 or max_length < 1:
-        return []
     out: list[tuple[int, ...]] = []
-    word = [-1]
+    if not weights or weights[0] > budget:
+        return out
+    # cost of incrementing each letter; the largest letter never fits
+    step = [b - a for a, b in zip(weights, weights[1:])] + [budget + 1]
+    word, room = [0], budget - weights[0]
     while word:
-        word[-1] += 1
         out.append(tuple(word))
         m = len(word)
-        while len(word) < max_length:
-            word.append(word[len(word) - m])
-        while word and word[-1] == alphabet_size - 1:
-            word.pop()
-    out.sort(key=lambda w: (len(w), w))
+        while weights[word[-m]] <= room:
+            room -= weights[word[-m]]
+            word.append(word[-m])
+        while word and step[word[-1]] > room:
+            room += weights[word.pop()]
+        if word:
+            room -= step[word[-1]]
+            word[-1] += 1
+    out.sort(key=len)  # stable, and the loop emits lexicographic order
     return out
+
+
+def lyndon_words(alphabet_size: int, max_length: int) -> list[tuple[int, ...]]:
+    """All Lyndon words over ``0..alphabet_size-1`` of length <= max_length,
+    sorted by (length, lexicographic) to match the grading of the free Lie
+    algebra; the unit-weight case of :func:`hilton_pi`'s generator."""
+    return _lyndon_words((1,) * alphabet_size, max_length)
 
 
 def hilton_pi(
@@ -373,22 +387,18 @@ def hilton_pi(
 ) -> GroupDescription:
     """``pi_n`` of a wedge of spheres of the given dimensions.
 
-    Sums one sphere contribution per Lyndon word on the wedge letters;
-    spheres above dimension ``n`` contribute nothing and are dropped,
-    which makes the enumeration finite because every dimension is >= 2.
-    Table misses stay in the sum as symbolic ``pi_n(S^m)`` terms.  The
-    result does not depend on the order of ``dims``.
+    Sums one sphere contribution per Lyndon word on the wedge letters, where
+    letter ``i`` weighs ``d_i - 1``; spheres above dimension ``n`` contribute
+    nothing, so only words of weight <= ``n - 1`` (finitely many) are
+    generated.  Table misses stay in the sum as symbolic ``pi_n(S^m)``
+    terms.  The result does not depend on the order of ``dims``.
     """
     if n < 2:
         raise ValueError(f"wedge homotopy degree must be >= 2, got {n}")
     if any(d < 2 for d in dims):
         raise ValueError("sphere dimensions must be >= 2")
-    if not dims:
-        return Trivial()
-    sorted_dims = sorted(dims)
-    parts: list[GroupDescription] = []
-    for word in lyndon_words(len(sorted_dims), n - 1):
-        dim = 1 + sum(sorted_dims[letter] - 1 for letter in word)
-        if dim <= n:
-            parts.append(PiOfSphere(n, dim).evaluate(table))
-    return direct_sum(parts)
+    weights = sorted(d - 1 for d in dims)
+    return direct_sum(
+        PiOfSphere(n, 1 + sum(weights[letter] for letter in word)).evaluate(table)
+        for word in _lyndon_words(weights, n - 1)
+    )

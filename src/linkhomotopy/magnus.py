@@ -53,6 +53,10 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 
+#: Most coefficient slots a dense expansion may hold: 2**24 slots are 128 MB
+#: of list pointers alone, and the largest expansion in use holds 97,656.
+_MAX_SLOTS = 2**24
+
 
 def _has_repeat(monomial: Monomial) -> bool:
     return len(set(monomial)) != len(monomial)
@@ -141,6 +145,16 @@ def _dense_blocks(
         # repeated-index monomials vanish in the reduced ring, so degrees
         # stop at r and x_i^e = (1 + X_i)^e is just 1 + e X_i
         truncation = min(truncation, r)
+    # sum_{d <= T} r**d slots, one list per degree; past degree 64 the count
+    # is only a lower bound (it is cheap and already above the limit)
+    top = min(truncation, 64)
+    slots = truncation + 1 if r < 2 else (r ** (top + 1) - 1) // (r - 1)
+    if slots > _MAX_SLOTS:
+        raise ValueError(
+            f"dense Magnus expansion needs {'over ' if top < truncation else ''}"
+            f"{slots} coefficient slots ({r} generators, truncation {truncation}); "
+            f"the limit is {_MAX_SLOTS}"
+        )
     syllable_degree = 1 if reduced else truncation
     steps = [r**j for j in range(truncation + 1)]
     # offsets[x][j] is the code of X_x^j; right-multiplying a degree d - j

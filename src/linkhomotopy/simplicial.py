@@ -332,21 +332,17 @@ def meridian_word(k: int) -> MeridianWord:
     return MeridianWord(link_size=k, word=eta_tower(k - 1).word)
 
 
-def _variant(degree: int, text: str) -> SimplicialElement:
-    return element(degree, parse_word(text))
-
-
 #: Variant of the degree-3 tower word with ``[a, x2]`` as the first inner
 #: factor in place of the mechanical ``[a, x1 x2]`` (``a = x1 x2 x3``).  This
 #: form circulates in the literature; it shares the tower word's
 #: lower-central depth and trivial reduced expansion, but it is *not* a
 #: Moore cycle (its second face is a nontrivial commutator).
-VARIANT_ETA_DEGREE3 = _variant(3, "[[x1 x2 x3, x2], [x1 x2 x3, x1]]")
+VARIANT_ETA_DEGREE3 = element(3, "[[x1 x2 x3, x2], [x1 x2 x3, x1]]")
 
 #: Degree-4 analogue of :data:`VARIANT_ETA_DEGREE3`, read with balanced
 #: brackets: ``[[[a,x3],[a,x2]], [[a,x2 x3],[a,x1]]]`` for ``a = x1x2x3x4``.
 #: Like the degree-3 variant it fails the cycle test (third face).
-VARIANT_ETA_DEGREE4 = _variant(
+VARIANT_ETA_DEGREE4 = element(
     4,
     "[[[x1 x2 x3 x4, x3], [x1 x2 x3 x4, x2]],"
     " [[x1 x2 x3 x4, x2 x3], [x1 x2 x3 x4, x1]]]",

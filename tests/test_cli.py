@@ -120,6 +120,16 @@ def test_magnus_mu_repeated_index_exit_code(capsys):
     assert code == 2 and "distinct" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "[[x1,x2],[x3,x4]]", "--trunc", "14"),
+    ("gamma", " ".join(f"x{i}" for i in range(1, 21)), "--trunc", "8"),
+])
+def test_magnus_over_slot_limit_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, "magnus", *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: dense Magnus expansion needs")
+
+
 def test_magnus_verify51_three_pass_lines(capsys):
     code, out, _ = run_cli(capsys, "magnus", "verify51", "4")
     lines = out.strip().splitlines()

@@ -1,6 +1,11 @@
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkhomotopy import (
     COUNTABLE,
@@ -18,7 +23,11 @@ from linkhomotopy import (
     homotopy_table_lookup,
     lyndon_words,
 )
-from linkhomotopy.homotopy import TableFormatError, parse_group_token
+from linkhomotopy.homotopy import TableFormatError, _lyndon_words, parse_group_token
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import oracles  # noqa: E402
 
 Z = FreeAbelian(1)
 
@@ -151,11 +160,30 @@ def test_lyndon_word_enumeration():
     ]
     assert lyndon_words(1, 5) == [(0,)]
     assert lyndon_words(0, 3) == []
-    # counts by length follow the necklace numbers: 3, 3, 8, 18 for 3 letters
-    by_length = {}
-    for word in lyndon_words(3, 4):
-        by_length[len(word)] = by_length.get(len(word), 0) + 1
-    assert by_length == {1: 3, 2: 3, 3: 8, 4: 18}
+    assert lyndon_words(3, 0) == []
+    # counts by length follow Witt's necklace formula
+    for alphabet in range(1, 5):
+        by_length = Counter(len(word) for word in lyndon_words(alphabet, 8))
+        for length in range(1, 9):
+            assert by_length[length] == oracles.witt_count(alphabet, length)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(2, 6), min_size=1, max_size=4), n=st.integers(2, 12))
+def test_weighted_lyndon_words_against_filter_and_graded_witt(dims, n):
+    weights = sorted(d - 1 for d in dims)
+
+    def sphere(word):
+        return 1 + sum(weights[letter] for letter in word)
+
+    words = _lyndon_words(weights, n - 1)
+    # the route it replaced: all Lyndon words short enough, filtered by sphere
+    # (a word longer than (n - 1) // weights[0] weighs more than n - 1)
+    short = lyndon_words(len(dims), (n - 1) // weights[0])
+    assert words == [w for w in short if sphere(w) <= n]
+    spheres = [sphere(word) for word in words]
+    assert Counter(spheres) == oracles.wedge_sphere_dims(n, dims)
+    assert hilton_pi(n, dims) == direct_sum(PiOfSphere(n, m).evaluate() for m in spheres)
 
 
 def test_hilton_two_sphere_wedge_degree3():

@@ -126,6 +126,13 @@ def test_series_validation_and_errors():
         MagnusSeries(1, {(1, 2): 1})
     with pytest.raises(ValueError):
         magnus_expand(x1, 2) * magnus_expand(x1, 3)
+    # past the dense slot limit, raised before anything is allocated
+    with pytest.raises(ValueError, match="357913941 coefficient slots"):
+        magnus_expand(parse_word("[[x1,x2],[x3,x4]]"), 14)
+    twenty = parse_word(" ".join(f"x{i}" for i in range(1, 21)))
+    for expand in (magnus_expand, reduced_expand, gamma_class_lower_bound):
+        with pytest.raises(ValueError, match="the limit is 16777216"):
+            expand(twenty, 8)
 
 
 def test_gamma_bound_examples():
