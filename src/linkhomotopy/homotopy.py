@@ -346,15 +346,60 @@ def homotopy_table_lookup(
     return None if found is None else found.group
 
 
+#: Most Lyndon words :func:`_lyndon_words` may generate, each one summand of
+#: :func:`hilton_pi`; the largest wedge in use, ``pi_12`` of four 2-spheres,
+#: has 526,638.
+_MAX_LYNDON_WORDS = 2**22
+
+
+def _lyndon_count(weights: Sequence[int], budget: int) -> int:
+    """Number of Lyndon words of total weight <= ``budget`` by the weighted
+    Witt formula, stopping at the first weight where it passes
+    :data:`_MAX_LYNDON_WORDS`.  With ``N_m`` words of weight ``m``, the
+    ``L_d`` Lyndon words of each weight ``d`` satisfy ``sum_{d | m} d L_d =
+    sum_i w_i N_{m - w_i}`` (the logarithmic derivative of
+    ``1 / (1 - sum_i t^w_i)``).
+    """
+    words = [1] + [0] * budget
+    # divided[m] = sum_{d | m, d < m} d L_d
+    divided = [0] * (budget + 1)
+    total = 0
+    for m in range(1, budget + 1):
+        count = weighted = 0
+        for w in weights:
+            if w > m:
+                break
+            count += words[m - w]
+            weighted += w * words[m - w]
+        words[m] = count
+        lyndon = (weighted - divided[m]) // m
+        if lyndon:
+            total += lyndon
+            if total > _MAX_LYNDON_WORDS:
+                break
+            for multiple in range(2 * m, budget + 1, m):
+                divided[multiple] += m * lyndon
+    return total
+
+
 def _lyndon_words(weights: Sequence[int], budget: int) -> list[tuple[int, ...]]:
     """Lyndon words over ``0..len(weights)-1`` of total weight <= ``budget``,
     sorted by (length, word): Duval's loop pruned on prefix weight (Cattell,
     Ruskey, Sawada, Serra, Miers 2000).  ``weights`` must be positive and
     nondecreasing, so a letter that does not fit rules out every larger one.
+    More than :data:`_MAX_LYNDON_WORDS` words raise ``ValueError`` before
+    any is generated.
     """
     out: list[tuple[int, ...]] = []
     if not weights or weights[0] > budget:
         return out
+    count = _lyndon_count(weights, budget)
+    if count > _MAX_LYNDON_WORDS:
+        raise ValueError(
+            f"Hilton-Milnor splitting needs at least {count} Lyndon words "
+            f"({len(weights)} letters, weight <= {budget}); "
+            f"the limit is {_MAX_LYNDON_WORDS}"
+        )
     # cost of incrementing each letter; the largest letter never fits
     step = [b - a for a, b in zip(weights, weights[1:])] + [budget + 1]
     word, room = [0], budget - weights[0]
@@ -390,15 +435,17 @@ def hilton_pi(
     Sums one sphere contribution per Lyndon word on the wedge letters, where
     letter ``i`` weighs ``d_i - 1``; spheres above dimension ``n`` contribute
     nothing, so only words of weight <= ``n - 1`` (finitely many) are
-    generated.  Table misses stay in the sum as symbolic ``pi_n(S^m)``
-    terms.  The result does not depend on the order of ``dims``.
+    generated, and each sphere dimension is evaluated once.  Table misses
+    stay in the sum as symbolic ``pi_n(S^m)`` terms.  The result does not
+    depend on the order of ``dims``.  A wedge with more than
+    :data:`_MAX_LYNDON_WORDS` summands raises ``ValueError``.
     """
     if n < 2:
         raise ValueError(f"wedge homotopy degree must be >= 2, got {n}")
     if any(d < 2 for d in dims):
         raise ValueError("sphere dimensions must be >= 2")
     weights = sorted(d - 1 for d in dims)
-    return direct_sum(
-        PiOfSphere(n, 1 + sum(weights[letter] for letter in word)).evaluate(table)
-        for word in _lyndon_words(weights, n - 1)
-    )
+    spheres = [1 + sum(weights[letter] for letter in word)
+               for word in _lyndon_words(weights, n - 1)]
+    groups = {m: PiOfSphere(n, m).evaluate(table) for m in set(spheres)}
+    return direct_sum(groups[m] for m in spheres)

@@ -15,15 +15,17 @@ Milnor-type invariants: a nonzero coefficient certifies nontriviality in
 the quotient of the group by the commutators of each meridian closure with
 itself, while vanishing up to a truncation certifies nothing.
 
-Expansions are computed densely (Magnus-Karrass-Solitar, ch. 5).  With the
-word's ``r`` distinct generators relabelled ``0..r-1``, degree ``d`` is a list
-of ``r**d`` integers indexed by the base-``r`` code of a monomial, so a
-truncation-``T`` expansion holds ``sum_{d <= T} r**d`` slots (``d`` up to
-``min(T, r)`` for the reduced expansion).  Each syllable ``x_a^e`` updates
-the lists in place, one strided slice per degree and binomial term.  The
-cost follows the slot count, not the number of nonzero terms, so a word on
-many generators with few syllables is slower than a sparse product would
-be.  :func:`mu_coefficient` needs no expansion: one pass over the syllables,
+Expansions are computed densely (Magnus-Karrass-Solitar, ch. 5): on ``r``
+generators, degree ``d`` has ``r**d`` slots packed into one exact integer
+``sum_i v_i * 2**(B*i)`` (Kronecker substitution), ``sum_{d <= T} r**d``
+slots in all (``d <= min(T, r)`` when reduced).  A syllable ``x_a^e`` costs
+one shift-and-add of whole blocks per degree and binomial term, at most
+``T`` terms however large ``|e|`` is.  As ``|C(e, j)| <= [t^j] (1-t)^-|e|``,
+no coefficient of a word of ``E`` letters exceeds ``C(E + T - 1, T)`` in
+absolute value; ``B`` is its bit length plus a sign bit, in whole bytes.
+The cost follows the slot count, not the nonzero terms, so a short word on
+many generators is slower than a sparse product would be.
+:func:`mu_coefficient` needs no expansion: one pass over the syllables,
 ``O(syllables + k)`` for ``k`` indices (Fox 1953).
 """
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb
 from typing import Mapping, Sequence
 
 from .simplicial import (
@@ -53,8 +56,8 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 
-#: Most coefficient slots a dense expansion may hold: 2**24 slots are 128 MB
-#: of list pointers alone, and the largest expansion in use holds 97,656.
+#: Most coefficient slots a dense expansion may hold, ``B / 8`` bytes each; the
+#: largest in use, ``eta_tower(5)`` at truncation 7, holds 97,656 of 7 bytes.
 _MAX_SLOTS = 2**24
 
 
@@ -127,15 +130,15 @@ class MagnusSeries:
 
 def _dense_blocks(
     w: Word, truncation: int, reduced: bool
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Coefficients of ``w``'s expansion as ``(support, blocks)``.
+) -> tuple[tuple[int, ...], int, list[int]]:
+    """Coefficients of ``w``'s expansion as ``(support, width, blocks)``.
 
     ``support`` is the sorted tuple of the ``r`` generators of ``w`` and
-    ``blocks[d]`` lists the ``r**d`` degree-``d`` coefficients: slot ``i``
-    is the monomial whose base-``r`` digits of ``i``, most significant
-    first, index ``support``.  Reduced blocks stop at degree
-    ``min(truncation, r)``, and syllables contribute only ``1 + e X``; their
-    repeated-index slots are not the full expansion's and must be ignored.
+    ``blocks[d]`` is ``sum_i v_i * 2**(width * i)`` with every ``|v_i| <
+    2**(width - 1)``: slot ``i`` is the monomial whose base-``r`` digits of
+    ``i``, least significant first, index ``support``.  Reduced blocks stop
+    at degree ``min(truncation, r)``, and syllables contribute only ``1 + e
+    X``; their repeated-index slots are not the full expansion's.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
@@ -145,7 +148,7 @@ def _dense_blocks(
         # repeated-index monomials vanish in the reduced ring, so degrees
         # stop at r and x_i^e = (1 + X_i)^e is just 1 + e X_i
         truncation = min(truncation, r)
-    # sum_{d <= T} r**d slots, one list per degree; past degree 64 the count
+    # sum_{d <= T} r**d slots, one block per degree; past degree 64 the count
     # is only a lower bound (it is cheap and already above the limit)
     top = min(truncation, 64)
     slots = truncation + 1 if r < 2 else (r ** (top + 1) - 1) // (r - 1)
@@ -155,42 +158,48 @@ def _dense_blocks(
             f"{slots} coefficient slots ({r} generators, truncation {truncation}); "
             f"the limit is {_MAX_SLOTS}"
         )
-    syllable_degree = 1 if reduced else truncation
-    steps = [r**j for j in range(truncation + 1)]
-    # offsets[x][j] is the code of X_x^j; right-multiplying a degree d - j
-    # monomial with code c by it gives code c * r**j + offsets[x][j]
-    offsets = {}
-    for a, index in enumerate(support):
-        codes = [0]
-        for _ in range(truncation):
-            codes.append(codes[-1] * r + a)
-        offsets[index] = codes
-    blocks = [[0] * steps[d] for d in range(truncation + 1)]
-    blocks[0][0] = 1
+    # the coefficient bound C(E + T - 1, T) plus a sign bit, in whole bytes
+    bound = comb(w.length + truncation - 1, truncation) if w.syllables else 0
+    width = (bound.bit_length() + 8) // 8 * 8
+    # ones[m] = sum_{i < m} r**i; X_a^j adds a * (ones[d] - ones[d - j]) to the
+    # slot of a degree d - j monomial
+    ones = [0]
+    for _ in range(truncation):
+        ones.append(ones[-1] * r + 1)
+    letter = {index: width * a for a, index in enumerate(support)}
+    blocks = [1] + [0] * truncation
+    descending, ascending = range(truncation, 0, -1), range(1, truncation + 1)
     for index, exponent in w.syllables:
-        offset = offsets[index]
-        # generalized binomial coefficients C(e, j), exact for e < 0 as well
-        binomials = [1]
-        for j in range(syllable_degree):
-            binomials.append(binomials[-1] * (exponent - j) // (j + 1))
-        # descending degrees, so every block read below is still the old one
-        for d in range(truncation, 0, -1):
+        shift, k = letter[index], abs(exponent)
+        # a reduced syllable is 1 + e X_a, a full one (1 + X_a)^e
+        coeffs = [comb(k, j) for j in range(min(1 if reduced else k, truncation) + 1)]
+        # multiplying reads the old lower blocks, so degrees descend; dividing
+        # by (1 + X_a)^k reads the new ones, so they ascend
+        degrees = ascending if exponent < 0 and not reduced else descending
+        for d in degrees:
             block = blocks[d]
-            for j in range(1, min(d, syllable_degree) + 1):
-                c = binomials[j]
-                if c:
-                    off, step = offset[j], steps[j]
-                    block[off::step] = [
-                        x + c * y for x, y in zip(block[off::step], blocks[d - j])
-                    ]
-    return support, blocks
+            for j in range(1, min(d, len(coeffs) - 1) + 1):
+                term = blocks[d - j] << shift * (ones[d] - ones[d - j])
+                term = term if coeffs[j] == 1 else coeffs[j] * term
+                block = block + term if exponent > 0 else block - term
+            blocks[d] = block
+    return support, width, blocks
 
 
 def _expand(w: Word, truncation: int, reduced: bool) -> MagnusSeries:
-    support, blocks = _dense_blocks(w, truncation, reduced)
+    support, width, blocks = _dense_blocks(w, truncation, reduced)
+    r, size, half = len(support), width // 8, 1 << (width - 1)
     terms: dict[Monomial, int] = {}
     for d, block in enumerate(blocks):
-        for monomial, coeff in zip(product(support, repeat=d), block):
+        if not block:
+            continue
+        # biased by half, every slot is ``size`` unsigned bytes
+        bias = int.from_bytes(half.to_bytes(size, "little") * r**d, "little")
+        data = (block + bias).to_bytes(size * r**d, "little")
+        # each monomial's byte offset, monomials in lexicographic order
+        places = (range(0, size * r ** (k + 1), size * r**k) for k in range(d))
+        for monomial, at in zip(product(support, repeat=d), map(sum, product(*places))):
+            coeff = int.from_bytes(data[at : at + size], "little") - half
             if coeff and not (reduced and _has_repeat(monomial)):
                 terms[monomial] = coeff
     return MagnusSeries(truncation, terms)
@@ -228,8 +237,8 @@ def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    _, blocks = _dense_blocks(w, max_degree, reduced=False)
-    return next((d for d in range(1, max_degree + 1) if any(blocks[d])), None)
+    _, _, blocks = _dense_blocks(w, max_degree, reduced=False)
+    return next((d for d in range(1, max_degree + 1) if blocks[d]), None)
 
 
 def mu_coefficient(w: Word, indices: Sequence[int]) -> int:

@@ -236,6 +236,12 @@ def test_spheres_wedge_bad_dims_exit_code(capsys):
     assert code == 2
 
 
+def test_spheres_wedge_over_summand_limit_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "spheres", "wedge", "30", "2,2,2")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: Hilton-Milnor splitting needs")
+
+
 def test_spheres_with_table_file(capsys, tmp_path):
     table = tmp_path / "extra.tab"
     table.write_text("pi 7 3 Z/2 classical tables\n")

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,12 @@ from linkhomotopy import (
     homotopy_table_lookup,
     lyndon_words,
 )
-from linkhomotopy.homotopy import TableFormatError, _lyndon_words, parse_group_token
+from linkhomotopy.homotopy import (
+    TableFormatError,
+    _lyndon_count,
+    _lyndon_words,
+    parse_group_token,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -186,6 +192,15 @@ def test_weighted_lyndon_words_against_filter_and_graded_witt(dims, n):
     assert hilton_pi(n, dims) == direct_sum(PiOfSphere(n, m).evaluate() for m in spheres)
 
 
+def test_lyndon_count_against_graded_witt():
+    for k in range(1, 4):
+        for dims in combinations_with_replacement(range(2, 7), k):
+            weights = sorted(d - 1 for d in dims)
+            for n in range(2, 13):
+                expected = sum(oracles.wedge_sphere_dims(n, dims).values())
+                assert _lyndon_count(weights, n - 1) == expected
+
+
 def test_hilton_two_sphere_wedge_degree3():
     assert hilton_pi(3, [2, 2]) == DirectSum((Z, Z, Z))
 
@@ -232,4 +247,12 @@ def test_hilton_validation():
         hilton_pi(1, [2])
     with pytest.raises(ValueError):
         hilton_pi(3, [1])
+    # the summand count is checked before any word is generated
+    assert _lyndon_count((1, 1, 1, 1), 11) == sum(
+        oracles.witt_count(4, length) for length in range(1, 12)
+    ) == 526638
+    with pytest.raises(ValueError, match="the limit is 4194304"):
+        hilton_pi(30, [2, 2, 2])
+    with pytest.raises(ValueError, match="the limit is 4194304"):
+        lyndon_words(2, 40)
     assert hilton_pi(3, []) == Trivial()

@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -115,6 +117,54 @@ def test_expand_constant_term_is_one():
     for _ in range(100):
         w = random_word(rng, 4)
         assert magnus_expand(w, 3).coefficient(()) == 1
+
+
+def _binomial(e, j):
+    """Generalized C(e, j) in closed form, for negative e as well."""
+    return comb(e, j) if e >= 0 else (-1) ** j * comb(j - e - 1, j)
+
+
+def _closed_form(syllables, monomial):
+    """Coefficient of ``monomial`` in the product of the syllables'
+    ``(1 + X_g)^e``: sum over splits of the monomial into one run of ``g``
+    per syllable, each weighted by ``C(e, run length)``."""
+    if not syllables:
+        return int(not monomial)
+    (g, e), rest = syllables[0], syllables[1:]
+    total, run = 0, 0
+    while True:
+        total += _binomial(e, run) * _closed_form(rest, monomial[run:])
+        if run == len(monomial) or monomial[run] != g:
+            return total
+        run += 1
+
+
+def test_expand_at_the_coefficient_bound():
+    # X1^t in (1 + X1)^-k is (-1)^t C(k + t - 1, t), exactly the bound that
+    # sizes the packed fields: a field without its sign bit misdecodes it
+    # whenever the bound's bit length is a multiple of 8 (k = 200, t = 1)
+    for k in (1, 2, 3, 7, 128, 200, 255, 256, 1000, 65535, 10**9):
+        for t in range(1, 7):
+            expected = {(1,) * j: (-1) ** j * comb(k + j - 1, j) for j in range(t + 1)}
+            assert magnus_expand(generator(1, -k), t).terms == expected
+
+
+def test_expand_large_exponents_in_closed_form():
+    # a syllable costs at most t terms per degree however large |e| is; a
+    # kernel that repeats a letter |e| times would not finish
+    a, b = 99999999, 12345678
+    w = parse_word(f"x1^{a} x2^-{a} x1 x3^{b}")
+    expected = {}
+    for d in range(5):
+        for monomial in product((1, 2, 3), repeat=d):
+            coeff = _closed_form(w.syllables, monomial)
+            if coeff:
+                expected[monomial] = coeff
+    assert magnus_expand(w, 4).terms == expected
+    assert reduced_expand(w, 4).terms == {
+        m: c for m, c in expected.items() if len(set(m)) == len(m)
+    }
+    assert gamma_class_lower_bound(w, 4) == 1
 
 
 def test_series_validation_and_errors():
