@@ -16,15 +16,40 @@ Four layers:
   meridian-intersection quotients, and homotopy groups of sphere wedges.
 
 The package re-exports each layer module's ``__all__``; that list is the
-one place a name is made public at package level.  The command-line front
-end lives in :mod:`linkhomotopy.cli` (also exposed as ``python -m
-linkhomotopy``).
+one place a name is made public at package level.  The re-export is lazy
+(PEP 562): importing the package, or one layer, loads no other layer, and
+the first package-level lookup of any other name (attribute access,
+``dir`` or ``from linkhomotopy import *``) imports all five layers and
+copies their public names into the package.  The command-line front end
+lives in :mod:`linkhomotopy.cli` (also exposed as ``python -m
+linkhomotopy``) and imports only the layers a subcommand uses.
 """
 
-from .homotopy import *
-from .links import *
-from .magnus import *
-from .simplicial import *
-from .words import *
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+_LAYERS = ("homotopy", "links", "magnus", "simplicial", "words")
+
+
+def _export_layers() -> None:
+    for name in _LAYERS:
+        layer = _import_module(f".{name}", __name__)
+        globals().update((public, getattr(layer, public)) for public in layer.__all__)
+
+
+def __getattr__(name: str):
+    # the import system probes a submodule with hasattr before importing it
+    # (``from . import words``); loading every layer there would undo the laziness
+    if name not in _LAYERS and name != "cli":
+        _export_layers()
+        # ``import *`` asks for ``__all__`` first; missing, it falls back to
+        # the namespace just filled, as an eager package would
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    _export_layers()
+    return list(globals())

@@ -6,16 +6,20 @@ stderr, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 input error (syntax, ranges, file formats),
 3 precondition violation (eta on a non-cycle), 4 unrealizable profile.
+
+Each handler imports the layers it uses, so a process loads only those:
+``word`` loads words, ``hatf`` words and simplicial, ``magnus`` those and
+magnus, ``link`` homotopy and links, ``spheres`` homotopy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import links, magnus, simplicial, words
-from .homotopy import DEFAULT_TABLE, HomotopyTable, PiOfSphere, hilton_pi
+if TYPE_CHECKING:
+    from .homotopy import HomotopyTable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -24,6 +28,8 @@ EXIT_UNREALIZABLE = 4
 
 
 def _load_table(path: str | None) -> HomotopyTable:
+    from .homotopy import DEFAULT_TABLE, HomotopyTable
+
     if path is None:
         return DEFAULT_TABLE
     table = HomotopyTable()
@@ -47,7 +53,14 @@ def _parse_int_list(token: str) -> list[int]:
         raise ValueError(f"bad integer list {token!r}") from exc
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_word(args: argparse.Namespace) -> int:
+    from . import words
+
     if args.action == "commutate":
         left = words.parse_word(args.expr)
         right = words.parse_word(args.other)
@@ -58,6 +71,8 @@ def _cmd_word(args: argparse.Namespace) -> int:
 
 
 def _cmd_hatf(args: argparse.Namespace) -> int:
+    from . import simplicial
+
     if args.action == "tower":
         print(simplicial.eta_tower(args.k))
     elif args.action == "meridian":
@@ -71,11 +86,16 @@ def _cmd_hatf(args: argparse.Namespace) -> int:
         elif args.action == "cycle":
             print("true" if simplicial.is_cycle(e) else "false")
         else:  # eta
-            print(simplicial.eta_word(e))
+            try:
+                print(simplicial.eta_word(e))
+            except simplicial.NotACycleError as exc:
+                return _error(exc, EXIT_PRECONDITION)
     return EXIT_OK
 
 
 def _cmd_magnus(args: argparse.Namespace) -> int:
+    from . import magnus, words
+
     if args.action == "expand":
         print(magnus.magnus_expand(words.parse_word(args.expr), args.trunc))
     elif args.action == "gamma":
@@ -92,6 +112,8 @@ def _cmd_magnus(args: argparse.Namespace) -> int:
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
+    from . import links
+
     profile = links.load_profile(args.profile)
     if args.action == "chi2":
         i, j = _parse_labels(args.labels)
@@ -110,7 +132,10 @@ def _cmd_link(args: argparse.Namespace) -> int:
         table = _load_table(args.table)
         l0 = links.parse_subset_token(args.l0, profile.size)
         sub = links.parse_subset_token(args.sub, profile.size)
-        result = links.classify_A(profile, l0, sub, table)
+        try:
+            result = links.classify_A(profile, l0, sub, table)
+        except links.UnrealizableProfileError as exc:
+            return _error(exc, EXIT_UNREALIZABLE)
         print(result.main_line())
         for note in result.notes:
             print(f"note: {note}", file=sys.stderr)
@@ -118,6 +143,8 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_spheres(args: argparse.Namespace) -> int:
+    from .homotopy import PiOfSphere, hilton_pi
+
     table = _load_table(args.table)
     if args.action == "pi":
         entry = table.entry(args.n, args.m)
@@ -226,15 +253,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except links.UnrealizableProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREALIZABLE
-    except simplicial.NotACycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc, EXIT_INPUT)
 
 
 def run() -> None:

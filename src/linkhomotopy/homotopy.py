@@ -28,6 +28,7 @@ unit weights it is :func:`lyndon_words`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -359,26 +360,65 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> int:
     ``L_d`` Lyndon words of each weight ``d`` satisfy ``sum_{d | m} d L_d =
     sum_i w_i N_{m - w_i}`` (the logarithmic derivative of
     ``1 / (1 - sum_i t^w_i)``).
+
+    Only the weights that carry a Lyndon word are visited, in increasing
+    order: the letters' own and the mixed ones, made of two distinct letters
+    or more (in sorted order those letters spell a Lyndon word).  So the cost
+    follows the count, not ``budget``.  Any other weight is only a power of
+    one letter, and its ``N_m`` is the number of letters whose weight
+    divides ``m``.
     """
-    words = [1] + [0] * budget
-    # divided[m] = sum_{d | m, d < m} d L_d
-    divided = [0] * (budget + 1)
+    letters: dict[int, int] = {}  # weight -> number of letters of that weight
+    for w in weights:
+        if w <= budget:
+            letters[w] = letters.get(w, 0) + 1
+    singles = sorted(letters)
+    terms = [(w, k, k * w) for w, k in letters.items()]
+    mixed = {a + b for a in singles for b in singles
+             if (a < b or a == b and letters[a] > 1) and a + b <= budget}
+    heap = sorted(mixed.union(singles))
+    words = {0: 1}
+    lyndon: dict[int, int] = {}
+    # a mixed weight divides only mixed weights, so it waits at its next multiple
+    pending: dict[int, list[int]] = {}
     total = 0
-    for m in range(1, budget + 1):
+    while heap:
+        m = heappop(heap)
         count = weighted = 0
-        for w in weights:
-            if w > m:
-                break
-            count += words[m - w]
-            weighted += w * words[m - w]
+        for w, k, kw in terms:
+            n = words.get(m - w)
+            if n is None:
+                rest = m - w
+                if rest < 0:
+                    continue
+                n = sum(j for v, j in letters.items() if rest % v == 0)
+            count += k * n
+            weighted += kw * n
         words[m] = count
-        lyndon = (weighted - divided[m]) // m
-        if lyndon:
-            total += lyndon
-            if total > _MAX_LYNDON_WORDS:
+        # sum_{d | m, d < m} d L_d
+        divided = 0
+        for d in singles:
+            if d >= m:
                 break
-            for multiple in range(2 * m, budget + 1, m):
-                divided[multiple] += m * lyndon
+            if m % d == 0:
+                divided += d * lyndon[d]
+        for d in pending.pop(m, ()):
+            divided += d * lyndon[d]
+            pending.setdefault(m + d, []).append(d)
+        lyndon[m] = found = (weighted - divided) // m
+        total += found
+        if total > _MAX_LYNDON_WORDS:
+            break
+        if m in mixed:
+            if m not in letters:
+                pending.setdefault(2 * m, []).append(m)
+            for w in singles:
+                if m + w > budget:
+                    break
+                if m + w not in mixed:
+                    mixed.add(m + w)
+                    if m + w not in letters:
+                        heappush(heap, m + w)
     return total
 
 
@@ -393,6 +433,8 @@ def _lyndon_words(weights: Sequence[int], budget: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     if not weights or weights[0] > budget:
         return out
+    if len(weights) == 1 or weights[1] > budget:
+        return [(0,)]  # one letter fits, and it is the only Lyndon word
     count = _lyndon_count(weights, budget)
     if count > _MAX_LYNDON_WORDS:
         raise ValueError(

@@ -60,6 +60,11 @@ Monomial = tuple[int, ...]
 #: largest in use, ``eta_tower(5)`` at truncation 7, holds 97,656 of 7 bytes.
 _MAX_SLOTS = 2**24
 
+#: Most bytes those slots may take: ``B`` grows with the logarithm of the
+#: exponents, so few slots can still be large.  The largest expansion in use
+#: takes 683,592 bytes.
+_MAX_BYTES = 2**26
+
 
 def _has_repeat(monomial: Monomial) -> bool:
     return len(set(monomial)) != len(monomial)
@@ -161,6 +166,11 @@ def _dense_blocks(
     # the coefficient bound C(E + T - 1, T) plus a sign bit, in whole bytes
     bound = comb(w.length + truncation - 1, truncation) if w.syllables else 0
     width = (bound.bit_length() + 8) // 8 * 8
+    if slots * width // 8 > _MAX_BYTES:
+        raise ValueError(
+            f"dense Magnus expansion needs {slots * width // 8} bytes ({slots} "
+            f"coefficient slots of {width} bits); the limit is {_MAX_BYTES}"
+        )
     # ones[m] = sum_{i < m} r**i; X_a^j adds a * (ones[d] - ones[d - j]) to the
     # slot of a degree d - j monomial
     ones = [0]

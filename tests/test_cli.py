@@ -282,13 +282,83 @@ def test_spheres_table_rejects_known_indices(capsys, tmp_path, content, n, m):
     assert "already given" in err
 
 
-def test_module_entry_point():
-    # the child process runs the same package these tests imported
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter, on the package these tests
+    imported, from the repository root."""
     package_root = str(Path(linkhomotopy.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "linkhomotopy", "word", "reduce", "x2 x2^-1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, cwd=DATA.parent.parent,
     )
+
+
+def test_module_entry_point():
+    proc = fresh_python("-m", "linkhomotopy", "word", "reduce", "x2 x2^-1")
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+LAYERS = ("homotopy", "links", "magnus", "simplicial", "words")
+
+SHOW_MODULES = """
+import runpy, sys
+sys.argv[0] = "linkhomotopy"
+try:
+    runpy.run_module("linkhomotopy", run_name="__main__", alter_sys=True)
+finally:
+    print(*sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("word", "parse", "[x1*x2, x1]"), {"words"}),
+    (("hatf", "tower", "2"), {"words", "simplicial"}),
+    (("magnus", "verify51", "4"), {"words", "simplicial", "magnus"}),
+    (("link", "classify", "--profile", "tests/data/hopf4.lnk", "--L0", "empty",
+      "--sub", "full"), {"homotopy", "links"}),
+    (("spheres", "wedge", "3", "2,2"), {"homotopy"}),
+], ids=["word", "hatf", "magnus", "link", "spheres"])
+def test_each_subcommand_loads_only_its_layers(argv, layers):
+    # runs the package as ``python -m`` does, then lists every loaded module
+    proc = fresh_python("-c", SHOW_MODULES, *argv)
+    assert proc.returncode == 0
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert {layer for layer in LAYERS if f"linkhomotopy.{layer}" in loaded} == layers
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("hatf", "eta", "--degree", "2", "x1"), 3, "error: not a Moore cycle"),
+    (("link", "classify", "--profile", "{profile}", "--L0", "empty", "--sub", "full"),
+     4, "error: chi3(1,2,3) = -3 < -1"),
+    (("word", "parse", "[x1, x0]"), 2, "error: "),
+], ids=["precondition", "unrealizable", "input"])
+def test_exit_codes_in_a_fresh_process(tmp_path, argv, code, message):
+    # each handler maps its own layer's errors, whatever else is imported
+    profile = tmp_path / "impossible.lnk"
+    profile.write_text("components 3\npreset hopf\nnu full 2\n")
+    proc = fresh_python("-m", "linkhomotopy", *(a.format(profile=profile) for a in argv))
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(message)
+
+
+def test_package_namespace_is_every_layers_public_names():
+    layers = [getattr(linkhomotopy, name) for name in LAYERS]
+    public = [name for layer in layers for name in layer.__all__]
+    assert len(public) == len(set(public)) == 63
+    expected = sorted(public + list(LAYERS))
+    # the first lookup in a fresh process loads the layers
+    listed = fresh_python("-c", "import linkhomotopy; print(*(n for n in dir(linkhomotopy)"
+                          " if not n.startswith('_')))")
+    starred = fresh_python("-c", "ns = {}; exec('from linkhomotopy import *', ns); "
+                           "print(*sorted(n for n in ns if not n.startswith('_')))")
+    assert listed.stdout.split() == expected
+    assert starred.stdout.split() == expected
+    # importing a submodule by name from the package loads only that module
+    some = fresh_python("-c", "import sys; from linkhomotopy import cli, words; "
+                        "print(*sys.modules)")
+    assert {layer for layer in LAYERS if f"linkhomotopy.{layer}" in some.stdout.split()} == {
+        "words"}
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(linkhomotopy, name) is getattr(layer, name)

@@ -201,6 +201,31 @@ def test_lyndon_count_against_graded_witt():
                 assert _lyndon_count(weights, n - 1) == expected
 
 
+def test_lyndon_count_with_gapped_weights():
+    # weights with gaps leave weights that only one letter's powers reach,
+    # which the count skips, and mixed weights whose multiples it sieves
+    for dims in [(2, 9), (4, 6, 6), (2, 21, 22), (6, 8), (3, 3, 14)]:
+        weights = sorted(d - 1 for d in dims)
+        for n in range(2, 41, 3):
+            expected = sum(oracles.wedge_sphere_dims(n, dims).values())
+            assert _lyndon_count(weights, n - 1) == expected
+
+
+def test_lyndon_count_cost_follows_the_count():
+    # each would take memory or time in proportion to the budget
+    huge = 10**12
+    assert _lyndon_count((1, huge - 1), huge - 1) == 2
+    assert _lyndon_count((1,), huge) == 1
+    assert _lyndon_count((1, 2), huge) > 4194304
+    assert lyndon_words(1, huge) == [(0,)]
+    assert _lyndon_words((2, huge + 1), huge) == [(0,)]
+    assert hilton_pi(10**6, (2,)) == PiOfSphere(10**6, 2).evaluate()
+    with pytest.raises(ValueError, match="the limit is 4194304"):
+        lyndon_words(2, 10**6)
+    with pytest.raises(ValueError, match="the limit is 4194304"):
+        hilton_pi(huge, (2, 3))
+
+
 def test_hilton_two_sphere_wedge_degree3():
     assert hilton_pi(3, [2, 2]) == DirectSum((Z, Z, Z))
 

@@ -183,6 +183,13 @@ def test_series_validation_and_errors():
     for expand in (magnus_expand, reduced_expand, gamma_class_lower_bound):
         with pytest.raises(ValueError, match="the limit is 16777216"):
             expand(twenty, 8)
+    # under the slot limit but over the byte limit: 848-bit fields, since
+    # the coefficients grow with the exponent
+    huge = parse_word("x1^1000000000000 x2")
+    for expand in (magnus_expand, gamma_class_lower_bound):
+        with pytest.raises(ValueError, match="1778384790 bytes .* the limit is 67108864"):
+            expand(huge, 23)
+    assert magnus_expand(huge, 2).coefficient((1, 1)) == comb(10**12, 2)
 
 
 def test_gamma_bound_examples():
