@@ -17,8 +17,9 @@ Four layers:
 
 The package re-exports each layer module's ``__all__``; that list is the
 one place a name is made public at package level.  The re-export is lazy
-(PEP 562): importing the package, or one layer, loads no other layer, and
-the first package-level lookup of any other name (attribute access,
+(PEP 562): importing the package, or one layer, loads no other layer;
+looking up a submodule name loads just that module; and the first
+package-level lookup of any other name (attribute access,
 ``dir`` or ``from linkhomotopy import *``) imports all five layers and
 copies their public names into the package.  The command-line front end
 lives in :mod:`linkhomotopy.cli` (also exposed as ``python -m
@@ -39,14 +40,13 @@ def _export_layers() -> None:
 
 
 def __getattr__(name: str):
-    # the import system probes a submodule with hasattr before importing it
-    # (``from . import words``); loading every layer there would undo the laziness
-    if name not in _LAYERS and name != "cli":
-        _export_layers()
-        # ``import *`` asks for ``__all__`` first; missing, it falls back to
-        # the namespace just filled, as an eager package would
-        if name in globals():
-            return globals()[name]
+    if name in _LAYERS or name == "cli":
+        return _import_module(f".{name}", __name__)
+    _export_layers()
+    # ``import *`` asks for ``__all__`` first; missing, it falls back to
+    # the namespace just filled, as an eager package would
+    if name in globals():
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

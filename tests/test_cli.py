@@ -362,3 +362,22 @@ def test_package_namespace_is_every_layers_public_names():
     for layer in layers:
         for name in layer.__all__:
             assert getattr(linkhomotopy, name) is getattr(layer, name)
+
+
+@pytest.mark.parametrize("module, layers", [
+    ("words", {"words"}),
+    ("simplicial", {"words", "simplicial"}),
+    ("magnus", {"words", "simplicial", "magnus"}),
+    ("homotopy", {"homotopy"}),
+    ("links", {"homotopy", "links"}),
+    ("cli", set()),
+])
+def test_submodule_attribute_loads_only_that_module(module, layers):
+    # ``linkhomotopy.<module>`` right after ``import linkhomotopy``, as a
+    # package that imported its layers eagerly would allow
+    proc = fresh_python("-c", f"import linkhomotopy, sys; print(linkhomotopy.{module}.__name__); "
+                        "print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    name, modules = proc.stdout.splitlines()
+    assert name == f"linkhomotopy.{module}"
+    assert {layer for layer in LAYERS if f"linkhomotopy.{layer}" in modules.split()} == layers
