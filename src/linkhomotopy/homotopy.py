@@ -427,8 +427,9 @@ def _lyndon_words(weights: Sequence[int], budget: int) -> list[tuple[int, ...]]:
     sorted by (length, word): Duval's loop pruned on prefix weight (Cattell,
     Ruskey, Sawada, Serra, Miers 2000).  ``weights`` must be positive and
     nondecreasing, so a letter that does not fit rules out every larger one.
-    More than :data:`_MAX_LYNDON_WORDS` words raise ``ValueError`` before
-    any is generated.
+    Each step costs O(period + output), however far the periodic extension
+    of the current word reaches.  More than :data:`_MAX_LYNDON_WORDS` words
+    raise ``ValueError`` before any is generated.
     """
     out: list[tuple[int, ...]] = []
     if not weights or weights[0] > budget:
@@ -445,14 +446,35 @@ def _lyndon_words(weights: Sequence[int], budget: int) -> list[tuple[int, ...]]:
     # cost of incrementing each letter; the largest letter never fits
     step = [b - a for a, b in zip(weights, weights[1:])] + [budget + 1]
     word, room = [0], budget - weights[0]
+    half = (budget - 1) // 2  # room <= half means room < budget - room
     while word:
         out.append(tuple(word))
+        # the word is one period of its extension s_p = word[p % m], p >= 0,
+        # and it weighs budget - room
         m = len(word)
-        while weights[word[-m]] <= room:
-            room -= weights[word[-m]]
-            word.append(word[-m])
-        while word and step[word[-1]] > room:
-            room += weights[word.pop()]
+        if room <= half:
+            # less than a period fits, so the extension and the pops take
+            # fewer than 2m steps: walk them letter by letter
+            while weights[word[-m]] <= room:
+                room -= weights[word[-m]]
+                word.append(word[-m])
+            while word and step[word[-1]] > room:
+                room += weights[word.pop()]
+        else:
+            # the extension may hold many periods (10^12 copies of a light
+            # letter in front of a heavy one); jump to the last p = q*m + r
+            # whose letter can still be incremented: the largest q with
+            # q*period + weight(s_0..s_r) + step[s_r] <= budget, over every r
+            period = budget - room
+            last, used, weight = -1, 0, 0
+            for r, letter in enumerate(word):
+                weight += weights[letter]
+                q = (budget - weight - step[letter]) // period
+                if q * m + r > last:
+                    last, used = q * m + r, q * period + weight
+            q, r = divmod(last, m)
+            word = word * q + word[:r + 1] if last >= 0 else []
+            room = budget - used
         if word:
             room -= step[word[-1]]
             word[-1] += 1

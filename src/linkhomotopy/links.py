@@ -8,9 +8,12 @@ single component has genus 0, and a k-component sublink has genus between
 0 and k-1.  Accepting a profile is *not* a realizability claim; only the
 constraints proved for actual links are enforced (see
 :func:`realizability_findings`).  A profile caches values derived from
-``nu`` (its label set and its splittable sublinks), so ``nu`` must not be
-mutated after construction; :func:`strongly_nonsplittable` reads only the
-splittable sublinks.
+``nu`` (its label set, its splittable sublinks and the answers of
+:func:`strongly_nonsplittable` by base sublink), so ``nu`` must not be
+mutated after construction.  The answers are kept because a classification
+asks the same superset question for every meridian sublink over one base;
+there are at most ``2^n`` bases, one per entry of ``nu``, so the cache never
+outgrows the profile.
 
 From a profile the module computes the deletion inclusion-exclusion
 invariants :func:`chi2` and :func:`chi3`, the homotopy types of the
@@ -124,6 +127,11 @@ class LinkProfile:
         splittable = [s for s, genus in self.nu.items() if genus > 0]
         return tuple(sorted(splittable, key=len, reverse=True))
 
+    @cached_property
+    def _strong(self) -> dict[frozenset[int], bool]:
+        # strongly_nonsplittable answers by base sublink, filled on first ask
+        return {}
+
     def genus(self, subset: Iterable[int]) -> int:
         return self.nu[frozenset(subset)]
 
@@ -219,11 +227,19 @@ def delete_component(p: LinkProfile, k: int) -> LinkProfile:
 
 
 def strongly_nonsplittable(p: LinkProfile, base: Iterable[int] = ()) -> bool:
-    """True when every sublink strictly containing ``base`` is nonsplittable."""
+    """True when every sublink strictly containing ``base`` is nonsplittable.
+
+    The profile keeps each answer by base, so a base is scanned once however
+    often it is asked.  Only bases within the profile are kept (at most
+    ``2^n``, one per entry of ``nu``); any other base raises every time.
+    """
     base = frozenset(base)
-    if not base <= p.full_set:
-        raise ValueError("base sublink is not within the profile's components")
-    return not any(base < s for s in p._splittable)
+    strong = p._strong.get(base)
+    if strong is None:
+        if not base <= p.full_set:
+            raise ValueError("base sublink is not within the profile's components")
+        strong = p._strong[base] = not any(base < s for s in p._splittable)
+    return strong
 
 
 def _aspherical_factor(deleted: tuple[int, ...], retained: frozenset[int]) -> str | None:
@@ -307,6 +323,23 @@ def _trivial_result(method: str, *notes: str) -> ClassificationResult:
     return ClassificationResult(Trivial(), None, method, tuple(notes))
 
 
+# Results of the routes whose output depends on nothing but the route; the
+# type is frozen and its notes are a tuple, so every call can share them.
+_COLLAPSE = "intersection equals the symmetric commutator subgroup"
+_TWO_COMPONENT = "two-component meridian intersection"
+_PROPER_SUB_INTERSECTION = _trivial_result(
+    "strongly nonsplittable pair, proper sub-intersection", _COLLAPSE
+)
+_NONSPLITTABLE_BASE = _trivial_result(
+    "strongly nonsplittable pair over a nonsplittable base", _COLLAPSE
+)
+_PAIRWISE_COLLAPSE = _trivial_result(
+    _TWO_COMPONENT, "links of at most three components give pairwise collapse"
+)
+_TWO_COMPONENT_TRIVIAL = _trivial_result(_TWO_COMPONENT)
+_NOT_CLASSIFIED = ClassificationResult(None, None, ClassificationResult.NOT_CLASSIFIED)
+
+
 def classify_A(
     p: LinkProfile,
     l0: Iterable[int],
@@ -334,25 +367,25 @@ def classify_A(
       intersection (the two agree for 3-component links).
 
     Anything else returns an explicit not-classified result rather than a
-    guess.
+    guess.  Results are immutable, and routes whose result depends on
+    nothing but the route return one shared instance.
     """
     l0 = frozenset(l0)
     sub = frozenset(sub)
     full = p.full_set
     if not l0 <= full or not sub <= full:
         raise ValueError("sublinks must be within the profile's components")
-    if l0 & sub:
+    if not l0.isdisjoint(sub):
         raise ValueError("the base sublink and the meridian sublink must be disjoint")
     if len(sub) < 2:
         raise ValueError("the meridian sublink needs at least two components")
 
-    rest = full - l0
+    # l0 and sub are disjoint within full, so sub is the rest of the link
+    # exactly when their sizes add up to the component count
+    sub_is_rest = len(l0) + len(sub) == p.size
     if strongly_nonsplittable(p, l0):
-        if sub != rest:
-            return _trivial_result(
-                "strongly nonsplittable pair, proper sub-intersection",
-                "intersection equals the symmetric commutator subgroup",
-            )
+        if not sub_is_rest:
+            return _PROPER_SUB_INTERSECTION
         if not l0:
             n = len(sub)
             symbolic = PiOfSphere(n, 3)
@@ -362,19 +395,16 @@ def classify_A(
                 method="strongly nonsplittable link, full meridian intersection",
             )
         if p.nu[l0] == 0:
-            return _trivial_result(
-                "strongly nonsplittable pair over a nonsplittable base",
-                "intersection equals the symmetric commutator subgroup",
-            )
+            return _NONSPLITTABLE_BASE
         return _bundle_over_splittable_base(p, l0, sub, table)
 
     if len(sub) == 2:
         return _two_component_dichotomy(p, sub)
 
-    if len(sub) == 3 and l0 == full - sub:
+    if len(sub) == 3 and sub_is_rest:
         return _three_component_bar_quotient(p, sub, table)
 
-    return ClassificationResult(None, None, ClassificationResult.NOT_CLASSIFIED)
+    return _NOT_CLASSIFIED
 
 
 def _bundle_over_splittable_base(
@@ -406,20 +436,19 @@ def _two_component_dichotomy(
     p: LinkProfile,
     sub: frozenset[int],
 ) -> ClassificationResult:
-    i, j = sorted(sub)
-    method = "two-component meridian intersection"
     if p.size <= 3:
-        return _trivial_result(
-            method, "links of at most three components give pairwise collapse"
-        )
-    chi = chi2(p, i, j)
+        return _PAIRWISE_COLLAPSE
+    # classify_A has checked the labels; this is chi2 and classify_X2 inline
+    i, j = sub  # chi2 is symmetric, so either order
+    full = p.full_set
+    chi = _chi2_within(p, full, i, j)
     if chi <= 0:
-        return _trivial_result(method)
-    wedge = classify_X2(p, i, j)
+        return _TWO_COMPONENT_TRIVIAL
+    wedge = _wedge_for_chi(chi, tuple(sorted(sub)), full - sub)
     return ClassificationResult(
         group=FreeAbelian(COUNTABLE),
         symbolic_form=PiOfWedge(2, wedge),
-        method=method,
+        method=_TWO_COMPONENT,
         notes=(f"chi2 = {chi} > 0 forces infinite rank",),
     )
 

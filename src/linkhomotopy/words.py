@@ -325,17 +325,19 @@ class _Parser:
         return base
 
     def parse_word(self) -> Word:
-        result = Word()
+        # one stack for all factors, so each syllable is pushed once
+        stack: list[Syllable] = []
         count = 0
         while True:
             self.skip_separators()
             if self.peek() in ("", ")", "]", ","):
                 break
-            result = result * self.parse_factor()
+            for gen, exp in self.parse_factor().syllables:
+                _push(stack, gen, exp)
             count += 1
         if count == 0:
             raise self.error("expected a word")
-        return result
+        return _word(tuple(stack))
 
 
 def parse_word(text: str, letter: str = "x") -> Word:

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -282,15 +283,26 @@ def test_spheres_table_rejects_known_indices(capsys, tmp_path, content, n, m):
     assert "already given" in err
 
 
-def fresh_python(*args) -> subprocess.CompletedProcess:
+def fresh_python(*args, timeout=None) -> subprocess.CompletedProcess:
     """``python *args`` in a new interpreter, on the package these tests
     imported, from the repository root."""
     package_root = str(Path(linkhomotopy.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path}, cwd=DATA.parent.parent,
     )
+
+
+def test_spheres_wedge_with_a_far_heavy_letter_is_fast():
+    # two summands, but the light letter's Lyndon extension is 10^12 letters
+    # long; the generator jumps over it instead of walking it
+    n = 10**12
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+    proc = fresh_python("-m", "linkhomotopy", "spheres", "wedge", str(n), f"2,{n}",
+                        timeout=5)
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
+    assert (proc.returncode, proc.stdout) == (0, f"pi_{n}(S^2) [unknown] + Z\n")
 
 
 def test_module_entry_point():

@@ -211,6 +211,18 @@ def test_lyndon_count_with_gapped_weights():
             assert _lyndon_count(weights, n - 1) == expected
 
 
+def test_lyndon_words_with_gapped_weights():
+    # a light letter far below the next one: the generator jumps over many
+    # periods of the current word instead of walking them
+    for dims in [(2, 9), (4, 6, 6), (2, 21, 22), (3, 3, 14)]:
+        weights = sorted(d - 1 for d in dims)
+        for n in (13, 25, 37):
+            words = _lyndon_words(weights, n - 1)
+            assert len(set(words)) == len(words)
+            spheres = Counter(1 + sum(weights[letter] for letter in w) for w in words)
+            assert spheres == oracles.wedge_sphere_dims(n, dims)
+
+
 def test_lyndon_count_cost_follows_the_count():
     # each would take memory or time in proportion to the budget
     huge = 10**12

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -239,6 +240,19 @@ def test_print_parse_round_trip():
         w = random_word(rng, 4)
         assert parse_word(print_word(w)) == w
     assert print_word(IDENTITY) == "1"
+
+
+def test_parse_long_flat_word_is_linear():
+    # each factor's syllables go onto one stack; multiplying the accumulated
+    # word by every factor copies it each time, about 13 s for these letters
+    rng = random.Random(31)
+    letters = [(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(64_000)]
+    text = " ".join(f"x{gen}^{exp}" for gen, exp in letters)
+    start = time.process_time()
+    w = parse_word(text)
+    assert time.process_time() - start < 2.0
+    assert w == reduce_word(letters)
+    assert len(w.syllables) > 20_000
 
 
 def test_alternate_letter():
