@@ -40,7 +40,7 @@ def _load_table(path: str | None) -> HomotopyTable:
 def _parse_labels(tokens: Sequence[str]) -> list[int]:
     labels = []
     for token in tokens:
-        if not token.lstrip("-").isdigit():
+        if not token.removeprefix("-").isdecimal():
             raise ValueError(f"bad component label {token!r}")
         labels.append(int(token))
     return labels

@@ -65,6 +65,10 @@ __all__ = [
 
 PRESETS = ("hopf", "trivial", "brunnian")
 
+#: Most components a preset profile may have: it assigns a genus to every one
+#: of the ``2^n`` sublinks.  The largest profile in use has 8 components.
+_MAX_PRESET_COMPONENTS = 12
+
 
 class ProfileError(ValueError):
     """A splitting profile violates the basic genus constraints."""
@@ -154,7 +158,14 @@ def preset_profile(kind: str, n: int) -> LinkProfile:
     ``hopf``: every sublink nonsplittable (genus 0), as for the fibration
     links. ``trivial``: every sublink splits completely. ``brunnian``: the
     full link is nonsplittable but every proper sublink splits completely.
+    Above ``_MAX_PRESET_COMPONENTS`` components raises :class:`ProfileError`
+    before any sublink is built.
     """
+    if n > _MAX_PRESET_COMPONENTS:
+        raise ProfileError(
+            f"preset profiles have at most {_MAX_PRESET_COMPONENTS} components "
+            f"({2 ** _MAX_PRESET_COMPONENTS} sublinks), got {n}"
+        )
     nu = {
         frozenset(sub): _preset_value(kind, frozenset(sub), n)
         for r in range(n + 1)
@@ -543,7 +554,7 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
         if directive == "components":
             if n is not None:
                 raise fail(number, "duplicate 'components' line")
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
+            if len(fields) != 2 or not fields[1].isdecimal() or int(fields[1]) < 1:
                 raise fail(number, "expected 'components <positive integer>'")
             n = int(fields[1])
         elif directive == "preset":

@@ -13,12 +13,15 @@ exact certificate.  Deleting every monomial with a repeated index gives the
 *reduced* expansion, whose coefficients on distinct-index monomials are the
 Milnor-type invariants: a nonzero coefficient certifies nontriviality in
 the quotient of the group by the commutators of each meridian closure with
-itself, while vanishing up to a truncation certifies nothing.
+itself, while vanishing up to a truncation certifies nothing.  The deleted
+monomials form an ideal, so the reduced expansion is the full one with
+those monomials filtered out (Milnor 1954), and one kernel computes both.
 
 Expansions are computed densely (Magnus-Karrass-Solitar, ch. 5): on ``r``
 generators, degree ``d`` has ``r**d`` slots packed into one exact integer
 ``sum_i v_i * 2**(B*i)`` (Kronecker substitution), ``sum_{d <= T} r**d``
-slots in all (``d <= min(T, r)`` when reduced).  A syllable ``x_a^e`` costs
+slots in all.  A distinct-index monomial has degree at most ``r``, so the
+reduced expansion stops at ``d <= min(T, r)``.  A syllable ``x_a^e`` costs
 one shift-and-add of whole blocks per degree and binomial term, at most
 ``T`` terms however large ``|e|`` is.  As ``|C(e, j)| <= [t^j] (1-t)^-|e|``,
 no coefficient of a word of ``E`` letters exceeds ``C(E + T - 1, T)`` in
@@ -112,47 +115,22 @@ class MagnusSeries:
     def is_one(self) -> bool:
         return self.terms == {(): 1}
 
-    def coefficient(self, monomial: Sequence[int]) -> int:
-        return self.terms.get(tuple(monomial), 0)
-
-    def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
-        if not isinstance(other, MagnusSeries):
-            return NotImplemented
-        if self.truncation != other.truncation:
-            raise ValueError("cannot multiply series with different truncations")
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            room = self.truncation - len(m1)
-            for m2, c2 in other.terms.items():
-                if len(m2) <= room:
-                    monomial = m1 + m2
-                    out[monomial] = out.get(monomial, 0) + c1 * c2
-        return MagnusSeries(self.truncation, {m: c for m, c in out.items() if c})
-
     def __str__(self) -> str:
         return _format_terms(self.terms)
 
 
-def _dense_blocks(
-    w: Word, truncation: int, reduced: bool
-) -> tuple[tuple[int, ...], int, list[int]]:
+def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[int]]:
     """Coefficients of ``w``'s expansion as ``(support, width, blocks)``.
 
     ``support`` is the sorted tuple of the ``r`` generators of ``w`` and
     ``blocks[d]`` is ``sum_i v_i * 2**(width * i)`` with every ``|v_i| <
     2**(width - 1)``: slot ``i`` is the monomial whose base-``r`` digits of
-    ``i``, least significant first, index ``support``.  Reduced blocks stop
-    at degree ``min(truncation, r)``, and syllables contribute only ``1 + e
-    X``; their repeated-index slots are not the full expansion's.
+    ``i``, least significant first, index ``support``.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     support = tuple(sorted({index for index, _ in w.syllables}))
     r = len(support)
-    if reduced:
-        # repeated-index monomials vanish in the reduced ring, so degrees
-        # stop at r and x_i^e = (1 + X_i)^e is just 1 + e X_i
-        truncation = min(truncation, r)
     # sum_{d <= T} r**d slots, one block per degree; past degree 64 the count
     # is only a lower bound (it is cheap and already above the limit)
     top = min(truncation, 64)
@@ -181,14 +159,12 @@ def _dense_blocks(
     descending, ascending = range(truncation, 0, -1), range(1, truncation + 1)
     for index, exponent in w.syllables:
         shift, k = letter[index], abs(exponent)
-        # a reduced syllable is 1 + e X_a, a full one (1 + X_a)^e
-        coeffs = [comb(k, j) for j in range(min(1 if reduced else k, truncation) + 1)]
-        # multiplying reads the old lower blocks, so degrees descend; dividing
-        # by (1 + X_a)^k reads the new ones, so they ascend
-        degrees = ascending if exponent < 0 and not reduced else descending
-        for d in degrees:
+        coeffs = [comb(k, j) for j in range(min(k, truncation) + 1)]
+        # multiplying by (1 + X_a)^k reads the old lower blocks, so degrees
+        # descend; dividing by it reads the new ones, so they ascend
+        for d in ascending if exponent < 0 else descending:
             block = blocks[d]
-            for j in range(1, min(d, len(coeffs) - 1) + 1):
+            for j in range(1, min(d, k) + 1):
                 term = blocks[d - j] << shift * (ones[d] - ones[d - j])
                 term = term if coeffs[j] == 1 else coeffs[j] * term
                 block = block + term if exponent > 0 else block - term
@@ -196,8 +172,8 @@ def _dense_blocks(
     return support, width, blocks
 
 
-def _expand(w: Word, truncation: int, reduced: bool) -> MagnusSeries:
-    support, width, blocks = _dense_blocks(w, truncation, reduced)
+def _terms(w: Word, truncation: int) -> dict[Monomial, int]:
+    support, width, blocks = _dense_blocks(w, truncation)
     r, size, half = len(support), width // 8, 1 << (width - 1)
     terms: dict[Monomial, int] = {}
     for d, block in enumerate(blocks):
@@ -210,9 +186,9 @@ def _expand(w: Word, truncation: int, reduced: bool) -> MagnusSeries:
         places = (range(0, size * r ** (k + 1), size * r**k) for k in range(d))
         for monomial, at in zip(product(support, repeat=d), map(sum, product(*places))):
             coeff = int.from_bytes(data[at : at + size], "little") - half
-            if coeff and not (reduced and _has_repeat(monomial)):
+            if coeff:
                 terms[monomial] = coeff
-    return MagnusSeries(truncation, terms)
+    return terms
 
 
 def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
@@ -221,19 +197,22 @@ def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     Multiplicative (``expand(uv) = expand(u) expand(v)`` truncated) and
     sends the identity to 1.
     """
-    return _expand(w, truncation, reduced=False)
+    return MagnusSeries(truncation, _terms(w, truncation))
 
 
 def reduced_expand(w: Word, truncation: int) -> MagnusSeries:
     """The Magnus expansion with repeated-index monomials deleted.
 
-    Computed in the dense layout with ``1 + e X_i`` syllables up to degree
-    ``min(truncation, r)``, which agrees with filtering the full expansion
-    because the deleted monomials form an ideal.  The result is a plain
-    :class:`MagnusSeries`, so ``*`` on two reduced expansions multiplies in
-    the full ring; expand the product word instead.
+    The full expansion at truncation ``min(truncation, r)`` on the word's
+    ``r`` generators, filtered: the deleted monomials form an ideal, and no
+    distinct-index monomial has degree above ``r``.
     """
-    return _expand(w, truncation, reduced=True)
+    r = len({index for index, _ in w.syllables})
+    # the identity has no generators, but a dense expansion needs degree 1
+    terms = _terms(w, min(truncation, max(r, 1)))
+    return MagnusSeries(
+        truncation, {m: c for m, c in terms.items() if not _has_repeat(m)}
+    )
 
 
 def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
@@ -247,7 +226,7 @@ def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    _, _, blocks = _dense_blocks(w, max_degree, reduced=False)
+    _, _, blocks = _dense_blocks(w, max_degree)
     return next((d for d in range(1, max_degree + 1) if blocks[d]), None)
 
 
@@ -302,10 +281,6 @@ class InvisibilityReport:
     link_size: int
     checks: tuple[CheckResult, ...]
     variant_checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(check.passed for check in self.checks)
 
     def lines(self, include_variant: bool = False) -> list[str]:
         out = [check.line() for check in self.checks]

@@ -273,7 +273,7 @@ class _Parser:
         if self.peek() in "+-":
             self.pos += 1
         digits = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise self.error("expected an integer")
@@ -282,7 +282,7 @@ class _Parser:
     def parse_generator(self) -> Word:
         self.pos += 1  # the generator letter
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error(f"expected a generator index after {self.letter!r}")

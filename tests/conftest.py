@@ -7,6 +7,7 @@ paths so that tests compare two separate routes to the same value.
 from __future__ import annotations
 
 import random
+from typing import Mapping
 
 from linkhomotopy import SimplicialElement, Word, element, reduce_word
 from linkhomotopy.links import LinkProfile, build_profile
@@ -105,6 +106,21 @@ def naive_structure_map(kind: str, i: int, degree: int, word: Word) -> list[tupl
         else:
             canonical.append((j, sign))
     return naive_reduce_letters(canonical)
+
+
+def oracle_multiply(
+    a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int], k: int
+) -> dict[tuple[int, ...], int]:
+    """Product of two term dicts (monomial -> coefficient, as in
+    ``MagnusSeries.terms``) truncated at degree ``k``, by direct polynomial
+    arithmetic; zero coefficients are dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if len(m1) + len(m2) <= k:
+                key = m1 + m2
+                out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def random_profile(rng: random.Random, n: int) -> LinkProfile:

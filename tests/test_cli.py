@@ -157,6 +157,13 @@ def test_link_chi_commands(capsys):
     assert (code, out) == (0, "0\n")
 
 
+def test_link_chi_non_decimal_label_is_input_error(capsys):
+    # a superscript passes str.isdigit, but int() cannot read it
+    code, out, err = run_cli(capsys, "link", "chi2",
+                             "--profile", DATA / "hopf3.lnk", "1", "\u00b2")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: bad component label '\u00b2'\n")
+
+
 def test_link_classify_hopf4(capsys):
     code, out, err = run_cli(capsys, "link", "classify",
                              "--profile", DATA / "hopf4.lnk",
@@ -303,6 +310,19 @@ def test_spheres_wedge_with_a_far_heavy_letter_is_fast():
                         timeout=5)
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
     assert (proc.returncode, proc.stdout) == (0, f"pi_{n}(S^2) [unknown] + Z\n")
+
+
+def test_link_profile_over_component_limit_is_fast(tmp_path):
+    # a preset would assign all 2^40 sublinks; it is refused before any
+    profile = tmp_path / "large.lnk"
+    profile.write_text("components 40\npreset hopf\n")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+    proc = fresh_python("-m", "linkhomotopy", "link", "check", "--profile", str(profile),
+                        timeout=5)
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
+    assert proc.stderr == (f"error: {profile}: preset profiles have at most 12 "
+                           "components (4096 sublinks), got 40\n")
 
 
 def test_module_entry_point():

@@ -67,6 +67,16 @@ def test_presets():
             preset_profile("hopf", n)
 
 
+def test_preset_profile_component_limit():
+    # a preset assigns all 2^n sublinks, so a large n is refused before that
+    assert preset_profile("hopf", 12).size == 12
+    for n in (13, 40, 10**9):
+        with pytest.raises(ProfileError, match=f"at most 12 components .*, got {n}"):
+            preset_profile("hopf", n)
+    with pytest.raises(ProfileFormatError, match="<profile>: preset profiles have at most"):
+        parse_profile("components 40\npreset trivial\n")
+
+
 def test_profile_invariants_enforced():
     with pytest.raises(ProfileError):
         build_profile(2, overrides={
@@ -439,6 +449,7 @@ def test_parse_profile_without_preset_needs_all_sublinks():
         ("components 2\npreset hopf\nnu full 5\n", "genus of"),
         ("components 2\nknots 3\n", "unknown directive"),
         ("components zero\n", "positive integer"),
+        ("components \u00b2\n", "<profile>:1: expected 'components <positive integer>'"),
         ("", "missing 'components'"),
     ],
 )
