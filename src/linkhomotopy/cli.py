@@ -47,10 +47,11 @@ def _parse_labels(tokens: Sequence[str]) -> list[int]:
 
 
 def _parse_int_list(token: str) -> list[int]:
-    try:
-        return [int(piece) for piece in token.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad integer list {token!r}") from exc
+    pieces = token.split(",")
+    values = [int(piece) for piece in pieces if piece.removeprefix("-").isdecimal()]
+    if len(values) != len(pieces):
+        raise ValueError(f"bad integer list {token!r}")
+    return values
 
 
 def _error(exc: Exception, code: int) -> int:

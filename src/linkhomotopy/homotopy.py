@@ -296,10 +296,9 @@ class HomotopyTable:
                     raise TableFormatError(
                         f"{path}:{number}: expected 'pi <n> <m> <group> <provenance...>'"
                     )
-                try:
-                    n, m = int(fields[1]), int(fields[2])
-                except ValueError as exc:
-                    raise TableFormatError(f"{path}:{number}: bad indices") from exc
+                if not all(i.removeprefix("-").isdecimal() for i in fields[1:3]):
+                    raise TableFormatError(f"{path}:{number}: bad indices")
+                n, m = int(fields[1]), int(fields[2])
                 if n < 1 or m < 1:
                     raise TableFormatError(f"{path}:{number}: indices must be >= 1")
                 known = self.entry(n, m)
@@ -326,10 +325,9 @@ def parse_group_token(token: str) -> GroupDescription:
             parts.append(FreeAbelian(1))
         elif piece == "Z^(countable)":
             parts.append(FreeAbelian(COUNTABLE))
-        elif piece.startswith("Z/"):
-            parts.append(Cyclic(int(piece[2:])))
-        elif piece.startswith("Z^"):
-            parts.append(FreeAbelian(int(piece[2:])))
+        elif piece[:2] in ("Z/", "Z^") and piece[2:].removeprefix("-").isdecimal():
+            k = int(piece[2:])
+            parts.append(Cyclic(k) if piece[1] == "/" else FreeAbelian(k))
         else:
             raise ValueError(f"unrecognized group token {piece!r}")
     return direct_sum(parts)
@@ -351,6 +349,10 @@ def homotopy_table_lookup(
 #: :func:`hilton_pi`; the largest wedge in use, ``pi_12`` of four 2-spheres,
 #: has 526,638.
 _MAX_LYNDON_WORDS = 2**22
+
+#: Most letters those words may hold, bounded by their count times the
+#: longest word that fits; that wedge's bound is 5,793,018.
+_MAX_LYNDON_LETTERS = 2**24
 
 
 def _lyndon_count(weights: Sequence[int], budget: int) -> int:
@@ -427,15 +429,15 @@ def _lyndon_words(weights: Sequence[int], budget: int) -> list[tuple[int, ...]]:
     sorted by (length, word): Duval's loop pruned on prefix weight (Cattell,
     Ruskey, Sawada, Serra, Miers 2000).  ``weights`` must be positive and
     nondecreasing, so a letter that does not fit rules out every larger one.
-    Each step costs O(period + output), however far the periodic extension
-    of the current word reaches.  More than :data:`_MAX_LYNDON_WORDS` words
-    raise ``ValueError`` before any is generated.
+    The loop stops extending a word where the room left falls below the least
+    increment step of its letters, and appends whole periods at once, so each
+    step costs O(period + next word).  More than :data:`_MAX_LYNDON_WORDS`
+    words, or than :data:`_MAX_LYNDON_LETTERS` letters (words times the
+    longest that fits), raise ``ValueError`` before any word is generated.
     """
     out: list[tuple[int, ...]] = []
     if not weights or weights[0] > budget:
         return out
-    if len(weights) == 1 or weights[1] > budget:
-        return [(0,)]  # one letter fits, and it is the only Lyndon word
     count = _lyndon_count(weights, budget)
     if count > _MAX_LYNDON_WORDS:
         raise ValueError(
@@ -443,41 +445,40 @@ def _lyndon_words(weights: Sequence[int], budget: int) -> list[tuple[int, ...]]:
             f"({len(weights)} letters, weight <= {budget}); "
             f"the limit is {_MAX_LYNDON_WORDS}"
         )
+    # a word of two letters or more holds a letter other than its first
+    longest = max(1, (budget - weights[1]) // weights[0] + 1) if len(weights) > 1 else 1
+    if count * longest > _MAX_LYNDON_LETTERS:
+        raise ValueError(
+            f"Hilton-Milnor splitting may need {count * longest} letters "
+            f"({count} Lyndon words of up to {longest} letters); "
+            f"the limit is {_MAX_LYNDON_LETTERS}"
+        )
     # cost of incrementing each letter; the largest letter never fits
     step = [b - a for a, b in zip(weights, weights[1:])] + [budget + 1]
     word, room = [0], budget - weights[0]
-    half = (budget - 1) // 2  # room <= half means room < budget - room
-    while word:
+    # not `while word`: CPython 3.11 specializes a function only after 8 calls
+    # or unconditional backward jumps, and a loop tested at its bottom makes none
+    while True:
         out.append(tuple(word))
-        # the word is one period of its extension s_p = word[p % m], p >= 0,
-        # and it weighs budget - room
-        m = len(word)
-        if room <= half:
-            # less than a period fits, so the extension and the pops take
-            # fewer than 2m steps: walk them letter by letter
-            while weights[word[-m]] <= room:
-                room -= weights[word[-m]]
-                word.append(word[-m])
-            while word and step[word[-1]] > room:
-                room += weights[word.pop()]
-        else:
-            # the extension may hold many periods (10^12 copies of a light
-            # letter in front of a heavy one); jump to the last p = q*m + r
-            # whose letter can still be incremented: the largest q with
-            # q*period + weight(s_0..s_r) + step[s_r] <= budget, over every r
-            period = budget - room
-            last, used, weight = -1, 0, 0
-            for r, letter in enumerate(word):
-                weight += weights[letter]
-                q = (budget - weight - step[letter]) // period
-                if q * m + r > last:
-                    last, used = q * m + r, q * period + weight
-            q, r = divmod(last, m)
-            word = word * q + word[:r + 1] if last >= 0 else []
-            room = budget - used
-        if word:
-            room -= step[word[-1]]
-            word[-1] += 1
+        # the word is one period of its extension word[p % m] and weighs
+        # budget - room.  No position past room < least can be incremented;
+        # the cutoff matters once a whole period fits, and all above it go at once
+        m, least = len(word), 0
+        if 2 * room >= budget:
+            least = min(map(step.__getitem__, word))
+            whole = (room - least) // (budget - room)
+            if whole > 0:
+                word *= whole + 1
+                room -= whole * (budget - room)
+        while weights[word[-m]] + least <= room:
+            room -= weights[word[-m]]
+            word.append(word[-m])
+        while word and step[word[-1]] > room:
+            room += weights[word.pop()]
+        if not word:
+            break
+        room -= step[word[-1]]
+        word[-1] += 1
     out.sort(key=len)  # stable, and the loop emits lexicographic order
     return out
 
@@ -502,7 +503,8 @@ def hilton_pi(
     generated, and each sphere dimension is evaluated once.  Table misses
     stay in the sum as symbolic ``pi_n(S^m)`` terms.  The result does not
     depend on the order of ``dims``.  A wedge with more than
-    :data:`_MAX_LYNDON_WORDS` summands raises ``ValueError``.
+    :data:`_MAX_LYNDON_WORDS` summands, or a bound of more than
+    :data:`_MAX_LYNDON_LETTERS` letters in their words, raises ``ValueError``.
     """
     if n < 2:
         raise ValueError(f"wedge homotopy degree must be >= 2, got {n}")

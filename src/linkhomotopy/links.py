@@ -96,13 +96,15 @@ class LinkProfile:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ProfileError(f"component count must be >= 1, got {self.size}")
-        full = self.full_set
-        expected = 2 ** self.size
-        if len(self.nu) != expected:
+        count = len(self.nu)
+        # bit lengths first: 2 ** size is formed only where count could match
+        # it, or written out below 2**64, which no mapping reaches
+        if count.bit_length() != self.size + 1 or count != 2 ** self.size:
+            expected = 2 ** self.size if self.size < 64 else f"2^{self.size}"
             raise ProfileError(
-                f"profile must assign a genus to all {expected} sublinks, "
-                f"got {len(self.nu)}"
+                f"profile must assign a genus to all {expected} sublinks, got {count}"
             )
+        full = self.full_set
         for subset, genus in self.nu.items():
             if not subset <= full:
                 raise ProfileError(f"sublink {set(subset)} is not within 1..{self.size}")
@@ -513,10 +515,10 @@ def parse_subset_token(token: str, n: int) -> frozenset[int]:
         return frozenset()
     if token == "full":
         return frozenset(range(1, n + 1))
-    try:
-        labels = [int(piece) for piece in token.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad sublink {token!r}") from exc
+    pieces = token.split(",")
+    labels = [int(piece) for piece in pieces if piece.removeprefix("-").isdecimal()]
+    if len(labels) != len(pieces):
+        raise ValueError(f"bad sublink {token!r}")
     if any(not 1 <= s <= n for s in labels):
         raise ValueError(f"sublink {token!r} has labels outside 1..{n}")
     if len(set(labels)) != len(labels):
@@ -574,10 +576,9 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
                 subset = parse_subset_token(fields[1], n)
             except ValueError as exc:
                 raise fail(number, str(exc)) from exc
-            try:
-                genus = int(fields[2])
-            except ValueError as exc:
-                raise fail(number, f"bad genus {fields[2]!r}") from exc
+            if not fields[2].removeprefix("-").isdecimal():
+                raise fail(number, f"bad genus {fields[2]!r}")
+            genus = int(fields[2])
             if subset in seen_lines:
                 raise fail(
                     number,

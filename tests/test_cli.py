@@ -242,6 +242,9 @@ def test_spheres_wedge_bad_dims_exit_code(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "spheres", "wedge", "4", "1,2")
     assert code == 2
+    # int() would read "2_0" as 20 and print pi_3(S^20) = 0
+    code, out, err = run_cli(capsys, "spheres", "wedge", "3", "2_0")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: bad integer list '2_0'\n")
 
 
 def test_spheres_wedge_over_summand_limit_is_input_error(capsys):
@@ -302,14 +305,39 @@ def fresh_python(*args, timeout=None) -> subprocess.CompletedProcess:
 
 
 def test_spheres_wedge_with_a_far_heavy_letter_is_fast():
-    # two summands, but the light letter's Lyndon extension is 10^12 letters
-    # long; the generator jumps over it instead of walking it
+    # two summands, but the light letter's periodic extension is 10^12 letters
+    # long; the generator stops extending where no letter can be incremented
     n = 10**12
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
     proc = fresh_python("-m", "linkhomotopy", "spheres", "wedge", str(n), f"2,{n}",
                         timeout=5)
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
     assert (proc.returncode, proc.stdout) == (0, f"pi_{n}(S^2) [unknown] + Z\n")
+
+
+def test_spheres_wedge_over_letter_limit_is_fast():
+    # 100,002 summands pass the count, but the longest word has 100,001 letters
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+    proc = fresh_python("-m", "linkhomotopy", "spheres", "wedge", "200001", "2,100001",
+                        timeout=5)
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
+    assert proc.stderr == ("error: Hilton-Milnor splitting may need 10000300002 letters "
+                           "(100002 Lyndon words of up to 100001 letters); "
+                           "the limit is 16777216\n")
+
+
+def test_link_profile_with_a_huge_component_count_is_fast(tmp_path):
+    # the sublink count is compared by bit length before 2^size is formed
+    profile = tmp_path / "huge.lnk"
+    profile.write_text("components 1000000000000\nnu empty -1\n")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+    proc = fresh_python("-m", "linkhomotopy", "link", "check", "--profile", str(profile),
+                        timeout=5)
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
+    assert proc.stderr == (f"error: {profile}: profile must assign a genus to all "
+                           "2^1000000000000 sublinks, got 1\n")
 
 
 def test_link_profile_over_component_limit_is_fast(tmp_path):

@@ -25,6 +25,7 @@ from linkhomotopy import (
     lyndon_words,
 )
 from linkhomotopy.homotopy import (
+    _MAX_LYNDON_LETTERS,
     TableFormatError,
     _lyndon_count,
     _lyndon_words,
@@ -96,6 +97,9 @@ def test_table_file_loading(tmp_path):
         "pi 7 3 Q src",
         "pj 7 3 Z/2 src",
         "pi 0 3 Z/2 src",
+        # int() would read these as pi_10(S^3) and Z/12
+        "pi 1_0 3 Z/2 src",
+        "pi 10 3 Z/1_2 src",
         # indices the table already answers: structural, builtin, earlier line
         "pi 3 5 Z/2 wrong",
         "pi 6 3 Z/5 x",
@@ -117,6 +121,12 @@ def test_parse_group_token():
     assert parse_group_token("Z^(countable)") == FreeAbelian(COUNTABLE)
     with pytest.raises(ValueError):
         parse_group_token("S^2")
+    # int() would also read underscores, a leading "+" and blanks
+    for token in ("Z/1_2", "Z/+12", "Z/12 ", "Z^1_2", "Z^+2"):
+        with pytest.raises(ValueError, match="unrecognized group token"):
+            parse_group_token(token)
+    with pytest.raises(ValueError, match="cyclic order must be >= 2, got -3"):
+        parse_group_token("Z/-3")
 
 
 def test_renderings():
@@ -212,8 +222,8 @@ def test_lyndon_count_with_gapped_weights():
 
 
 def test_lyndon_words_with_gapped_weights():
-    # a light letter far below the next one: the generator jumps over many
-    # periods of the current word instead of walking them
+    # a light letter far below the next one: the generator appends many
+    # periods of the current word at once instead of walking them
     for dims in [(2, 9), (4, 6, 6), (2, 21, 22), (3, 3, 14)]:
         weights = sorted(d - 1 for d in dims)
         for n in (13, 25, 37):
@@ -231,11 +241,69 @@ def test_lyndon_count_cost_follows_the_count():
     assert _lyndon_count((1, 2), huge) > 4194304
     assert lyndon_words(1, huge) == [(0,)]
     assert _lyndon_words((2, huge + 1), huge) == [(0,)]
+    # the extension of the light letter stops where it can no longer be
+    # incremented, before any of its 10^12 copies is walked
+    assert _lyndon_words((1, huge - 1, huge), huge) == [(0,), (1,), (2,), (0, 1)]
+    assert _lyndon_words((3, huge - 5, huge - 4), huge) == [
+        (0,), (1,), (2,), (0, 1), (0, 2)]
     assert hilton_pi(10**6, (2,)) == PiOfSphere(10**6, 2).evaluate()
     with pytest.raises(ValueError, match="the limit is 4194304"):
         lyndon_words(2, 10**6)
     with pytest.raises(ValueError, match="the limit is 4194304"):
         hilton_pi(huge, (2, 3))
+
+
+def lyndon_by_definition(weights, budget):
+    """(word, weight) for every word over ``0..len(weights)-1`` of weight
+    <= ``budget`` that is strictly smaller than each of its proper suffixes,
+    sorted by (length, word)."""
+    # words as bytes, grouped by (first letter, weight); a letter below the
+    # first would start a smaller suffix, so only letters >= it are appended
+    letters = [bytes((c,)) for c in range(len(weights))]
+    groups = {(c, w): [letters[c]] for c, w in enumerate(weights) if w <= budget}
+    found = {}
+    for weight in range(budget + 1):
+        for first in range(len(weights)):
+            words = groups.pop((first, weight), [])
+            for v in words:
+                for i in range(len(v) - 1, 0, -1):
+                    if v >= v[i:]:
+                        break
+                else:
+                    found[v] = weight
+            for c in range(first, len(weights)):
+                if weight + weights[c] <= budget:
+                    groups.setdefault((first, weight + weights[c]), []).extend(
+                        [v + letters[c] for v in words])
+    ordered = sorted(found)
+    ordered.sort(key=len)
+    return [(tuple(v), found[v]) for v in ordered]
+
+
+def test_lyndon_words_against_the_definition():
+    # every nondecreasing weight tuple over {1, 2, 3, 5} with up to 3 letters,
+    # and gapped ones, at every budget up to the top one
+    cases = [(weights, 12) for k in range(1, 4)
+             for weights in combinations_with_replacement((1, 2, 3, 5), k)]
+    cases += [((1, 1, 4), 14), ((2, 3, 3, 9), 24), ((3, 3, 14), 42), ((1, 9), 30),
+              ((2, 21, 22), 60)]
+    for weights, top in cases:
+        found = lyndon_by_definition(weights, top)
+        for budget in range(top + 1):
+            expected = [word for word, weight in found if weight <= budget]
+            assert _lyndon_words(weights, budget) == expected, (weights, budget)
+
+
+def test_lyndon_letters_are_budgeted():
+    # 10,002 words, few enough, but the longest holds 10,001 letters: a word of
+    # two letters or more holds a letter other than its first
+    with pytest.raises(ValueError, match=r"may need 100030002 letters \(10002 Lyndon "
+                       r"words of up to 10001 letters\); the limit is 16777216"):
+        hilton_pi(20001, (2, 10001))
+    # only one letter fits beside the light one, so the bound is 2 letters
+    assert _lyndon_words((1, 10**12 - 1), 10**12 - 1) == [(0,), (1,)]
+    # the largest wedge in use, pi_12 of four 2-spheres, stays inside it
+    assert _lyndon_count((1, 1, 1, 1), 11) * 11 == 5793018 <= _MAX_LYNDON_LETTERS
 
 
 def test_hilton_two_sphere_wedge_degree3():

@@ -8,6 +8,7 @@ from linkhomotopy import (
     ClassificationResult,
     Cyclic,
     FreeAbelian,
+    LinkProfile,
     PiOfSphere,
     ProfileError,
     ProfileFormatError,
@@ -26,6 +27,7 @@ from linkhomotopy import (
     realizability_findings,
     strongly_nonsplittable,
 )
+from linkhomotopy.links import parse_subset_token
 from conftest import random_profile
 
 Z = FreeAbelian(1)
@@ -446,6 +448,9 @@ def test_parse_profile_without_preset_needs_all_sublinks():
         ("components 2\npreset hopf\nnu 3 0\n", "labels outside"),
         ("components 2\npreset hopf\nnu 1,1 0\n", "repeats a label"),
         ("components 2\npreset hopf\nnu 1 x\n", "bad genus"),
+        # int() would also read a leading "+" and underscores
+        ("components 2\npreset hopf\nnu 1,2 +1\n", "bad genus '\\+1'"),
+        ("components 2\npreset hopf\nnu 1,2 0_1\n", "bad genus '0_1'"),
         ("components 2\npreset hopf\nnu full 5\n", "genus of"),
         ("components 2\nknots 3\n", "unknown directive"),
         ("components zero\n", "positive integer"),
@@ -456,6 +461,24 @@ def test_parse_profile_without_preset_needs_all_sublinks():
 def test_parse_profile_error_diagnostics(text, fragment):
     with pytest.raises(ProfileFormatError, match=fragment):
         parse_profile(text)
+
+
+def test_sublink_labels_are_decimal_digits():
+    # int() would read "1_2" as label 12
+    assert parse_subset_token("1,12", 12) == frozenset({1, 12})
+    for token in ("1_2", "+1", "1, 2", "1,2 "):
+        with pytest.raises(ValueError, match="bad sublink"):
+            parse_subset_token(token, 12)
+    with pytest.raises(ValueError, match="labels outside 1..12"):
+        parse_subset_token("-1", 12)
+
+
+def test_profile_with_a_huge_component_count_is_refused_by_its_size():
+    # 2 ** size is never formed: the entry count's bit length already differs
+    with pytest.raises(ProfileError, match=r"all 2\^1000000000000 sublinks, got 1$"):
+        LinkProfile(10**12, {frozenset(): -1})
+    with pytest.raises(ProfileError, match="all 8 sublinks, got 4$"):
+        LinkProfile(3, dict(preset_profile("hopf", 2).nu))
 
 
 def test_parse_profile_reports_line_numbers():

@@ -1,10 +1,12 @@
-"""The README's command-line examples print what the README says they print.
+"""The README's command-line examples print what the README says they print,
+and the limits it states are the ones the code enforces.
 
 Every example in the "Command line" section that states a result with
 ``# -> result`` is run through ``cli.main`` from the repository root; the
 result may sit on the command's own line or alone on the line after it.
 """
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -51,3 +53,27 @@ def test_readme_example(capsys, monkeypatch, argv, expected):
     monkeypatch.chdir(ROOT)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+def power(value: int) -> str:
+    """A power of two as the README writes it, e.g. ``2**22``."""
+    assert value & (value - 1) == 0, value
+    return f"`2**{value.bit_length() - 1}`"
+
+
+LIMITS = {
+    "homotopy._MAX_LYNDON_WORDS": lambda v: f"more than {power(v)} summands ({v:,})",
+    "homotopy._MAX_LYNDON_LETTERS": lambda v: f"more than {power(v)} letters ({v:,})",
+    "magnus._MAX_SLOTS": lambda v: f"more than {power(v)} slots ({v:,})",
+    "magnus._MAX_BYTES": lambda v: f"more than {power(v)} bytes ({v // 2**20} MiB)",
+    "links._MAX_PRESET_COMPONENTS": lambda v: f"takes at most {v} components",
+    "words._MAX_NESTING": lambda v: f"nest at most {v} levels deep",
+}
+
+
+@pytest.mark.parametrize("constant", LIMITS)
+def test_readme_states_each_limit(constant):
+    module, name = constant.split(".")
+    value = getattr(importlib.import_module(f"linkhomotopy.{module}"), name)
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert LIMITS[constant](value) in text
