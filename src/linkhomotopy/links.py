@@ -547,7 +547,8 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
     def fail(number: int, message: str) -> ProfileFormatError:
         return ProfileFormatError(f"{source}:{number}: {message}")
 
-    for number, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -572,6 +573,12 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
                 raise fail(number, "'nu' must follow 'components'")
             if len(fields) != 3:
                 raise fail(number, "expected 'nu <subset> <integer>'")
+            # 'full' lists all n labels; above the preset limit, 2^n sublinks
+            # need more lines than the text has (compared by bit length)
+            never_complete = n > _MAX_PRESET_COMPONENTS and n >= len(lines).bit_length()
+            if fields[1] == "full" and never_complete:
+                raise fail(number, f"a profile of {n} components needs all 2^{n} "
+                           f"sublinks, and this one has {len(lines)} lines")
             try:
                 subset = parse_subset_token(fields[1], n)
             except ValueError as exc:

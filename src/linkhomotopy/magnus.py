@@ -20,14 +20,18 @@ those monomials filtered out (Milnor 1954), and one kernel computes both.
 Expansions are computed densely (Magnus-Karrass-Solitar, ch. 5): on ``r``
 generators, degree ``d`` has ``r**d`` slots packed into one exact integer
 ``sum_i v_i * 2**(B*i)`` (Kronecker substitution), ``sum_{d <= T} r**d``
-slots in all.  A distinct-index monomial has degree at most ``r``, so the
-reduced expansion stops at ``d <= min(T, r)``.  A syllable ``x_a^e`` costs
-one shift-and-add of whole blocks per degree and binomial term, at most
-``T`` terms however large ``|e|`` is.  As ``|C(e, j)| <= [t^j] (1-t)^-|e|``,
-no coefficient of a word of ``E`` letters exceeds ``C(E + T - 1, T)`` in
-absolute value; ``B`` is its bit length plus a sign bit, in whole bytes.
-The cost follows the slot count, not the nonzero terms, so a short word on
-many generators is slower than a sparse product would be.
+slots in all.  Slot ``i`` holds ``(g[i_0], ..., g[i_{d-1}])`` for the
+word's generators ``g`` in increasing order and the base-``r`` digits
+``i_0, i_1, ...`` of ``i``, least significant first; only nonzero fields
+are decoded into monomials.  A distinct-index monomial has degree at most
+``r``, so the reduced expansion stops at ``d <= min(T, r)``.  A syllable
+``x_a^e`` costs one shift-and-add of whole blocks per degree and binomial
+term, at most ``T`` terms however large ``|e|`` is.  As ``|C(e, j)| <=
+[t^j] (1-t)^-|e|``, no coefficient of a word of ``E`` letters exceeds
+``C(E + T - 1, T)`` in absolute value; ``B`` is its bit length plus a sign
+bit, in whole bytes.  The cost follows the slot count, not the nonzero
+terms, so a short word on many generators is slower than a sparse product
+would be.
 :func:`mu_coefficient` needs no expansion: one pass over the syllables,
 ``O(syllables + k)`` for ``k`` indices (Fox 1953).
 """
@@ -35,7 +39,6 @@ many generators is slower than a sparse product would be.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import comb
 from typing import Mapping, Sequence
 
@@ -124,8 +127,8 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[
 
     ``support`` is the sorted tuple of the ``r`` generators of ``w`` and
     ``blocks[d]`` is ``sum_i v_i * 2**(width * i)`` with every ``|v_i| <
-    2**(width - 1)``: slot ``i`` is the monomial whose base-``r`` digits of
-    ``i``, least significant first, index ``support``.
+    2**(width - 1)``, ``v_i`` the coefficient of slot ``i``'s monomial (see
+    the module docstring).
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
@@ -172,32 +175,26 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[
     return support, width, blocks
 
 
-def _terms(w: Word, truncation: int) -> dict[Monomial, int]:
-    support, width, blocks = _dense_blocks(w, truncation)
-    r, size, half = len(support), width // 8, 1 << (width - 1)
-    terms: dict[Monomial, int] = {}
-    for d, block in enumerate(blocks):
-        if not block:
-            continue
-        # biased by half, every slot is ``size`` unsigned bytes
-        bias = int.from_bytes(half.to_bytes(size, "little") * r**d, "little")
-        data = (block + bias).to_bytes(size * r**d, "little")
-        # each monomial's byte offset, monomials in lexicographic order
-        places = (range(0, size * r ** (k + 1), size * r**k) for k in range(d))
-        for monomial, at in zip(product(support, repeat=d), map(sum, product(*places))):
-            coeff = int.from_bytes(data[at : at + size], "little") - half
-            if coeff:
-                terms[monomial] = coeff
-    return terms
-
-
 def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     """Expand a word at the given truncation degree.
 
     Multiplicative (``expand(uv) = expand(u) expand(v)`` truncated) and
     sends the identity to 1.
     """
-    return MagnusSeries(truncation, _terms(w, truncation))
+    support, width, blocks = _dense_blocks(w, truncation)
+    r, size, half = len(support), width // 8, 1 << (width - 1)
+    zero = half.to_bytes(size, "little")  # a zero field, biased by half
+    terms: dict[Monomial, int] = {}
+    for d, block in enumerate(blocks):
+        if not block:
+            continue
+        data = (block + int.from_bytes(zero * r**d, "little")).to_bytes(size * r**d, "little")
+        strides = [size * r**k for k in range(d)]  # bytes per step of each digit
+        for at in range(0, len(data), size):
+            if (chunk := data[at : at + size]) != zero:
+                monomial = tuple([support[at // stride % r] for stride in strides])
+                terms[monomial] = int.from_bytes(chunk, "little") - half
+    return MagnusSeries(truncation, terms)
 
 
 def reduced_expand(w: Word, truncation: int) -> MagnusSeries:
@@ -209,7 +206,7 @@ def reduced_expand(w: Word, truncation: int) -> MagnusSeries:
     """
     r = len({index for index, _ in w.syllables})
     # the identity has no generators, but a dense expansion needs degree 1
-    terms = _terms(w, min(truncation, max(r, 1)))
+    terms = magnus_expand(w, min(truncation, max(r, 1))).terms
     return MagnusSeries(
         truncation, {m: c for m, c in terms.items() if not _has_repeat(m)}
     )

@@ -40,6 +40,7 @@ from .words import (
     IDENTITY,
     GeneratorMap,
     Word,
+    _check_syllables,
     commutator,
     conjugate,
     generator,
@@ -108,6 +109,7 @@ def _element(degree: int, word: Word) -> SimplicialElement:
 
 def prefix_product(k: int) -> Word:
     """The word ``x1 x2 ... xk`` (identity for ``k = 0``)."""
+    _check_syllables(k, "the prefix product")
     return reduce_word((i, 1) for i in range(1, k + 1))
 
 
@@ -207,6 +209,9 @@ def eta_word(z: SimplicialElement) -> SimplicialElement:
 
 def _eta_step(z: SimplicialElement) -> SimplicialElement:
     """``[s_0 z, s_1 z]`` for a cycle ``z`` of degree >= 1, unchecked."""
+    # a degeneracy turns each letter into at most two syllables, so the
+    # commutator has at most eight per letter of z; checked before building
+    _check_syllables(8 * z.word.length, "the tower step")
     word = commutator(degeneracy(0, z).word, degeneracy(1, z).word)
     return _element(z.degree + 1, word)
 
@@ -218,7 +223,8 @@ def eta_tower(k: int) -> SimplicialElement:
     level applies the step of :func:`eta_word`; the result represents the
     k-fold Hopf-composite in the k-th homotopy group of the loop space.
     No level is re-tested as a cycle: ``x1`` is one, and the step maps
-    cycles to cycles.
+    cycles to cycles.  Each step checks the syllable budget before it
+    builds, so ``k >= 11`` raises ``ValueError``.
     """
     if k < 1:
         raise ValueError(f"tower degree must be >= 1, got {k}")
@@ -299,7 +305,7 @@ def symmetric_commutator_sample(degree: int, seed: int) -> SimplicialElement:
         entry = conjugate(core, _decode_conjugator(conj_index, degree))
         word = entry if word is None else commutator(word, entry)
     assert word is not None
-    return element(degree, word)
+    return _element(degree, word)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,18 @@ __all__ = [
 
 Syllable = tuple[int, int]
 
+#: Most syllables a power, commutator, substitution, prefix product or tower
+#: step may build, checked from a closed-form bound before building; the
+#: largest word in use, ``eta_tower(7)``, has 8,062.
+_MAX_SYLLABLES = 2**20
+
+
+def _check_syllables(bound: int, what: str) -> None:
+    if bound > _MAX_SYLLABLES:
+        raise ValueError(
+            f"{what} may have {bound} syllables; the limit is {_MAX_SYLLABLES}"
+        )
+
 
 def _push(stack: list[Syllable], gen: int, exp: int) -> None:
     """Append one syllable to a reduced syllable stack, cancelling as needed."""
@@ -118,6 +130,15 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return Word()
+        s = self.syllables
+        if abs(n) * len(s) > _MAX_SYLLABLES:
+            # self = u c u^-1 with c cyclically reduced: u c^n u^-1, and a
+            # one-syllable c takes its power in place
+            u = 0
+            while s[u][0] == s[-1 - u][0] and s[u][1] == -s[-1 - u][1]:
+                u += 1
+            core = len(s) - 2 * u
+            _check_syllables(2 * u + (1 if core == 1 else abs(n) * core), "the power")
         base = self if n > 0 else ~self
         n = abs(n)
         result = Word()
@@ -170,6 +191,7 @@ def generator(index: int, exponent: int = 1) -> Word:
 def commutator(a: Word, b: Word) -> Word:
     """The commutator ``[a, b] = a b a^-1 b^-1`` (this sign convention is
     used throughout the package)."""
+    _check_syllables(2 * (len(a.syllables) + len(b.syllables)), "the commutator")
     return a * b * ~a * ~b
 
 
@@ -204,6 +226,9 @@ class GeneratorMap:
                 g, e = image.syllables[0]
                 _push(stack, g, e * exp)
                 continue
+            bound = len(stack) + abs(exp) * len(image.syllables)
+            if bound > _MAX_SYLLABLES:  # compared here, as this runs per syllable
+                _check_syllables(bound, "the image")
             piece = image if exp > 0 else ~image
             for _ in range(abs(exp)):
                 for g, e in piece.syllables:

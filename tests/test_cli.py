@@ -293,64 +293,93 @@ def test_spheres_table_rejects_known_indices(capsys, tmp_path, content, n, m):
     assert "already given" in err
 
 
-def fresh_python(*args, timeout=None) -> subprocess.CompletedProcess:
+def fresh_python(*args, timeout=None, address_space=None) -> subprocess.CompletedProcess:
     """``python *args`` in a new interpreter, on the package these tests
-    imported, from the repository root."""
+    imported, from the repository root; ``address_space`` caps the child's
+    virtual memory in bytes, so a runaway allocation fails fast."""
     package_root = str(Path(linkhomotopy.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path}, cwd=DATA.parent.parent,
+        preexec_fn=cap if address_space else None,
     )
 
 
-def test_spheres_wedge_with_a_far_heavy_letter_is_fast():
-    # two summands, but the light letter's periodic extension is 10^12 letters
-    # long; the generator stops extending where no letter can be incremented
-    n = 10**12
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
-    proc = fresh_python("-m", "linkhomotopy", "spheres", "wedge", str(n), f"2,{n}",
-                        timeout=5)
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
-    assert (proc.returncode, proc.stdout) == (0, f"pi_{n}(S^2) [unknown] + Z\n")
+FAR = 10**12
+NESTED = "[" * 30 + "x1" + ", x2]" * 30  # each level doubles the word
 
-
-def test_spheres_wedge_over_letter_limit_is_fast():
+# argv ({profile} is a file holding the profile text), profile text, exit
+# code, stdout, stderr, CPU seconds: 1 for a refusal from a closed-form
+# bound or an instant answer, 2 where the word is built up to the limit first
+BUDGET_CASES = {
+    # the light letter's periodic extension is 10^12 letters long; the
+    # generator stops extending where no letter can be incremented
+    "far-heavy-wedge": (("spheres", "wedge", str(FAR), f"2,{FAR}"), None,
+                        0, f"pi_{FAR}(S^2) [unknown] + Z\n", "", 1),
     # 100,002 summands pass the count, but the longest word has 100,001 letters
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
-    proc = fresh_python("-m", "linkhomotopy", "spheres", "wedge", "200001", "2,100001",
-                        timeout=5)
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
-    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
-    assert proc.stderr == ("error: Hilton-Milnor splitting may need 10000300002 letters "
-                           "(100002 Lyndon words of up to 100001 letters); "
-                           "the limit is 16777216\n")
-
-
-def test_link_profile_with_a_huge_component_count_is_fast(tmp_path):
+    "wedge-letter-limit": (
+        ("spheres", "wedge", "200001", "2,100001"), None, EXIT_INPUT, "",
+        "error: Hilton-Milnor splitting may need 10000300002 letters (100002 Lyndon "
+        "words of up to 100001 letters); the limit is 16777216\n", 1),
     # the sublink count is compared by bit length before 2^size is formed
-    profile = tmp_path / "huge.lnk"
-    profile.write_text("components 1000000000000\nnu empty -1\n")
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
-    proc = fresh_python("-m", "linkhomotopy", "link", "check", "--profile", str(profile),
-                        timeout=5)
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
-    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
-    assert proc.stderr == (f"error: {profile}: profile must assign a genus to all "
-                           "2^1000000000000 sublinks, got 1\n")
-
-
-def test_link_profile_over_component_limit_is_fast(tmp_path):
+    "huge-profile": (
+        ("link", "check", "--profile", "{profile}"), f"components {FAR}\nnu empty -1\n",
+        EXIT_INPUT, "", f"error: {{profile}}: profile must assign a genus to all 2^{FAR} "
+        "sublinks, got 1\n", 1),
     # a preset would assign all 2^40 sublinks; it is refused before any
-    profile = tmp_path / "large.lnk"
-    profile.write_text("components 40\npreset hopf\n")
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
-    proc = fresh_python("-m", "linkhomotopy", "link", "check", "--profile", str(profile),
-                        timeout=5)
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before < 1
-    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
-    assert proc.stderr == (f"error: {profile}: preset profiles have at most 12 "
-                           "components (4096 sublinks), got 40\n")
+    "preset-component-limit": (
+        ("link", "check", "--profile", "{profile}"), "components 40\npreset hopf\n",
+        EXIT_INPUT, "", "error: {profile}: preset profiles have at most 12 components "
+        "(4096 sublinks), got 40\n", 1),
+    # 'full' would list 10^12 labels, and no file that short can be complete
+    "huge-profile-full": (
+        ("link", "check", "--profile", "{profile}"), f"components {FAR}\nnu full 0\n",
+        EXIT_INPUT, "", f"error: {{profile}}:2: a profile of {FAR} components needs "
+        f"all 2^{FAR} sublinks, and this one has 2 lines\n", 1),
+    "huge-preset-full": (
+        ("link", "check", "--profile", "{profile}"),
+        f"components {FAR}\npreset hopf\nnu full 0\n",
+        EXIT_INPUT, "", f"error: {{profile}}:3: a profile of {FAR} components needs "
+        f"all 2^{FAR} sublinks, and this one has 3 lines\n", 1),
+    "power": (("word", "parse", "(x1 x2)^-99999999999"), None, EXIT_INPUT, "",
+              "error: the power may have 199999999998 syllables; the limit is 1048576\n", 1),
+    "one-syllable-power": (("word", "parse", f"x1^{FAR}"), None, 0, f"x1^{FAR}\n", "", 1),
+    "conjugated-one-syllable-power": (
+        ("word", "parse", f"(x2 x1 x2^-1)^{FAR}"), None, 0, f"x2 x1^{FAR} x2^-1\n", "", 1),
+    # the canonical image of x3 is (x1 x2)^-1
+    "canonical-image": (
+        ("hatf", "cycle", "--degree", "2", f"x3^{FAR}"), None, EXIT_INPUT, "",
+        "error: the image may have 2000000000000 syllables; the limit is 1048576\n", 1),
+    "prefix-product": (
+        ("hatf", "face", "--degree", "99999999", "-i", "0", "x1"), None, EXIT_INPUT, "",
+        "error: the prefix product may have 99999999 syllables; the limit is 1048576\n", 1),
+    "nested-brackets": (
+        ("word", "parse", NESTED), None, EXIT_INPUT, "",
+        "error: the commutator may have 1048578 syllables; the limit is 1048576\n", 2),
+    "tower": (("hatf", "tower", "14"), None, EXIT_INPUT, "",
+              "error: the tower step may have 3560640 syllables; the limit is 1048576\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", BUDGET_CASES)
+def test_budget_in_a_fresh_process(tmp_path, case):
+    argv, text, code, stdout, stderr, seconds = BUDGET_CASES[case]
+    profile = tmp_path / "case.lnk"
+    if text is not None:
+        profile.write_text(text)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = fresh_python("-m", "linkhomotopy", *(a.format(profile=profile) for a in argv),
+                        timeout=5, address_space=800 * 2**20)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, stdout, stderr.format(profile=profile))
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < seconds
 
 
 def test_module_entry_point():

@@ -481,6 +481,28 @@ def test_profile_with_a_huge_component_count_is_refused_by_its_size():
         LinkProfile(3, dict(preset_profile("hopf", 2).nu))
 
 
+def test_full_sublink_is_refused_where_no_file_could_be_complete():
+    # 'full' would list all n labels; the line count is compared by bit length
+    huge = 10**12
+    for text, line in ((f"components {huge}\nnu full 0\n", 2),
+                       (f"components {huge}\npreset hopf\nnu full 0\n", 3),
+                       ("components 13\nnu full 0\n", 2)):
+        n = text.split()[1]
+        with pytest.raises(ProfileFormatError, match=(
+                rf"^<profile>:{line}: a profile of {n} components needs all "
+                rf"2\^{n} sublinks, and this one has {line} lines$")):
+            parse_profile(text)
+    # at the preset limit, or where the text could list every sublink,
+    # 'full' is read and the sublink count decides
+    with pytest.raises(ProfileFormatError, match="all 4096 sublinks, got 1$"):
+        parse_profile("components 12\nnu full 0\n")
+    padded = "components 13\nnu full 0\n" + "#\n" * (2**13 - 2)
+    with pytest.raises(ProfileFormatError, match="all 8192 sublinks, got 1$"):
+        parse_profile(padded)
+    with pytest.raises(ProfileFormatError, match=r"^<profile>:2: a profile of 13 "):
+        parse_profile(padded[:-2])
+
+
 def test_parse_profile_reports_line_numbers():
     with pytest.raises(ProfileFormatError, match="<profile>:3"):
         parse_profile("components 2\npreset hopf\nnu 9 0\n")

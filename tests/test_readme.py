@@ -68,6 +68,7 @@ LIMITS = {
     "magnus._MAX_BYTES": lambda v: f"more than {power(v)} bytes ({v // 2**20} MiB)",
     "links._MAX_PRESET_COMPONENTS": lambda v: f"takes at most {v} components",
     "words._MAX_NESTING": lambda v: f"nest at most {v} levels deep",
+    "words._MAX_SYLLABLES": lambda v: f"more than {power(v)} syllables ({v:,})",
 }
 
 

@@ -23,6 +23,7 @@ from linkhomotopy import (
     prefix_product,
     symmetric_commutator_sample,
 )
+from linkhomotopy import words
 from conftest import (
     as_letters,
     assert_canonical_element,
@@ -113,8 +114,8 @@ def test_operations_return_canonical_elements():
         results += [degeneracy(i, e) for i in range(degree + 1)]
         if degree >= 1:
             results += [face(i, e) for i in range(degree + 1)]
-            results.append(eta_word(symmetric_commutator_sample(min(degree, 3),
-                                                               rng.randrange(10 ** 6))))
+            sample = symmetric_commutator_sample(min(degree, 3), rng.randrange(10 ** 6))
+            results += [sample, eta_word(sample)]
             results.append(eta_word(element(degree, "")))
         for result in results:
             assert_canonical_element(result)
@@ -203,6 +204,28 @@ def test_eta_tower_base_and_structure():
         eta_tower(0)
 
 
+def test_prefix_product_and_tower_step_syllable_budgets(monkeypatch):
+    with pytest.raises(ValueError, match="the prefix product may have 10000000000"):
+        prefix_product(10 ** 10)
+    # element, and so face and degeneracy, build the canonical map first
+    with pytest.raises(ValueError, match="the prefix product may have 99999999 syllables"):
+        face(0, element(99999999, "x1"))
+    # a degeneracy turns each letter into at most two syllables, so each
+    # tower step has at most 8 syllables per letter of the level below
+    for k in range(1, 8):
+        z = eta_tower(k)
+        built = [len(degeneracy(i, z).word.syllables) for i in (0, 1)]
+        assert 2 * sum(built) <= 8 * z.word.length
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 8 * eta_tower(3).word.length)
+    assert prefix_product(words._MAX_SYLLABLES).max_generator == 224
+    assert eta_tower(4).word.length == 120
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 223)
+    with pytest.raises(ValueError, match="the prefix product may have 224 syllables"):
+        prefix_product(224)
+    with pytest.raises(ValueError, match="the tower step may have 224 syllables"):
+        eta_tower(4)
+
+
 def test_eta_towers_are_cycles():
     for k in range(1, 6):
         assert is_cycle(eta_tower(k))
@@ -229,7 +252,9 @@ def test_symmetric_commutator_samples_are_cycles():
     for degree in (1, 2, 3, 4):
         for _ in range(15):
             seed = rng.randrange(10 ** 12)
-            assert is_cycle(symmetric_commutator_sample(degree, seed))
+            sample = symmetric_commutator_sample(degree, seed)
+            assert_canonical_element(sample)
+            assert is_cycle(sample)
     with pytest.raises(ValueError):
         symmetric_commutator_sample(0, 1)
 

@@ -16,6 +16,7 @@ from linkhomotopy import (
     print_word,
     reduce_word,
 )
+from linkhomotopy import words
 from linkhomotopy.words import _MAX_NESTING
 from conftest import (
     as_letters,
@@ -124,6 +125,87 @@ def test_power():
     assert w ** -2 == ~w * ~w
     big = 10 ** 30
     assert generator(1) ** big * generator(1) ** (-big) == IDENTITY
+
+
+def _power_bound(w, n):
+    """``2|u| + |n||c|`` syllables for ``w = u c u^-1`` with ``c`` cyclically
+    reduced (``2|u| + 1`` for a one-syllable ``c``); ``u`` is the longest
+    prefix whose conjugate of the middle rebuilds ``w``."""
+    s = w.syllables
+    u = max(i for i in range(len(s) // 2 + 1)
+            if Word(s[:i]) * Word(s[i:len(s) - i]) * ~Word(s[:i]) == w)
+    core = len(s) - 2 * u
+    return 2 * u + (1 if core == 1 else abs(n) * core)
+
+
+def test_power_budget_is_the_closed_form_bound(monkeypatch):
+    rng = random.Random(61)
+    for _ in range(300):
+        w = random_word(rng, 3, max_syllables=6, max_exponent=2)
+        n = rng.choice([-1, 1]) * rng.randint(1, 6)
+        if w.is_identity:
+            continue
+        bound = _power_bound(w, n)
+        monkeypatch.setattr(words, "_MAX_SYLLABLES", bound)
+        assert len((w ** n).syllables) <= bound
+        monkeypatch.setattr(words, "_MAX_SYLLABLES", bound - 1)
+        with pytest.raises(ValueError, match=f"the power may have {bound} syllables"):
+            w ** n
+
+
+def test_power_syllable_budget(monkeypatch):
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 100)
+    w = parse_word("x1 x2")
+    assert len((w ** -50).syllables) == 100
+    with pytest.raises(ValueError, match="the power may have 102 syllables; the limit is 100"):
+        w ** 51
+    # conjugated core: 2|u| + |n||c|
+    assert len(((x3 * w * ~x3) ** 49).syllables) == 100
+    with pytest.raises(ValueError, match="may have 102 syllables"):
+        (x3 * w * ~x3) ** -50
+    # a core whose ends share a generator still counts |c| per copy
+    with pytest.raises(ValueError, match="may have 102 syllables"):
+        parse_word("x1 x2 x1") ** 34
+
+
+def test_one_syllable_core_powers_at_any_exponent():
+    n = 10**12
+    start = time.process_time()
+    assert generator(1) ** n == Word(((1, n),))
+    assert parse_word("(x2 x1 x2^-1)^1000000000000") == Word(((2, 1), (1, n), (2, -1)))
+    assert parse_word("(x3 x2 x1 x2^-1 x3^-1)^-1000000000000").syllables[2] == (1, -n)
+    with pytest.raises(ValueError, match="the power may have 2000000000000 syllables"):
+        parse_word("(x1 x2)^1000000000000")
+    with pytest.raises(ValueError, match="the power may have 199999999998 syllables"):
+        parse_word("(x1 x2)^-99999999999")
+    assert time.process_time() - start < 0.5
+
+
+def test_commutator_syllable_budget(monkeypatch):
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 100)
+    u, v = parse_word("x1 x2") ** 20, parse_word("x3 x4") ** 5
+    assert len(commutator(u, v).syllables) == 100
+    with pytest.raises(ValueError, match="the commutator may have 102 syllables"):
+        commutator(u * x3, v)
+    # the parser's brackets go through the same bound
+    depth = 5  # [...[x1, x2]..., x2] holds 2^(depth+1) syllables
+    text = "[" * depth + "x1" + ", x2]" * depth
+    assert len(parse_word(text).syllables) == 2 ** (depth + 1)
+    with pytest.raises(ValueError, match="the commutator may have 130 syllables"):
+        parse_word("[" + text + ", x2]")
+
+
+def test_generator_map_syllable_budget(monkeypatch):
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 100)
+    pair = GeneratorMap({3: parse_word("x1 x2")})
+    assert len(pair(parse_word("x3^-50")).syllables) == 100
+    with pytest.raises(ValueError, match="the image may have 102 syllables"):
+        pair(parse_word("x3^51"))
+    # what is already built counts towards the bound
+    with pytest.raises(ValueError, match="the image may have 101 syllables"):
+        pair(parse_word("x4 x3^50"))
+    # single-syllable images take their power in place
+    assert GeneratorMap({3: x1})(parse_word("x3^1000000000000")) == Word(((1, 10**12),))
 
 
 def test_commutator_examples():
