@@ -25,13 +25,18 @@ word's generators ``g`` in increasing order and the base-``r`` digits
 ``i_0, i_1, ...`` of ``i``, least significant first; only nonzero fields
 are decoded into monomials.  A distinct-index monomial has degree at most
 ``r``, so the reduced expansion stops at ``d <= min(T, r)``.  A syllable
-``x_a^e`` costs one shift-and-add of whole blocks per degree and binomial
-term, at most ``T`` terms however large ``|e|`` is.  As ``|C(e, j)| <=
-[t^j] (1-t)^-|e|``, no coefficient of a word of ``E`` letters exceeds
-``C(E + T - 1, T)`` in absolute value; ``B`` is its bit length plus a sign
-bit, in whole bytes.  The cost follows the slot count, not the nonzero
-terms, so a short word on many generators is slower than a sparse product
-would be.
+``x_a^e`` costs one shift-and-add per degree and binomial term, at most
+``T`` terms however large ``|e|`` is.  Below the top degree ``T`` these
+act on whole blocks.  Degree ``T`` is kept as ``r`` sub-blocks, one per
+last letter: the last letter is the most significant digit, so sub-block
+``a`` is the ``a``-th run of ``r**(T-1)`` slots, the only run that
+``x_a^e`` changes, and the sub-blocks are joined once at the end.  So a
+top-degree term touches ``r**(T-1)`` slots, not ``r**T``.  As
+``|C(e, j)| <= [t^j] (1-t)^-|e|``, no coefficient of a word of ``E``
+letters exceeds ``C(E + T - 1, T)`` in absolute value; ``B`` is its bit
+length plus a sign bit, in whole bytes.  The cost follows the slot count,
+not the nonzero terms, so a short word on many generators is slower than a
+sparse product would be.
 :func:`mu_coefficient` needs no expansion: one pass over the syllables,
 ``O(syllables + k)`` for ``k`` indices (Fox 1953).
 """
@@ -153,16 +158,21 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[
             f"coefficient slots of {width} bits); the limit is {_MAX_BYTES}"
         )
     # ones[m] = sum_{i < m} r**i; X_a^j adds a * (ones[d] - ones[d - j]) to the
-    # slot of a degree d - j monomial
+    # slot of a degree d - j monomial.  Degree T is kept as r sub-blocks
+    # tops[a] of r**(T-1) slots, one per last letter a (the most significant
+    # digit), so its offset drops that digit: ones[T] = ones[T - 1]
     ones = [0]
-    for _ in range(truncation):
+    for _ in range(truncation - 1):
         ones.append(ones[-1] * r + 1)
-    letter = {index: width * a for a, index in enumerate(support)}
+    ones.append(ones[-1])
+    letter = {index: (a, width * a) for a, index in enumerate(support)}
     blocks = [1] + [0] * truncation
+    tops = [0] * r
     descending, ascending = range(truncation, 0, -1), range(1, truncation + 1)
     for index, exponent in w.syllables:
-        shift, k = letter[index], abs(exponent)
+        (a, shift), k = letter[index], abs(exponent)
         coeffs = [comb(k, j) for j in range(min(k, truncation) + 1)]
+        blocks[truncation] = tops[a]
         # multiplying by (1 + X_a)^k reads the old lower blocks, so degrees
         # descend; dividing by it reads the new ones, so they ascend
         for d in ascending if exponent < 0 else descending:
@@ -172,6 +182,12 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[
                 term = term if coeffs[j] == 1 else coeffs[j] * term
                 block = block + term if exponent > 0 else block - term
             blocks[d] = block
+        tops[a] = blocks[truncation]
+    # join the sub-blocks: tops[a] starts at slot a * r**(T-1)
+    run, top = width * r ** (truncation - 1), 0
+    while tops:
+        top = (top << run) + tops.pop()
+    blocks[truncation] = top
     return support, width, blocks
 
 
@@ -219,11 +235,23 @@ def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
     Magnus term (the word lies in the d-th term of the series but not the
     next), or ``None`` when all positive terms vanish up to the bound,
     certifying membership in the ``(max_degree + 1)``-st term.  The identity
-    word returns ``None`` by convention.
+    word returns ``None`` by convention.  When ``max_degree`` is over the
+    slot or byte limit, truncations 1, 2, ... are tried while they fit, and
+    the limit is raised only if none of them finds a nonzero degree.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    _, _, blocks = _dense_blocks(w, max_degree)
+    try:
+        _, _, blocks = _dense_blocks(w, max_degree)
+    except ValueError as refusal:
+        # the identity has no nonzero degree to find at any truncation
+        for d in range(1, max_degree if w.syllables else 1):
+            try:
+                if _dense_blocks(w, d)[2][d]:
+                    return d
+            except ValueError:
+                raise refusal from None
+        raise
     return next((d for d in range(1, max_degree + 1) if blocks[d]), None)
 
 

@@ -44,6 +44,7 @@ from .words import (
     commutator,
     conjugate,
     generator,
+    in_normal_closure,
     parse_word,
     print_word,
     reduce_word,
@@ -186,11 +187,15 @@ def is_cycle(e: SimplicialElement) -> bool:
 
     Equivalently the element lies in the normal closure of each generator
     ``x1..x_{n+1}`` of the degree-``n`` group; degree 0 is trivially a cycle.
+    For ``i < n``, ``d_i`` deletes ``x_{i+1}`` and relabels the other
+    generators injectively, so ``d_i`` kills the element exactly when
+    deleting ``x_{i+1}`` reduces its word to 1 (:func:`in_normal_closure`);
+    only ``d_n``, which rewrites ``x_n``, is applied as a map.
     """
-    if e.degree == 0:
-        return True
-    return e.word.is_identity or all(
-        face(i, e).is_identity for i in range(e.degree + 1)
+    n = e.degree
+    return n == 0 or (
+        all(in_normal_closure(e.word, a) for a in range(1, n + 1))
+        and face(n, e).is_identity
     )
 
 

@@ -53,9 +53,9 @@ __all__ = [
 
 Syllable = tuple[int, int]
 
-#: Most syllables a power, commutator, substitution, prefix product or tower
-#: step may build, checked from a closed-form bound before building; the
-#: largest word in use, ``eta_tower(7)``, has 8,062.
+#: Most syllables a power, commutator, substitution, prefix product, tower
+#: step or parsed word may build, checked from a closed-form bound before
+#: building; the largest word in use, ``eta_tower(7)``, has 8,062.
 _MAX_SYLLABLES = 2**20
 
 
@@ -77,6 +77,19 @@ def _push(stack: list[Syllable], gen: int, exp: int) -> None:
             stack.append((gen, merged))
     else:
         stack.append((gen, exp))
+
+
+def _join(stack: list[Syllable], syllables: tuple[Syllable, ...]) -> None:
+    """Append reduced ``syllables`` to the reduced ``stack``: only where the
+    two meet can syllables cancel or merge."""
+    j = 0
+    while stack and j < len(syllables) and stack[-1][0] == syllables[j][0]:
+        gen, exp = syllables[j]
+        exp += stack.pop()[1]
+        j += 1
+        if exp:
+            stack.append((gen, exp))
+    stack.extend(syllables[j:])
 
 
 @dataclass(frozen=True)
@@ -123,8 +136,7 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         stack = list(self.syllables)
-        for gen, exp in other.syllables:
-            _push(stack, gen, exp)
+        _join(stack, other.syllables)
         return _word(tuple(stack))
 
     def __pow__(self, n: int) -> "Word":
@@ -139,15 +151,18 @@ class Word:
                 u += 1
             core = len(s) - 2 * u
             _check_syllables(2 * u + (1 if core == 1 else abs(n) * core), "the power")
+        if len(s) == 1:
+            return _word(((s[0][0], s[0][1] * n),))
         base = self if n > 0 else ~self
         n = abs(n)
         result = Word()
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __str__(self) -> str:
         return print_word(self)
@@ -240,11 +255,27 @@ def in_normal_closure(w: Word, index: int) -> bool:
     """Decide membership of ``w`` in the normal closure of ``x_index``.
 
     In a free group a word lies in ``<<x_i>>`` exactly when killing ``x_i``
-    reduces it to the identity, so this is an exact decision procedure.
+    reduces it to the identity, so this is an exact decision procedure.  One
+    pass deletes the ``x_i`` syllables and cancels the rest on a stack.
     """
     if index < 1:
         raise ValueError(f"generator index must be >= 1, got {index}")
-    return GeneratorMap({index: IDENTITY})(w).is_identity
+    stack: list[Syllable] = []
+    top = 0  # the generator of stack[-1], 0 for an empty stack
+    for syllable in w.syllables:
+        gen = syllable[0]
+        if gen == index:
+            continue
+        if gen != top:
+            stack.append(syllable)
+            top = gen
+            continue
+        exp = stack.pop()[1] + syllable[1]
+        if exp:
+            stack.append((gen, exp))
+        else:
+            top = stack[-1][0] if stack else 0
+    return not stack
 
 
 def print_word(w: Word, letter: str = "x") -> str:
@@ -357,8 +388,9 @@ class _Parser:
             self.skip_separators()
             if self.peek() in ("", ")", "]", ","):
                 break
-            for gen, exp in self.parse_factor().syllables:
-                _push(stack, gen, exp)
+            factor = self.parse_factor().syllables
+            _check_syllables(len(stack) + len(factor), "the word")
+            _join(stack, factor)
             count += 1
         if count == 0:
             raise self.error("expected a word")

@@ -103,12 +103,22 @@ def test_magnus_expand(capsys):
     assert (code, out) == (0, "1 + X1X2 - X2X1\n")
 
 
+TWENTY = " ".join(f"x{i}" for i in range(1, 21))
+# weight-4 commutators on x1..x64: truncation 3 is the largest that fits
+# the slot limit, and the first nonzero degree is 4
+WEIGHT4_ON_64 = " ".join(
+    f"[[[x{i},x{i + 1}],x{i + 2}],x{i + 3}]" for i in range(1, 65, 4))
+
+
 def test_magnus_gamma(capsys):
     code, out, _ = run_cli(capsys, "magnus", "gamma", "[[x1,x2],[x1,x3]]",
                            "--trunc", "3")
     assert (code, out) == (0, ">= 4\n")
     code, out, _ = run_cli(capsys, "magnus", "gamma", "[x1,x2]", "--trunc", "3")
     assert (code, out) == (0, "2\n")
+    # truncation 8 on 20 generators is over the slot limit, but degree 1 fits
+    code, out, _ = run_cli(capsys, "magnus", "gamma", TWENTY, "--trunc", "8")
+    assert (code, out) == (0, "1\n")
 
 
 def test_magnus_mu(capsys):
@@ -123,7 +133,7 @@ def test_magnus_mu_repeated_index_exit_code(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("expand", "[[x1,x2],[x3,x4]]", "--trunc", "14"),
-    ("gamma", " ".join(f"x{i}" for i in range(1, 21)), "--trunc", "8"),
+    ("gamma", WEIGHT4_ON_64, "--trunc", "5"),
 ])
 def test_magnus_over_slot_limit_is_input_error(capsys, argv):
     code, out, err = run_cli(capsys, "magnus", *argv)
@@ -358,6 +368,10 @@ BUDGET_CASES = {
     "prefix-product": (
         ("hatf", "face", "--degree", "99999999", "-i", "0", "x1"), None, EXIT_INPUT, "",
         "error: the prefix product may have 99999999 syllables; the limit is 1048576\n", 1),
+    # each factor passes the limit, but the parsed word adds them up
+    "parsed-factors": (
+        ("word", "parse", "(x1 x2)^500000 x3 " * 40), None, EXIT_INPUT, "",
+        "error: the word may have 2000001 syllables; the limit is 1048576\n", 1),
     "nested-brackets": (
         ("word", "parse", NESTED), None, EXIT_INPUT, "",
         "error: the commutator may have 1048578 syllables; the limit is 1048576\n", 2),

@@ -173,16 +173,34 @@ def test_series_validation_and_errors():
     with pytest.raises(ValueError, match="357913941 coefficient slots"):
         magnus_expand(parse_word("[[x1,x2],[x3,x4]]"), 14)
     twenty = parse_word(" ".join(f"x{i}" for i in range(1, 21)))
-    for expand in (magnus_expand, reduced_expand, gamma_class_lower_bound):
+    for expand in (magnus_expand, reduced_expand):
         with pytest.raises(ValueError, match="the limit is 16777216"):
             expand(twenty, 8)
     # under the slot limit but over the byte limit: 848-bit fields, since
     # the coefficients grow with the exponent
     huge = parse_word("x1^1000000000000 x2")
-    for expand in (magnus_expand, gamma_class_lower_bound):
-        with pytest.raises(ValueError, match="1778384790 bytes .* the limit is 67108864"):
-            expand(huge, 23)
+    with pytest.raises(ValueError, match="1778384790 bytes .* the limit is 67108864"):
+        magnus_expand(huge, 23)
     assert magnus_expand(huge, 2).terms.get((1, 1), 0) == comb(10**12, 2)
+    # over either limit, the class is found at the first truncation that
+    # shows a nonzero degree; the limit is raised only when none that fits does
+    assert gamma_class_lower_bound(twenty, 8) == gamma_class_lower_bound(huge, 23) == 1
+    assert gamma_class_lower_bound(commutator(huge, x3), 23) == 2
+    weight4 = parse_word(" ".join(
+        f"[[[x{i},x{i + 1}],x{i + 2}],x{i + 3}]" for i in range(1, 65, 4)))
+    assert gamma_class_lower_bound(weight4, 3) is None
+    with pytest.raises(ValueError, match="1090785345 coefficient slots .* truncation 5"):
+        gamma_class_lower_bound(weight4, 5)
+    with pytest.raises(ValueError, match="100000001 coefficient slots"):
+        gamma_class_lower_bound(parse_word(""), 10**8)
+
+
+def test_tower4_degree8_term_count():
+    # the top block is kept per last letter and joined once; every one of
+    # its nonzero terms comes back
+    terms = magnus_expand(eta_tower(4).word, 8).terms
+    assert sum(len(m) == 8 for m in terms) == 6144
+    assert all(len(m) in (0, 8) for m in terms)
 
 
 def test_gamma_bound_examples():

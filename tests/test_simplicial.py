@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -9,6 +10,7 @@ from linkhomotopy import (
     GeneratorMap,
     NotACycleError,
     commutator,
+    conjugate,
     degeneracy,
     element,
     eta_tower,
@@ -150,6 +152,28 @@ def test_cycle_agrees_with_normal_closure_membership():
             image = GeneratorMap({degree: ~prefix_product(degree - 1)})(e.word)
             in_all = image.is_identity
         assert is_cycle(e) == in_all
+
+
+def test_cycle_by_deletion_agrees_with_every_face():
+    # second route: every face through its GeneratorMap, with no deletion
+    def by_faces(e):
+        return all(face(i, e).is_identity for i in range(e.degree + 1))
+
+    rng = random.Random(17)
+    elements = [random_element(rng, rng.randint(1, 6)) for _ in range(300)]
+    for degree in (2, 3, 4, 5):
+        for j in range(1, degree + 2):
+            elements.append(symmetric_commutator_sample(degree, rng.randrange(10 ** 12)))
+            # commuting conjugates of every x_g but x_j: every face but
+            # d_{j-1} kills this, and d_{j-1} need not
+            entries = [conjugate(generator(g), random_word(rng, degree, 3))
+                       for g in range(1, degree + 2) if g != j]
+            elements.append(element(degree, reduce(commutator, entries)))
+    elements += [eta_tower(k) for k in range(1, 7)]
+    elements += [VARIANT_ETA_DEGREE3, VARIANT_ETA_DEGREE4]
+    assert {is_cycle(e) for e in elements} == {True, False}
+    for e in elements:
+        assert is_cycle(e) == by_faces(e)
 
 
 def test_simplicial_identities_sample():

@@ -104,6 +104,20 @@ def test_multiply_associative():
         assert (u * v) * w == u * (v * w)
 
 
+def test_multiply_joins_like_reducing_the_concatenation():
+    # rebuilt through Word(...), so the junction-only join must leave a
+    # reduced word, equal to reducing both syllable lists end to end
+    rng = random.Random(19)
+    pairs = [(x1 * x2 ** 2, x2 ** -1 * x3), (x1 * x2, ~x2 * ~x1 * x3)]
+    for _ in range(300):
+        u, v = random_word(rng, 3), random_word(rng, 3)
+        pairs += [(u, v), (u, ~u), (u * v, ~v * u)]
+    for u, v in pairs:
+        product = Word((u * v).syllables)
+        assert product == reduce_word(u.syllables + v.syllables)
+    assert x1 * x2 ** 2 * (x2 ** -1 * x3) == parse_word("x1 x2 x3")
+
+
 def test_invert_examples():
     assert ~(x1 * x2) == parse_word("x2^-1 x1^-1")
     assert ~IDENTITY == IDENTITY
@@ -258,12 +272,24 @@ def test_in_normal_closure_examples():
 
 def test_in_normal_closure_agrees_with_brute_force():
     rng = random.Random(23)
+    outcomes = set()
     for _ in range(400):
         w = random_word(rng, 3)
         index = rng.randint(1, 3)
-        # oracle: drop the generator's letters, stack-reduce what is left
+        if rng.random() < 0.5:
+            # a product of conjugates of x_index lies in its normal closure
+            w = IDENTITY
+            for _ in range(rng.randint(1, 3)):
+                w = w * conjugate(generator(index, rng.choice((-2, -1, 1, 2))),
+                                  random_word(rng, 3, 4))
+        # oracles: drop the generator's letters and stack-reduce what is
+        # left; substitute x_index -> 1
         survivors = [(g, s) for g, s in as_letters(list(w.syllables)) if g != index]
-        assert in_normal_closure(w, index) == (not naive_reduce_letters(survivors))
+        member = not naive_reduce_letters(survivors)
+        assert GeneratorMap({index: IDENTITY})(w).is_identity == member
+        assert in_normal_closure(w, index) == member
+        outcomes.add(member)
+    assert outcomes == {True, False}
 
 
 def test_parse_commutator_expression():
