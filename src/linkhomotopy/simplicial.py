@@ -11,16 +11,16 @@ Faces and degeneracies act on generators by
     d_i x_j = x_j (j < i+1),   1 (j = i+1),          x_{j-1} (j > i+1)
     s_i x_j = x_j (j < i+1),   x_j x_{j+1} (j = i+1), x_{j+1} (j > i+1)
 
-for ``0 <= i <= n``.  Each face and degeneracy is a single cached
-:class:`~linkhomotopy.words.GeneratorMap` on canonical words whose images
-are already canonical in the target degree.  The kernel of ``d_i`` is the
-normal closure of ``x_{i+1}``, the Moore chains are the intersection of
-the kernels of ``d_1..d_n``, and the Moore cycles additionally lie in
-``Ker d_0``.  The homology of the Moore complex computes the homotopy
-groups of the loop space of the 2-sphere, and the suspension-Hopf
-composition acts on cycles by ``z -> [s_0 z, s_1 z]``; iterating it from
-the degree-1 generator yields the tower words returned by
-:func:`eta_tower`.
+for ``0 <= i <= n``.  Each face and degeneracy is one pass over a word's
+syllables whose image is already canonical in the target degree, except
+``d_n``, which fixes ``x_n`` and so goes through :func:`element`.  The
+kernel of ``d_i`` is the normal closure of ``x_{i+1}``, the Moore chains
+are the intersection of the kernels of ``d_1..d_n``, and the Moore cycles
+additionally lie in ``Ker d_0``.  The homology of the Moore complex
+computes the homotopy groups of the loop space of the 2-sphere, and the
+suspension-Hopf composition acts on cycles by ``z -> [s_0 z, s_1 z]``;
+iterating it from the degree-1 generator yields the tower words returned
+by :func:`eta_tower`.
 
 Validation happens where values enter: a direct ``SimplicialElement(...)``
 call checks the degree and the canonical generator range, :func:`element`
@@ -33,14 +33,14 @@ through ``SimplicialElement(...)`` to confirm the invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from .words import (
-    IDENTITY,
     GeneratorMap,
     Word,
     _check_syllables,
+    _push,
+    _word,
     commutator,
     conjugate,
     generator,
@@ -125,38 +125,14 @@ def element(degree: int, word: Word | str) -> SimplicialElement:
         word = parse_word(word)
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if word.max_generator > degree + 1:
+    top = word.max_generator
+    if top > degree + 1:
         raise ValueError(
-            f"word uses x{word.max_generator}; degree-{degree} elements "
-            f"allow at most x{degree + 1}"
+            f"word uses x{top}; degree-{degree} elements allow at most x{degree + 1}"
         )
-    return _element(degree, _canonical_map(degree)(word))
-
-
-@lru_cache
-def _canonical_map(degree: int) -> GeneratorMap:
-    """Rewrite ``x_{degree+1}`` to ``(x1...x_degree)^-1``."""
-    return GeneratorMap({degree + 1: ~prefix_product(degree)})
-
-
-@lru_cache
-def _structure_map(kind: str, i: int, n: int) -> GeneratorMap:
-    """``d_i`` (kind ``"face"``) or ``s_i`` (``"degeneracy"``) on degree-``n``
-    canonical words, with images already canonical in the target degree.
-
-    Only ``d_n`` needs a rewrite: it fixes ``x1..xn``, and ``x_n`` is the
-    eliminated generator at degree ``n - 1``.  Degeneracy images stop at
-    ``x_{n+1}`` and so never reach the eliminated ``x_{n+2}``.
-    """
-    if kind == "face" and i == n:
-        return _canonical_map(n - 1)
-    images: dict[int, Word] = {}
-    for j in range(i + 1, n + 1):
-        if kind == "face":
-            images[j] = IDENTITY if j == i + 1 else generator(j - 1)
-        else:
-            images[j] = generator(j) * generator(j + 1) if j == i + 1 else generator(j + 1)
-    return GeneratorMap(images)
+    if top <= degree:
+        return _element(degree, word)
+    return _element(degree, GeneratorMap({degree + 1: ~prefix_product(degree)})(word))
 
 
 def face(i: int, e: SimplicialElement) -> SimplicialElement:
@@ -166,7 +142,15 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
         raise ValueError("degree-0 elements have no faces")
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range 0..{n}")
-    return _element(n - 1, _structure_map("face", i, n)(e.word))
+    if i == n:
+        # d_n fixes x1..xn, and x_n is the eliminated generator at degree n - 1
+        return element(n - 1, e.word)
+    j = i + 1
+    stack: list[tuple[int, int]] = []
+    for gen, exp in e.word.syllables:
+        if gen != j:
+            _push(stack, gen - 1 if gen > j else gen, exp)
+    return _element(n - 1, _word(tuple(stack)))
 
 
 def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
@@ -174,7 +158,20 @@ def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
     n = e.degree
     if not 0 <= i <= n:
         raise ValueError(f"degeneracy index {i} out of range 0..{n}")
-    return _element(n + 1, _structure_map("degeneracy", i, n)(e.word))
+    j = i + 1
+    # the relabelling is injective and x_j^e is written out as alternating
+    # x_j, x_{j+1} letters, so no two neighbours share a generator
+    out: list[tuple[int, int]] = []
+    for gen, exp in e.word.syllables:
+        if gen < j:
+            out.append((gen, exp))
+        elif gen > j:
+            out.append((gen + 1, exp))
+        else:
+            _check_syllables(len(out) + 2 * abs(exp), "the image")
+            pair = ((j, 1), (j + 1, 1)) if exp > 0 else ((j + 1, -1), (j, -1))
+            out.extend(pair * abs(exp))
+    return _element(n + 1, _word(tuple(out)))
 
 
 def is_moore_chain(e: SimplicialElement) -> bool:
@@ -186,14 +183,15 @@ def is_cycle(e: SimplicialElement) -> bool:
     """True when every face (0..n) kills the element.
 
     Equivalently the element lies in the normal closure of each generator
-    ``x1..x_{n+1}`` of the degree-``n`` group; degree 0 is trivially a cycle.
-    For ``i < n``, ``d_i`` deletes ``x_{i+1}`` and relabels the other
-    generators injectively, so ``d_i`` kills the element exactly when
-    deleting ``x_{i+1}`` reduces its word to 1 (:func:`in_normal_closure`);
-    only ``d_n``, which rewrites ``x_n``, is applied as a map.
+    ``x1..x_{n+1}`` of the degree-``n`` group.  For ``i < n``, ``d_i``
+    deletes ``x_{i+1}`` and relabels the other generators injectively, so
+    it kills the element exactly when deleting ``x_{i+1}`` reduces the word
+    to 1 (:func:`in_normal_closure`, no face built).  A word other than the
+    identity fails at the first generator it lacks, so the loop never runs
+    past its length.  Only ``d_n``, which rewrites ``x_n``, is built.
     """
     n = e.degree
-    return n == 0 or (
+    return e.is_identity or (
         all(in_normal_closure(e.word, a) for a in range(1, n + 1))
         and face(n, e).is_identity
     )

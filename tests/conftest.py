@@ -78,14 +78,30 @@ def as_letters(syllables: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return letters
 
 
+def naive_canonical_letters(
+    degree: int, letters: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Letters on ``x1..x_{degree+1}`` in canonical form at ``degree``: the
+    last generator ``x_{degree+1} = (x1...x_degree)^-1`` is eliminated by
+    naive substitution and letter-level reduction."""
+    prefix = list(range(1, degree + 1))
+    canonical = []
+    for j, sign in letters:
+        if j == degree + 1:
+            # x_{degree+1} = x_degree^-1 ... x1^-1, its inverse x1 ... x_degree
+            canonical.extend((g, -sign) for g in (prefix[::-1] if sign > 0 else prefix))
+        else:
+            canonical.append((j, sign))
+    return naive_reduce_letters(canonical)
+
+
 def naive_structure_map(kind: str, i: int, degree: int, word: Word) -> list[tuple[int, int]]:
     """Letters of ``d_i`` (kind ``"face"``) or ``s_i`` (``"degeneracy"``) of a
     canonical degree-``degree`` word, in canonical form at the target degree.
 
     Applies the literal generator formulas of the simplicial module's
     docstring letter by letter, then eliminates the target degree's last
-    generator ``x_{m+1} = (x1...xm)^-1`` by naive substitution and
-    letter-level reduction.
+    generator with :func:`naive_canonical_letters`.
     """
     target = degree - 1 if kind == "face" else degree + 1
     letters = []
@@ -97,15 +113,7 @@ def naive_structure_map(kind: str, i: int, degree: int, word: Word) -> list[tupl
         else:
             image = [j - 1] if kind == "face" else [j + 1]
         letters.extend((g, sign) for g in (image if sign > 0 else reversed(image)))
-    prefix = list(range(1, target + 1))
-    canonical = []
-    for j, sign in letters:
-        if j == target + 1:
-            # x_{m+1} = xm^-1 ... x1^-1 and x_{m+1}^-1 = x1 ... xm
-            canonical.extend((g, -sign) for g in (prefix[::-1] if sign > 0 else prefix))
-        else:
-            canonical.append((j, sign))
-    return naive_reduce_letters(canonical)
+    return naive_canonical_letters(target, letters)
 
 
 def oracle_multiply(

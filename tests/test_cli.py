@@ -365,9 +365,21 @@ BUDGET_CASES = {
     "canonical-image": (
         ("hatf", "cycle", "--degree", "2", f"x3^{FAR}"), None, EXIT_INPUT, "",
         "error: the image may have 2000000000000 syllables; the limit is 1048576\n", 1),
+    # only a word holding x_{degree+1} needs the prefix product
     "prefix-product": (
-        ("hatf", "face", "--degree", "99999999", "-i", "0", "x1"), None, EXIT_INPUT, "",
-        "error: the prefix product may have 99999999 syllables; the limit is 1048576\n", 1),
+        ("hatf", "face", "--degree", "99999999", "-i", "0", "x100000000"), None, EXIT_INPUT,
+        "", "error: the prefix product may have 99999999 syllables; the limit is 1048576\n", 1),
+    # faces and degeneracies touch only the generators the word holds
+    "face-far-degree": (("hatf", "face", "--degree", "1000000", "-i", "0", "x1"), None,
+                        0, "degree=999999; word=1\n", "", 1),
+    "degen-far-degree": (("hatf", "degen", "--degree", "1000000", "-i", "0", "x1"), None,
+                         0, "degree=1000001; word=x1 x2\n", "", 1),
+    # the identity is a cycle at every degree without a pass per face
+    "cycle-far-degree": (("hatf", "cycle", "--degree", str(FAR), "1"), None,
+                         0, "true\n", "", 1),
+    "degen-power": (
+        ("hatf", "degen", "--degree", "2", "-i", "0", f"x1^{FAR}"), None, EXIT_INPUT, "",
+        "error: the image may have 2000000000000 syllables; the limit is 1048576\n", 1),
     # each factor passes the limit, but the parsed word adds them up
     "parsed-factors": (
         ("word", "parse", "(x1 x2)^500000 x3 " * 40), None, EXIT_INPUT, "",

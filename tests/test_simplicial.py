@@ -23,14 +23,17 @@ from linkhomotopy import (
     meridian_word,
     parse_word,
     prefix_product,
+    reduce_word,
     symmetric_commutator_sample,
 )
 from linkhomotopy import words
 from conftest import (
     as_letters,
     assert_canonical_element,
+    naive_canonical_letters,
     naive_structure_map,
     random_element,
+    random_syllables,
     random_word,
 )
 
@@ -96,13 +99,20 @@ def test_face_and_degeneracy_are_homomorphisms():
 
 def test_face_and_degeneracy_match_letter_oracle():
     rng = random.Random(43)
-    for degree in range(1, 7):
+    for degree in range(7):
+        kinds = [("degeneracy", degeneracy)] + ([("face", face)] if degree else [])
         for _ in range(25):
-            e = random_element(rng, degree, max_syllables=8)
-            for i in range(degree + 1):
-                for kind, op in (("face", face), ("degeneracy", degeneracy)):
-                    got = as_letters(list(op(i, e).word.syllables))
-                    assert got == naive_structure_map(kind, i, degree, e.word), (kind, i, e)
+            # besides a canonical word, one on x1..x_{degree+1} with longer
+            # powers, which element rewrites (checked letter by letter too)
+            raw = random_syllables(rng, degree + 1, 8, 4)
+            rewritten = element(degree, reduce_word(raw))
+            assert as_letters(list(rewritten.word.syllables)) == naive_canonical_letters(
+                degree, as_letters(raw)), raw
+            for e in (random_element(rng, degree, max_syllables=8), rewritten):
+                for i in range(degree + 1):
+                    for kind, op in kinds:
+                        got = as_letters(list(op(i, e).word.syllables))
+                        assert got == naive_structure_map(kind, i, degree, e.word), (kind, i, e)
 
 
 def test_operations_return_canonical_elements():
@@ -155,9 +165,11 @@ def test_cycle_agrees_with_normal_closure_membership():
 
 
 def test_cycle_by_deletion_agrees_with_every_face():
-    # second route: every face through its GeneratorMap, with no deletion
+    # second route: every face by letter-level substitution, not by face,
+    # which deletes x_{i+1} for i < n just as in_normal_closure does
     def by_faces(e):
-        return all(face(i, e).is_identity for i in range(e.degree + 1))
+        return not any(naive_structure_map("face", i, e.degree, e.word)
+                       for i in range(e.degree + 1))
 
     rng = random.Random(17)
     elements = [random_element(rng, rng.randint(1, 6)) for _ in range(300)]
@@ -231,9 +243,11 @@ def test_eta_tower_base_and_structure():
 def test_prefix_product_and_tower_step_syllable_budgets(monkeypatch):
     with pytest.raises(ValueError, match="the prefix product may have 10000000000"):
         prefix_product(10 ** 10)
-    # element, and so face and degeneracy, build the canonical map first
+    # element builds the prefix product only for a word holding x_{degree+1},
+    # and a face or degeneracy touches only the generators the word holds
     with pytest.raises(ValueError, match="the prefix product may have 99999999 syllables"):
-        face(0, element(99999999, "x1"))
+        element(99999999, "x100000000")
+    assert face(0, element(10 ** 6, "x1")).is_identity
     # a degeneracy turns each letter into at most two syllables, so each
     # tower step has at most 8 syllables per letter of the level below
     for k in range(1, 8):
