@@ -175,26 +175,30 @@ def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
 
 
 def is_moore_chain(e: SimplicialElement) -> bool:
-    """True when faces 1..n all kill the element."""
-    return all(face(i, e).is_identity for i in range(1, e.degree + 1))
+    """True when faces 1..n all kill the element.
 
-
-def is_cycle(e: SimplicialElement) -> bool:
-    """True when every face (0..n) kills the element.
-
-    Equivalently the element lies in the normal closure of each generator
-    ``x1..x_{n+1}`` of the degree-``n`` group.  For ``i < n``, ``d_i``
-    deletes ``x_{i+1}`` and relabels the other generators injectively, so
-    it kills the element exactly when deleting ``x_{i+1}`` reduces the word
-    to 1 (:func:`in_normal_closure`, no face built).  A word other than the
-    identity fails at the first generator it lacks, so the loop never runs
-    past its length.  Only ``d_n``, which rewrites ``x_n``, is built.
+    For ``i < n``, ``d_i`` deletes ``x_{i+1}`` and relabels the other
+    generators injectively, so it kills the element exactly when deleting
+    ``x_{i+1}`` reduces the word to 1 (:func:`in_normal_closure`, no face
+    built).  A word other than the identity fails at the first generator it
+    lacks, so the loop never runs past its length, and the identity needs
+    no loop.  Only ``d_n``, which rewrites ``x_n``, is built.
     """
     n = e.degree
     return e.is_identity or (
-        all(in_normal_closure(e.word, a) for a in range(1, n + 1))
+        all(in_normal_closure(e.word, a) for a in range(2, n + 1))
         and face(n, e).is_identity
     )
+
+
+def is_cycle(e: SimplicialElement) -> bool:
+    """True when every face (0..n) kills the element: ``d_0`` deletes
+    ``x1``, and :func:`is_moore_chain` checks the rest.
+
+    Equivalently the element lies in the normal closure of each generator
+    ``x1..x_{n+1}`` of the degree-``n`` group.
+    """
+    return in_normal_closure(e.word, 1) and is_moore_chain(e)
 
 
 def eta_word(z: SimplicialElement) -> SimplicialElement:

@@ -34,6 +34,7 @@ accepts back.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -288,9 +289,15 @@ def print_word(w: Word, letter: str = "x") -> str:
     return " ".join(parts)
 
 
-# The parser recurses three frames per bracket level; this keeps deep input
-# a syntax error instead of a RecursionError.
+# The parser recurses two frames per bracket level (``_Parser.word`` and
+# ``_Parser.bracket``); this keeps deep input a syntax error instead of a
+# RecursionError.
 _MAX_NESTING = 100
+
+_SEPARATORS = re.compile(r"[ \t*]*")
+_INDEX = re.compile(r"\d*")  # after the generator letter
+_EXPONENT = re.compile(r"\^[+-]?(\d*)")
+_WORD_ENDS = ("", ")", "]", ",")
 
 
 class WordSyntaxError(ValueError):
@@ -308,109 +315,92 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def error(self, message: str) -> WordSyntaxError:
-        return WordSyntaxError(message, self.pos)
+    def skip(self) -> str:
+        """Skip separators; return the next character, ``""`` at the end."""
+        self.pos = _SEPARATORS.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
-    def skip_separators(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t*":
-            self.pos += 1
+    def exponent(self) -> int:
+        """A ``^`` and signed integer right after a base, else 1."""
+        m = _EXPONENT.match(self.text, self.pos)
+        if m is None:
+            return 1
+        if not m[1]:
+            raise WordSyntaxError("expected an integer", m.start(1))
+        self.pos = m.end()
+        return int(m[0][1:])
 
-    def expect(self, char: str, message: str) -> None:
-        self.skip_separators()
-        if self.peek() != char:
-            raise self.error(message)
-        self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_integer(self) -> int:
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.peek().isdecimal():
-            self.pos += 1
-        if self.pos == digits:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def parse_generator(self) -> Word:
-        self.pos += 1  # the generator letter
-        start = self.pos
-        while self.peek().isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(f"expected a generator index after {self.letter!r}")
-        index = int(self.text[start:self.pos])
-        if index == 0:
-            self.pos = start
-            raise self.error("generator index must be >= 1")
-        return generator(index)
-
-    def parse_base(self) -> Word:
-        ch = self.peek()
-        if ch == self.letter:
-            return self.parse_generator()
-        if ch == "1":
-            self.pos += 1
-            return Word()
-        if ch in ("(", "["):
-            if self.depth == _MAX_NESTING:
-                raise self.error(f"nesting deeper than {_MAX_NESTING} levels")
-            self.depth += 1
-            self.pos += 1
-            inner = self.parse_word()
-            if ch == "[":
-                self.expect(",", "expected ',' in commutator")
-                inner = commutator(inner, self.parse_word())
-                self.expect("]", "expected ']'")
-            else:
-                self.expect(")", "expected ')'")
-            self.depth -= 1
-            return inner
-        if ch == "":
-            raise self.error("unexpected end of input")
-        raise self.error(f"unexpected character {ch!r}")
-
-    def parse_factor(self) -> Word:
-        base = self.parse_base()
-        if self.peek() == "^":
-            self.pos += 1
-            return base ** self.parse_integer()
-        return base
-
-    def parse_word(self) -> Word:
-        # one stack for all factors, so each syllable is pushed once
+    def word(self) -> Word:
+        """Factors up to ``)``, ``]``, ``,`` or the end, on one stack, so
+        each syllable is pushed once; a generator factor is pushed as its
+        syllable."""
         stack: list[Syllable] = []
-        count = 0
-        while True:
-            self.skip_separators()
-            if self.peek() in ("", ")", "]", ","):
-                break
-            factor = self.parse_factor().syllables
-            _check_syllables(len(stack) + len(factor), "the word")
-            _join(stack, factor)
-            count += 1
-        if count == 0:
-            raise self.error("expected a word")
+        ch = self.skip()
+        if ch in _WORD_ENDS:
+            raise WordSyntaxError("expected a word", self.pos)
+        while ch not in _WORD_ENDS:
+            if ch == self.letter:
+                digits = _INDEX.match(self.text, self.pos + 1)
+                if not digits[0]:
+                    raise WordSyntaxError(
+                        f"expected a generator index after {self.letter!r}", digits.start())
+                index = int(digits[0])
+                if index == 0:
+                    raise WordSyntaxError("generator index must be >= 1", digits.start())
+                self.pos = digits.end()
+                exp = self.exponent()
+                if exp and len(stack) >= _MAX_SYLLABLES:  # compared inline, per syllable
+                    _check_syllables(len(stack) + 1, "the word")
+                _push(stack, index, exp)
+            elif ch == "1":
+                self.pos += 1
+                self.exponent()  # every power of the identity is the identity
+            elif ch in ("(", "["):
+                factor = (self.bracket(ch) ** self.exponent()).syllables
+                _check_syllables(len(stack) + len(factor), "the word")
+                _join(stack, factor)
+            else:
+                raise WordSyntaxError(f"unexpected character {ch!r}", self.pos)
+            ch = self.skip()
         return _word(tuple(stack))
+
+    def bracket(self, ch: str) -> Word:
+        """``(w)`` or ``[u, v]``, from its opening bracket ``ch``."""
+        if self.depth == _MAX_NESTING:
+            raise WordSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", self.pos)
+        self.depth += 1
+        self.pos += 1
+        inner = self.word()
+        if ch == "[":
+            self.close(",", "expected ',' in commutator")
+            inner = commutator(inner, self.word())
+            self.close("]", "expected ']'")
+        else:
+            self.close(")", "expected ')'")
+        self.depth -= 1
+        return inner
+
+    def close(self, char: str, message: str) -> None:
+        # word() has stopped on the next character, past any separators
+        if not self.text.startswith(char, self.pos):
+            raise WordSyntaxError(message, self.pos)
+        self.pos += 1
 
 
 def parse_word(text: str, letter: str = "x") -> Word:
     """Parse a word expression; an empty or all-separator string parses to
     the identity so that ``"1"``-producing pipelines round-trip.
 
-    Raises :class:`WordSyntaxError` with the offending position on malformed
-    input, including a generator index of 0 and brackets nested deeper than
+    ``letter`` is the one character that names generators (``"x"`` reads
+    ``x1 x2``, ``"a"`` reads ``a1 a2``).  Raises :class:`WordSyntaxError`
+    with the offending position, in ``0..len(text)``, on malformed input,
+    including a generator index of 0 and brackets nested deeper than
     ``_MAX_NESTING`` levels.
     """
     parser = _Parser(text, letter)
-    parser.skip_separators()
-    if parser.peek() == "":
-        return Word()
-    word = parser.parse_word()
-    parser.skip_separators()
-    if parser.peek() != "":
-        raise parser.error(f"unexpected character {parser.peek()!r}")
+    if not parser.skip():
+        return IDENTITY
+    word = parser.word()
+    if parser.pos < len(text):
+        raise WordSyntaxError(f"unexpected character {text[parser.pos]!r}", parser.pos)
     return word

@@ -1,16 +1,23 @@
 """Shared helpers: seeded random data and independent brute-force oracles.
 
 The oracles deliberately avoid the library's reduction and expansion code
-paths so that tests compare two separate routes to the same value.
+paths so that tests compare two separate routes to the same value.  The
+letter-level word oracles are the benchmark's (``perfbench/oracles.py``),
+importable from the tests as ``oracles``.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 from typing import Mapping
 
 from linkhomotopy import SimplicialElement, Word, element, reduce_word
 from linkhomotopy.links import LinkProfile, build_profile
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 
 def random_syllables(
@@ -56,64 +63,6 @@ def assert_canonical_element(e: SimplicialElement) -> None:
     """Rebuilding ``e`` through the checking constructor gives ``e`` back."""
     assert_canonical_word(e.word)
     assert SimplicialElement(e.degree, e.word) == e
-
-
-def naive_reduce_letters(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Letter-by-letter stack reduction; input and output are single letters
-    ``(generator, +1 or -1)``."""
-    stack: list[tuple[int, int]] = []
-    for gen, sign in letters:
-        if stack and stack[-1] == (gen, -sign):
-            stack.pop()
-        else:
-            stack.append((gen, sign))
-    return stack
-
-
-def as_letters(syllables: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    letters = []
-    for gen, exp in syllables:
-        sign = 1 if exp > 0 else -1
-        letters.extend([(gen, sign)] * abs(exp))
-    return letters
-
-
-def naive_canonical_letters(
-    degree: int, letters: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Letters on ``x1..x_{degree+1}`` in canonical form at ``degree``: the
-    last generator ``x_{degree+1} = (x1...x_degree)^-1`` is eliminated by
-    naive substitution and letter-level reduction."""
-    prefix = list(range(1, degree + 1))
-    canonical = []
-    for j, sign in letters:
-        if j == degree + 1:
-            # x_{degree+1} = x_degree^-1 ... x1^-1, its inverse x1 ... x_degree
-            canonical.extend((g, -sign) for g in (prefix[::-1] if sign > 0 else prefix))
-        else:
-            canonical.append((j, sign))
-    return naive_reduce_letters(canonical)
-
-
-def naive_structure_map(kind: str, i: int, degree: int, word: Word) -> list[tuple[int, int]]:
-    """Letters of ``d_i`` (kind ``"face"``) or ``s_i`` (``"degeneracy"``) of a
-    canonical degree-``degree`` word, in canonical form at the target degree.
-
-    Applies the literal generator formulas of the simplicial module's
-    docstring letter by letter, then eliminates the target degree's last
-    generator with :func:`naive_canonical_letters`.
-    """
-    target = degree - 1 if kind == "face" else degree + 1
-    letters = []
-    for j, sign in as_letters(list(word.syllables)):
-        if j < i + 1:
-            image = [j]
-        elif j == i + 1:
-            image = [] if kind == "face" else [j, j + 1]
-        else:
-            image = [j - 1] if kind == "face" else [j + 1]
-        letters.extend((g, sign) for g in (image if sign > 0 else reversed(image)))
-    return naive_canonical_letters(target, letters)
 
 
 def oracle_multiply(

@@ -6,18 +6,13 @@ calls (a renamed function, a dropped export, a wrong value) fail the
 tests, not only the benchmark.
 """
 
-import sys
 import types
-from pathlib import Path
 
 import pytest
 
+from conftest import PERFBENCH  # puts perfbench/ on sys.path
 from linkhomotopy import homotopy, links, magnus, simplicial, words
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
-
-import workloads  # noqa: E402
+import workloads
 
 LAYERS = types.SimpleNamespace(words=words, simplicial=simplicial, magnus=magnus,
                                homotopy=homotopy, links=links)

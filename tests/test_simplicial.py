@@ -1,4 +1,5 @@
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -28,14 +29,12 @@ from linkhomotopy import (
 )
 from linkhomotopy import words
 from conftest import (
-    as_letters,
     assert_canonical_element,
-    naive_canonical_letters,
-    naive_structure_map,
     random_element,
     random_syllables,
     random_word,
 )
+import oracles
 
 
 def test_element_canonicalizes_last_generator():
@@ -100,19 +99,20 @@ def test_face_and_degeneracy_are_homomorphisms():
 def test_face_and_degeneracy_match_letter_oracle():
     rng = random.Random(43)
     for degree in range(7):
-        kinds = [("degeneracy", degeneracy)] + ([("face", face)] if degree else [])
+        maps = [(degeneracy, oracles.degeneracy)] + ([(face, oracles.face)] if degree else [])
         for _ in range(25):
             # besides a canonical word, one on x1..x_{degree+1} with longer
             # powers, which element rewrites (checked letter by letter too)
             raw = random_syllables(rng, degree + 1, 8, 4)
             rewritten = element(degree, reduce_word(raw))
-            assert as_letters(list(rewritten.word.syllables)) == naive_canonical_letters(
-                degree, as_letters(raw)), raw
+            assert oracles.letters_of(rewritten.word.syllables) == oracles.canonical(
+                oracles.letters_of(raw), degree), raw
             for e in (random_element(rng, degree, max_syllables=8), rewritten):
+                letters = oracles.letters_of(e.word.syllables)
                 for i in range(degree + 1):
-                    for kind, op in kinds:
-                        got = as_letters(list(op(i, e).word.syllables))
-                        assert got == naive_structure_map(kind, i, degree, e.word), (kind, i, e)
+                    for op, oracle in maps:
+                        got = oracles.letters_of(op(i, e).word.syllables)
+                        assert got == oracle(i, letters, degree), (op.__name__, i, e)
 
 
 def test_operations_return_canonical_elements():
@@ -140,6 +140,10 @@ def test_moore_chain_examples():
     assert is_moore_chain(element(1, "x1"))
     assert is_moore_chain(element(2, "[x1 x2, x1]"))
     assert not is_moore_chain(element(2, "x2"))
+    # the identity is a chain at any degree without a face built
+    start = time.process_time()
+    assert is_moore_chain(element(10**6, ""))
+    assert time.process_time() - start < 0.5
 
 
 def test_cycle_examples():
@@ -167,9 +171,9 @@ def test_cycle_agrees_with_normal_closure_membership():
 def test_cycle_by_deletion_agrees_with_every_face():
     # second route: every face by letter-level substitution, not by face,
     # which deletes x_{i+1} for i < n just as in_normal_closure does
-    def by_faces(e):
-        return not any(naive_structure_map("face", i, e.degree, e.word)
-                       for i in range(e.degree + 1))
+    def killed_by_faces(e, first):
+        letters = oracles.letters_of(e.word.syllables)
+        return not any(oracles.face(i, letters, e.degree) for i in range(first, e.degree + 1))
 
     rng = random.Random(17)
     elements = [random_element(rng, rng.randint(1, 6)) for _ in range(300)]
@@ -183,9 +187,12 @@ def test_cycle_by_deletion_agrees_with_every_face():
             elements.append(element(degree, reduce(commutator, entries)))
     elements += [eta_tower(k) for k in range(1, 7)]
     elements += [VARIANT_ETA_DEGREE3, VARIANT_ETA_DEGREE4]
-    assert {is_cycle(e) for e in elements} == {True, False}
+    # cycles, chains that d_0 does not kill, and neither
+    assert {(is_cycle(e), is_moore_chain(e)) for e in elements} == {
+        (True, True), (False, True), (False, False)}
     for e in elements:
-        assert is_cycle(e) == by_faces(e)
+        assert is_cycle(e) == killed_by_faces(e, 0)
+        assert is_moore_chain(e) == killed_by_faces(e, 1)
 
 
 def test_simplicial_identities_sample():

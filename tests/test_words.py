@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkhomotopy import (
     IDENTITY,
@@ -19,13 +21,12 @@ from linkhomotopy import (
 from linkhomotopy import words
 from linkhomotopy.words import _MAX_NESTING
 from conftest import (
-    as_letters,
     assert_canonical_word,
-    naive_reduce_letters,
     random_syllables,
     random_word,
     syllable_text,
 )
+from oracles import letters_of, reduce_letters
 
 x1, x2, x3 = generator(1), generator(2), generator(3)
 
@@ -42,9 +43,9 @@ def test_reduce_empty_is_identity():
 def test_reduce_merges_runs():
     # x1 x2 x1 x2^-1 x1^-1 x1^-1 -> x1 x2 x1 x2^-1 x1^-2
     raw = [(1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (1, -1)]
-    expected = naive_reduce_letters(as_letters(raw))
+    expected = reduce_letters(letters_of(raw))
     got = reduce_word(raw)
-    assert as_letters(list(got.syllables)) == expected
+    assert letters_of(got.syllables) == expected
     assert print_word(got) == "x1 x2 x1 x2^-1 x1^-2"
 
 
@@ -53,7 +54,7 @@ def test_reduce_agrees_with_letter_stack_oracle():
     for _ in range(500):
         raw = random_syllables(rng, max_generator=4)
         got = reduce_word(raw)
-        assert as_letters(list(got.syllables)) == naive_reduce_letters(as_letters(raw))
+        assert letters_of(got.syllables) == reduce_letters(letters_of(raw))
         # idempotent
         assert reduce_word(got.syllables) == got
 
@@ -284,8 +285,8 @@ def test_in_normal_closure_agrees_with_brute_force():
                                   random_word(rng, 3, 4))
         # oracles: drop the generator's letters and stack-reduce what is
         # left; substitute x_index -> 1
-        survivors = [(g, s) for g, s in as_letters(list(w.syllables)) if g != index]
-        member = not naive_reduce_letters(survivors)
+        survivors = [(g, s) for g, s in letters_of(w.syllables) if g != index]
+        member = not reduce_letters(survivors)
         assert GeneratorMap({index: IDENTITY})(w).is_identity == member
         assert in_normal_closure(w, index) == member
         outcomes.add(member)
@@ -319,13 +320,48 @@ def test_parse_identity_literal():
     assert parse_word("[1, x1]") == IDENTITY
 
 
+# every error message: text, message, position (0..len(text))
+SYNTAX_ERRORS = [
+    ("()", "expected a word", 1),
+    ("x^2", "expected a generator index after 'x'", 1),
+    ("x1 x0", "generator index must be >= 1", 4),
+    ("x1^", "expected an integer", 3),
+    ("[x1 x2]", "expected ',' in commutator", 6),
+    ("[x1", "expected ',' in commutator", 3),
+    ("[x1, x2", "expected ']'", 7),
+    ("(x1", "expected ')'", 3),
+    ("y1", "unexpected character 'y'", 0),
+    ("x1 )", "unexpected character ')'", 3),
+    ("x1]", "unexpected character ']'", 2),
+    ("(" * (_MAX_NESTING + 1) + "x1" + ")" * (_MAX_NESTING + 1),
+     f"nesting deeper than {_MAX_NESTING} levels", _MAX_NESTING),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(WordSyntaxError) as info:
-        parse_word("x1 x0")
-    assert info.value.position == 4
-    for bad in ("[x1", "[x1 x2]", "(x1", "x1 )", "x^2", "x1^", "y1", "x1]"):
-        with pytest.raises(WordSyntaxError):
-            parse_word(bad)
+    for text, message, position in SYNTAX_ERRORS:
+        with pytest.raises(WordSyntaxError) as info:
+            parse_word(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+
+# the grammar's characters, two non-ASCII decimal digits among them
+PARSER_ALPHABET = "xa0123456789\u0661\uff12^+-*()[],1 \t"
+WORDS = st.lists(st.tuples(st.integers(1, 12), st.integers(-10**20, 10**20))).map(reduce_word)
+# besides free text, printed words cut short with a few more characters
+TEXTS = st.one_of(st.text(PARSER_ALPHABET, max_size=12),
+                  st.builds(lambda w, cut, tail: print_word(w)[:cut] + tail,
+                            WORDS, st.integers(0, 30), st.text(PARSER_ALPHABET, max_size=3)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=TEXTS, letter=st.sampled_from("xa"))
+def test_parse_error_positions_lie_in_the_text(text, letter):
+    try:
+        parse_word(text, letter)
+    except WordSyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
 
 
 def test_parse_rejects_non_decimal_digits_with_position():
@@ -350,11 +386,10 @@ def test_parse_nesting_limit():
         assert info.value.position == depth
 
 
-def test_print_parse_round_trip():
-    rng = random.Random(29)
-    for _ in range(300):
-        w = random_word(rng, 4)
-        assert parse_word(print_word(w)) == w
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(w=WORDS, letter=st.sampled_from("xa"))
+def test_print_parse_round_trip(w, letter):
+    assert parse_word(print_word(w, letter), letter) == w
     assert print_word(IDENTITY) == "1"
 
 
