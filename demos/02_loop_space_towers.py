@@ -16,6 +16,7 @@ from linkhomotopy import (
     face,
     is_cycle,
     meridian_word,
+    print_word,
     symmetric_commutator_sample,
 )
 
@@ -49,4 +50,4 @@ for seed in (0, 1, 12345):
     print(f"  seed {seed:>5}: cycle={is_cycle(sample)}, word={sample.word}")
 
 print("\nMeridian transliteration labels the 4- and 5-strand fibration links:")
-print(f"  meridian(4) = {meridian_word(4)}")
+print(f"  meridian(4) = {print_word(meridian_word(4).word, letter='a')}")

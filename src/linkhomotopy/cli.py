@@ -72,12 +72,12 @@ def _cmd_word(args: argparse.Namespace) -> int:
 
 
 def _cmd_hatf(args: argparse.Namespace) -> int:
-    from . import simplicial
+    from . import simplicial, words
 
     if args.action == "tower":
         print(simplicial.eta_tower(args.k))
     elif args.action == "meridian":
-        print(simplicial.meridian_word(args.k))
+        print(words.print_word(simplicial.meridian_word(args.k).word, letter="a"))
     else:
         e = simplicial.element(args.degree, args.expr)
         if args.action == "face":

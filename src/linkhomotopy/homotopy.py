@@ -27,6 +27,7 @@ unit weights it is :func:`lyndon_words`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
@@ -292,27 +293,30 @@ class HomotopyTable:
                 if not line or line.startswith("#"):
                     continue
                 fields = line.split()
-                if len(fields) < 5 or fields[0] != "pi":
-                    raise TableFormatError(
-                        f"{path}:{number}: expected 'pi <n> <m> <group> <provenance...>'"
-                    )
-                if not all(i.removeprefix("-").isdecimal() for i in fields[1:3]):
-                    raise TableFormatError(f"{path}:{number}: bad indices")
-                n, m = int(fields[1]), int(fields[2])
-                if n < 1 or m < 1:
-                    raise TableFormatError(f"{path}:{number}: indices must be >= 1")
-                known = self.entry(n, m)
-                if known is not None:
-                    raise TableFormatError(
-                        f"{path}:{number}: pi_{n}(S^{m}) is already given "
-                        f"({known.provenance}); a table file may only add new entries"
-                    )
-                try:
+                try:  # each check raises ValueError; the handler names the line
+                    if len(fields) < 5 or fields[0] != "pi":
+                        raise ValueError("expected 'pi <n> <m> <group> <provenance...>'")
+                    if not all(i.removeprefix("-").isdecimal() for i in fields[1:3]):
+                        raise ValueError("bad indices")
+                    n, m = _decimal(fields[1]), _decimal(fields[2])
+                    if n < 1 or m < 1:
+                        raise ValueError("indices must be >= 1")
+                    if (known := self.entry(n, m)) is not None:
+                        raise ValueError(f"pi_{n}(S^{m}) is already given ({known.provenance})"
+                                         "; a table file may only add new entries")
                     group = parse_group_token(fields[3])
                 except ValueError as exc:
                     raise TableFormatError(f"{path}:{number}: {exc}") from exc
                 provenance = " ".join(fields[4:])
                 self.entries[(n, m)] = TableEntry(group, provenance, user_supplied=True)
+
+
+def _decimal(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # "-" and decimal digits fail only over the interpreter's limit
+        raise ValueError(f"the integer has {len(token.removeprefix('-'))} digits; the "
+                         f"limit is {sys.get_int_max_str_digits()}") from None
 
 
 def parse_group_token(token: str) -> GroupDescription:
@@ -326,7 +330,7 @@ def parse_group_token(token: str) -> GroupDescription:
         elif piece == "Z^(countable)":
             parts.append(FreeAbelian(COUNTABLE))
         elif piece[:2] in ("Z/", "Z^") and piece[2:].removeprefix("-").isdecimal():
-            k = int(piece[2:])
+            k = _decimal(piece[2:])
             parts.append(Cyclic(k) if piece[1] == "/" else FreeAbelian(k))
         else:
             raise ValueError(f"unrecognized group token {piece!r}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .homotopy import (
     COUNTABLE,
@@ -40,6 +40,7 @@ from .homotopy import (
     SphereWedge,
     SymbolicGroup,
     Trivial,
+    _decimal,
     direct_sum,
 )
 
@@ -255,23 +256,13 @@ def strongly_nonsplittable(p: LinkProfile, base: Iterable[int] = ()) -> bool:
     return strong
 
 
-def _aspherical_factor(deleted: tuple[int, ...], retained: frozenset[int]) -> str | None:
-    # The factor is the classifying space of the remaining sublink's group,
-    # written in deletion notation; it disappears when nothing remains.
-    if not retained:
-        return None
-    labels = ",".join(str(s) for s in sorted(deleted))
-    return f"K(G(d_{{{labels}}}L),1)"
-
-
-def _wedge_for_chi(chi: int, deleted: tuple[int, ...], retained: frozenset[int]) -> SphereWedge:
-    # One sphere of dimension 2 + (|chi| - chi)/2 per unit of |chi|.
-    count = abs(chi)
-    dim = 2 + (abs(chi) - chi) // 2
-    return SphereWedge(
-        dims=(dim,) * count,
-        group_factor=_aspherical_factor(deleted, retained),
-    )
+def _deletion_wedge(p: LinkProfile, deleted: Collection[int], chi: int) -> SphereWedge:
+    # One sphere of dimension 2 + (|chi| - chi)/2 per unit of |chi|, and the
+    # classifying space of the remaining sublink's group, written in deletion
+    # notation, while any sublink remains (the deleted labels are distinct).
+    labels = ",".join(map(str, sorted(deleted)))
+    factor = f"K(G(d_{{{labels}}}L),1)" if len(deleted) < p.size else None
+    return SphereWedge(dims=(2 + (abs(chi) - chi) // 2,) * abs(chi), group_factor=factor)
 
 
 def classify_X2(p: LinkProfile, i: int, j: int) -> SphereWedge:
@@ -282,7 +273,7 @@ def classify_X2(p: LinkProfile, i: int, j: int) -> SphereWedge:
     profiles the factor disappears (the remaining sublink is empty), so
     the nonsplittable case is a bare 3-sphere and the split case a point.
     """
-    return _wedge_for_chi(chi2(p, i, j), (i, j), p.full_set - {i, j})
+    return _deletion_wedge(p, (i, j), chi2(p, i, j))
 
 
 def classify_X3(p: LinkProfile, i: int, j: int, k: int) -> SphereWedge:
@@ -294,9 +285,8 @@ def classify_X3(p: LinkProfile, i: int, j: int, k: int) -> SphereWedge:
     chi = chi3(p, i, j, k)
     if chi < -1:
         raise UnrealizableProfileError(
-            f"chi3({i},{j},{k}) = {chi} < -1: no link realizes this profile"
-        )
-    return _wedge_for_chi(chi, (i, j, k), p.full_set - {i, j, k})
+            f"chi3({i},{j},{k}) = {chi} < -1: no link realizes this profile")
+    return _deletion_wedge(p, (i, j, k), chi)
 
 
 @dataclass(frozen=True)
@@ -325,15 +315,20 @@ class ClassificationResult:
             return self.NOT_CLASSIFIED
         if isinstance(self.group, Trivial):
             return "0 (trivial)"
+        # a concrete group renders the same with or without the mark
+        text = self.group.render(mark_unknown=True)
         if self.group.is_concrete and self.symbolic_form is not None:
-            return f"{self.symbolic_form.render()} = {self.group.render()}"
-        if self.group.is_concrete:
-            return self.group.render()
-        return self.group.render(mark_unknown=True)
+            return f"{self.symbolic_form.render()} = {text}"
+        return text
 
 
 def _trivial_result(method: str, *notes: str) -> ClassificationResult:
-    return ClassificationResult(Trivial(), None, method, tuple(notes))
+    return ClassificationResult(Trivial(), None, method, notes)
+
+
+def _evaluated(symbolic: GroupDescription, table: HomotopyTable | None, method: str,
+               *notes: str) -> ClassificationResult:
+    return ClassificationResult(symbolic.evaluate(table), symbolic, method, notes)
 
 
 # Results of the routes whose output depends on nothing but the route; the
@@ -341,14 +336,11 @@ def _trivial_result(method: str, *notes: str) -> ClassificationResult:
 _COLLAPSE = "intersection equals the symmetric commutator subgroup"
 _TWO_COMPONENT = "two-component meridian intersection"
 _PROPER_SUB_INTERSECTION = _trivial_result(
-    "strongly nonsplittable pair, proper sub-intersection", _COLLAPSE
-)
+    "strongly nonsplittable pair, proper sub-intersection", _COLLAPSE)
 _NONSPLITTABLE_BASE = _trivial_result(
-    "strongly nonsplittable pair over a nonsplittable base", _COLLAPSE
-)
+    "strongly nonsplittable pair over a nonsplittable base", _COLLAPSE)
 _PAIRWISE_COLLAPSE = _trivial_result(
-    _TWO_COMPONENT, "links of at most three components give pairwise collapse"
-)
+    _TWO_COMPONENT, "links of at most three components give pairwise collapse")
 _TWO_COMPONENT_TRIVIAL = _trivial_result(_TWO_COMPONENT)
 _NOT_CLASSIFIED = ClassificationResult(None, None, ClassificationResult.NOT_CLASSIFIED)
 
@@ -396,100 +388,46 @@ def classify_A(
     # l0 and sub are disjoint within full, so sub is the rest of the link
     # exactly when their sizes add up to the component count
     sub_is_rest = len(l0) + len(sub) == p.size
+    n = len(sub)
     if strongly_nonsplittable(p, l0):
         if not sub_is_rest:
             return _PROPER_SUB_INTERSECTION
         if not l0:
-            n = len(sub)
-            symbolic = PiOfSphere(n, 3)
-            return ClassificationResult(
-                group=symbolic.evaluate(table),
-                symbolic_form=symbolic,
-                method="strongly nonsplittable link, full meridian intersection",
-            )
-        if p.nu[l0] == 0:
+            return _evaluated(PiOfSphere(n, 3), table,
+                              "strongly nonsplittable link, full meridian intersection")
+        genus = p.nu[l0]
+        if genus == 0:
             return _NONSPLITTABLE_BASE
-        return _bundle_over_splittable_base(p, l0, sub, table)
-
-    if len(sub) == 2:
-        return _two_component_dichotomy(p, sub)
-
-    if len(sub) == 3 and sub_is_rest:
-        return _three_component_bar_quotient(p, sub, table)
-
-    return _NOT_CLASSIFIED
-
-
-def _bundle_over_splittable_base(
-    p: LinkProfile,
-    l0: frozenset[int],
-    sub: frozenset[int],
-    table: HomotopyTable | None,
-) -> ClassificationResult:
-    n = len(sub)
-    genus = p.nu[l0]
-    sphere_part = PiOfWedge(n, SphereWedge(dims=(2,) * genus))
-    tail = SymbolicGroup(
-        f"pi_{n}(wedge[m>=1] wedge[{genus}^m] G(L0) smash S^(m+1))"
-    )
-    symbolic = direct_sum([sphere_part, tail])
-    return ClassificationResult(
-        group=symbolic.evaluate(table),
-        symbolic_form=symbolic,
-        method="strongly nonsplittable pair over a splittable base",
-        notes=(
+        tail = SymbolicGroup(f"pi_{n}(wedge[m>=1] wedge[{genus}^m] G(L0) smash S^(m+1))")
+        return _evaluated(
+            direct_sum([PiOfWedge(n, SphereWedge(dims=(2,) * genus)), tail]), table,
+            "strongly nonsplittable pair over a splittable base",
             f"contains pi_{n}(S^m) summands with countably infinite "
             f"multiplicity for each 2 <= m <= {n}",
             "G(L0) denotes the base link group, kept symbolic",
-        ),
-    )
-
-
-def _two_component_dichotomy(
-    p: LinkProfile,
-    sub: frozenset[int],
-) -> ClassificationResult:
-    if p.size <= 3:
-        return _PAIRWISE_COLLAPSE
-    # classify_A has checked the labels; this is chi2 and classify_X2 inline
-    i, j = sub  # chi2 is symmetric, so either order
-    full = p.full_set
-    chi = _chi2_within(p, full, i, j)
-    if chi <= 0:
-        return _TWO_COMPONENT_TRIVIAL
-    wedge = _wedge_for_chi(chi, tuple(sorted(sub)), full - sub)
-    return ClassificationResult(
-        group=FreeAbelian(COUNTABLE),
-        symbolic_form=PiOfWedge(2, wedge),
-        method=_TWO_COMPONENT,
-        notes=(f"chi2 = {chi} > 0 forces infinite rank",),
-    )
-
-
-def _three_component_bar_quotient(
-    p: LinkProfile,
-    sub: frozenset[int],
-    table: HomotopyTable | None,
-) -> ClassificationResult:
-    i, j, k = sorted(sub)
-    wedge = classify_X3(p, i, j, k)
-    symbolic = PiOfWedge(3, wedge)
-    if p.size == 3:
-        notes = (
-            "bar-quotient; for 3-component links it equals the full quotient "
-            "(pairwise intersections collapse)",
         )
-    else:
-        notes = (
-            "bar-quotient of the meridian intersection; the kernel of the "
-            "projection onto it is not determined here",
+
+    if n == 2:
+        if p.size <= 3:
+            return _PAIRWISE_COLLAPSE
+        i, j = sub  # chi2 on checked labels; it is symmetric, so either order
+        chi = _chi2_within(p, full, i, j)
+        if chi <= 0:
+            return _TWO_COMPONENT_TRIVIAL
+        return ClassificationResult(
+            FreeAbelian(COUNTABLE), PiOfWedge(2, _deletion_wedge(p, sub, chi)),
+            _TWO_COMPONENT, (f"chi2 = {chi} > 0 forces infinite rank",),
         )
-    return ClassificationResult(
-        group=symbolic.evaluate(table),
-        symbolic_form=symbolic,
-        method="three-component bar-quotient",
-        notes=notes,
-    )
+
+    if n == 3 and sub_is_rest:
+        note = ("bar-quotient; for 3-component links it equals the full quotient "
+                "(pairwise intersections collapse)" if p.size == 3 else
+                "bar-quotient of the meridian intersection; the kernel of the "
+                "projection onto it is not determined here")
+        return _evaluated(PiOfWedge(3, classify_X3(p, *sorted(sub))), table,
+                          "three-component bar-quotient", note)
+
+    return _NOT_CLASSIFIED
 
 
 def realizability_findings(p: LinkProfile) -> list[str]:
@@ -516,7 +454,7 @@ def parse_subset_token(token: str, n: int) -> frozenset[int]:
     if token == "full":
         return frozenset(range(1, n + 1))
     pieces = token.split(",")
-    labels = [int(piece) for piece in pieces if piece.removeprefix("-").isdecimal()]
+    labels = [_decimal(piece) for piece in pieces if piece.removeprefix("-").isdecimal()]
     if len(labels) != len(pieces):
         raise ValueError(f"bad sublink {token!r}")
     if any(not 1 <= s <= n for s in labels):
@@ -547,6 +485,12 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
     def fail(number: int, message: str) -> ProfileFormatError:
         return ProfileFormatError(f"{source}:{number}: {message}")
 
+    def integer(number: int, token: str) -> int:
+        try:
+            return _decimal(token)
+        except ValueError as exc:
+            raise fail(number, str(exc)) from exc
+
     lines = text.splitlines()
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -557,7 +501,7 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
         if directive == "components":
             if n is not None:
                 raise fail(number, "duplicate 'components' line")
-            if len(fields) != 2 or not fields[1].isdecimal() or int(fields[1]) < 1:
+            if len(fields) != 2 or not fields[1].isdecimal() or integer(number, fields[1]) < 1:
                 raise fail(number, "expected 'components <positive integer>'")
             n = int(fields[1])
         elif directive == "preset":
@@ -585,13 +529,10 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
                 raise fail(number, str(exc)) from exc
             if not fields[2].removeprefix("-").isdecimal():
                 raise fail(number, f"bad genus {fields[2]!r}")
-            genus = int(fields[2])
+            genus = integer(number, fields[2])
             if subset in seen_lines:
-                raise fail(
-                    number,
-                    f"duplicate sublink {fields[1]!r} (first given on line "
-                    f"{seen_lines[subset]})",
-                )
+                raise fail(number, f"duplicate sublink {fields[1]!r} (first given on line "
+                           f"{seen_lines[subset]})")
             seen_lines[subset] = number
             overrides[subset] = genus
         else:

@@ -315,34 +315,17 @@ def symmetric_commutator_sample(degree: int, seed: int) -> SimplicialElement:
     return _element(degree, word)
 
 
-@dataclass(frozen=True)
-class MeridianWord:
-    """A word in the meridians ``a1..a_link_size`` of the fibration link.
+def meridian_word(k: int) -> SimplicialElement:
+    """The tower element labelling the ``k``-strand fibration link.
 
-    The meridians project isomorphically onto the sphere-group generators,
-    so tower words transliterate letter-for-letter.
-    """
-
-    link_size: int
-    word: Word
-
-    def __post_init__(self) -> None:
-        if self.word.max_generator > self.link_size:
-            raise ValueError("meridian word uses an index beyond the link size")
-
-    def __str__(self) -> str:
-        return print_word(self.word, letter="a")
-
-
-def meridian_word(k: int) -> MeridianWord:
-    """The meridian form of the tower word labelling the ``k``-strand link.
-
-    Supported sizes are 4 and 5, the first links whose labelling classes
-    are the Hopf classes of order two.
+    The meridians ``a1..ak`` project isomorphically onto the sphere-group
+    generators, so its word printed with letter ``a`` is the link's meridian
+    word.  Supported sizes are 4 and 5, the first links whose labelling
+    classes are the Hopf classes of order two.
     """
     if k not in (4, 5):
         raise ValueError(f"unsupported link size {k}; expected 4 or 5")
-    return MeridianWord(link_size=k, word=eta_tower(k - 1).word)
+    return eta_tower(k - 1)
 
 
 #: Variant of the degree-3 tower word with ``[a, x2]`` as the first inner

@@ -35,6 +35,7 @@ accepts back.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -308,6 +309,14 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
+def _integer(token: str, position: int) -> int:
+    try:
+        return int(token)
+    except ValueError:  # a sign and decimal digits fail only over the interpreter's limit
+        raise WordSyntaxError(f"the integer has {len(token.lstrip('+-'))} digits; the "
+                              f"limit is {sys.get_int_max_str_digits()}", position) from None
+
+
 class _Parser:
     def __init__(self, text: str, letter: str):
         self.text = text
@@ -328,7 +337,7 @@ class _Parser:
         if not m[1]:
             raise WordSyntaxError("expected an integer", m.start(1))
         self.pos = m.end()
-        return int(m[0][1:])
+        return _integer(m[0][1:], m.start(1))
 
     def word(self) -> Word:
         """Factors up to ``)``, ``]``, ``,`` or the end, on one stack, so
@@ -344,7 +353,7 @@ class _Parser:
                 if not digits[0]:
                     raise WordSyntaxError(
                         f"expected a generator index after {self.letter!r}", digits.start())
-                index = int(digits[0])
+                index = _integer(digits[0], digits.start())
                 if index == 0:
                     raise WordSyntaxError("generator index must be >= 1", digits.start())
                 self.pos = digits.end()
@@ -394,8 +403,9 @@ def parse_word(text: str, letter: str = "x") -> Word:
     ``letter`` is the one character that names generators (``"x"`` reads
     ``x1 x2``, ``"a"`` reads ``a1 a2``).  Raises :class:`WordSyntaxError`
     with the offending position, in ``0..len(text)``, on malformed input,
-    including a generator index of 0 and brackets nested deeper than
-    ``_MAX_NESTING`` levels.
+    including a generator index of 0, an integer over the interpreter's
+    int/str digit limit (at its first digit) and brackets nested deeper
+    than ``_MAX_NESTING`` levels.
     """
     parser = _Parser(text, letter)
     if not parser.skip():

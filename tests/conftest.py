@@ -19,6 +19,12 @@ from linkhomotopy.links import LinkProfile, build_profile
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+#: A decimal token one digit over the interpreter's int/str conversion
+#: limit, and the message every parser gives for it.
+LONG_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG = (f"the integer has {len(LONG_DIGITS)} digits; "
+            f"the limit is {sys.get_int_max_str_digits()}")
+
 
 def random_syllables(
     rng: random.Random,

@@ -16,22 +16,29 @@ from pathlib import Path
 
 import pytest
 
-from linkhomotopy.homotopy import COUNTABLE, FreeAbelian, PiOfSphere, PiOfWedge, Trivial
+from linkhomotopy.homotopy import (
+    COUNTABLE,
+    FreeAbelian,
+    PiOfSphere,
+    PiOfWedge,
+    SphereWedge,
+    SymbolicGroup,
+    Trivial,
+    direct_sum,
+)
 from linkhomotopy.links import (
     PRESETS,
     ClassificationResult,
     LinkProfile,
-    _bundle_over_splittable_base,
-    _three_component_bar_quotient,
     build_profile,
-    chi2,
     classify_A,
-    classify_X2,
     load_profile,
     preset_profile,
     realizability_findings,
     strongly_nonsplittable,
 )
+from conftest import PERFBENCH  # noqa: F401  puts perfbench/ on sys.path for a script run
+from oracles import nu_chi2, nu_chi3
 
 TESTS = Path(__file__).parent
 GOLDEN = TESTS / "golden" / "classify_pairs.txt"
@@ -91,10 +98,17 @@ def _literally_strong(p: LinkProfile, l0: frozenset[int]) -> bool:
     return all(genus == 0 for s, genus in p.nu.items() if l0 < s)
 
 
+def _factor(deleted) -> str:
+    return "K(G(d_{" + ",".join(str(s) for s in sorted(deleted)) + "}L),1)"
+
+
 def _oracle_classify(p: LinkProfile, l0, sub) -> ClassificationResult:
-    """``classify_A`` with strong nonsplittability decided from ``nu``."""
+    """``classify_A`` spelled out route by route: strong nonsplittability
+    from ``nu``, chi from the benchmark's sum formulas and each wedge built
+    by hand."""
     l0, sub = frozenset(l0), frozenset(sub)
     full = p.full_set
+    n = len(sub)
     if _literally_strong(p, l0):
         collapse = "intersection equals the symmetric commutator subgroup"
         if sub != full - l0:
@@ -103,34 +117,60 @@ def _oracle_classify(p: LinkProfile, l0, sub) -> ClassificationResult:
                 "strongly nonsplittable pair, proper sub-intersection", (collapse,),
             )
         if not l0:
-            symbolic = PiOfSphere(len(sub), 3)
+            symbolic = PiOfSphere(n, 3)
             return ClassificationResult(
                 symbolic.evaluate(None), symbolic,
                 "strongly nonsplittable link, full meridian intersection",
             )
-        if p.nu[l0] == 0:
+        genus = p.nu[l0]
+        if genus == 0:
             return ClassificationResult(
                 Trivial(), None,
                 "strongly nonsplittable pair over a nonsplittable base", (collapse,),
             )
-        return _bundle_over_splittable_base(p, l0, sub, None)
-    if len(sub) == 2:
+        symbolic = direct_sum([
+            PiOfWedge(n, SphereWedge((2,) * genus)),
+            SymbolicGroup(f"pi_{n}(wedge[m>=1] wedge[{genus}^m] G(L0) smash S^(m+1))"),
+        ])
+        return ClassificationResult(
+            symbolic.evaluate(None), symbolic,
+            "strongly nonsplittable pair over a splittable base",
+            (f"contains pi_{n}(S^m) summands with countably infinite multiplicity "
+             f"for each 2 <= m <= {n}",
+             "G(L0) denotes the base link group, kept symbolic"),
+        )
+    if n == 2:
         method = "two-component meridian intersection"
         if p.size <= 3:
             return ClassificationResult(
                 Trivial(), None, method,
                 ("links of at most three components give pairwise collapse",),
             )
-        i, j = sorted(sub)
-        chi = chi2(p, i, j)
+        chi = nu_chi2(p.nu, full, *sub)
         if chi <= 0:
             return ClassificationResult(Trivial(), None, method)
+        # four or more components: some sublink survives the two deletions
+        wedge = SphereWedge((2,) * chi, _factor(sub))
         return ClassificationResult(
-            FreeAbelian(COUNTABLE), PiOfWedge(2, classify_X2(p, i, j)), method,
+            FreeAbelian(COUNTABLE), PiOfWedge(2, wedge), method,
             (f"chi2 = {chi} > 0 forces infinite rank",),
         )
-    if len(sub) == 3 and l0 == full - sub:
-        return _three_component_bar_quotient(p, sub, None)
+    if n == 3 and l0 == full - sub:
+        chi = nu_chi3(p.nu, full, *sub)
+        assert chi >= -1  # the profiles here are realizable
+        # chi = -1 is one 3-sphere, chi >= 0 that many 2-spheres; the base
+        # l0 is what survives the three deletions
+        wedge = SphereWedge((3,) if chi == -1 else (2,) * chi, _factor(sub) if l0 else None)
+        symbolic = PiOfWedge(3, wedge)
+        if p.size == 3:
+            note = ("bar-quotient; for 3-component links it equals the full quotient "
+                    "(pairwise intersections collapse)")
+        else:
+            note = ("bar-quotient of the meridian intersection; the kernel of the "
+                    "projection onto it is not determined here")
+        return ClassificationResult(
+            symbolic.evaluate(None), symbolic, "three-component bar-quotient", (note,)
+        )
     return ClassificationResult(None, None, ClassificationResult.NOT_CLASSIFIED)
 
 

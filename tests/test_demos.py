@@ -7,10 +7,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def test_demos_found():
     assert DEMOS
+    assert sorted(g.stem for g in GOLDEN.glob("*.txt")) == [d.stem for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -23,4 +25,4 @@ def test_demo_runs_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text(encoding="utf-8")

@@ -1,8 +1,6 @@
 import random
-import sys
 from collections import Counter
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +29,8 @@ from linkhomotopy.homotopy import (
     _lyndon_words,
     parse_group_token,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-import oracles  # noqa: E402
+import oracles
+from conftest import LONG_DIGITS, TOO_LONG
 
 Z = FreeAbelian(1)
 
@@ -111,6 +107,16 @@ def test_table_file_rejects_bad_lines(tmp_path, content):
     path.write_text(content + "\n")
     with pytest.raises(TableFormatError):
         HomotopyTable().load_file(str(path))
+
+
+def test_table_file_locates_integers_over_the_digit_limit(tmp_path):
+    path = tmp_path / "long.tab"
+    for line in (f"pi {LONG_DIGITS} 3 Z/2 src", f"pi 9 {LONG_DIGITS} Z/2 src",
+                 f"pi 9 3 Z/{LONG_DIGITS} src"):
+        path.write_text(f"# long integers\n{line}\n")
+        with pytest.raises(TableFormatError) as info:
+            HomotopyTable().load_file(str(path))
+        assert str(info.value) == f"{path}:2: {TOO_LONG}"
 
 
 def test_parse_group_token():

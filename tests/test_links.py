@@ -28,7 +28,7 @@ from linkhomotopy import (
     strongly_nonsplittable,
 )
 from linkhomotopy.links import parse_subset_token
-from conftest import random_profile
+from conftest import LONG_DIGITS, TOO_LONG, random_profile
 
 Z = FreeAbelian(1)
 
@@ -203,6 +203,7 @@ def test_classify_X2_examples():
     wedge = classify_X2(chi_three, 1, 2)
     assert wedge.dims == (2, 2, 2)
     assert wedge.group_factor == "K(G(d_{1,2}L),1)"
+    assert classify_X2(chi_three, 2, 1) == wedge  # labels written in order
 
 
 def test_classify_X2_shape_matches_chi2():
@@ -456,6 +457,9 @@ def test_parse_profile_without_preset_needs_all_sublinks():
         ("components zero\n", "positive integer"),
         ("components \u00b2\n", "<profile>:1: expected 'components <positive integer>'"),
         ("", "missing 'components'"),
+        (f"components {LONG_DIGITS}\n", f"^<profile>:1: {TOO_LONG}$"),
+        (f"components 2\npreset hopf\nnu 1,2 -{LONG_DIGITS}\n", f"^<profile>:3: {TOO_LONG}$"),
+        (f"components 2\npreset hopf\nnu 1,{LONG_DIGITS} 0\n", f"^<profile>:3: {TOO_LONG}$"),
     ],
 )
 def test_parse_profile_error_diagnostics(text, fragment):

@@ -21,6 +21,8 @@ from linkhomotopy import (
 from linkhomotopy import words
 from linkhomotopy.words import _MAX_NESTING
 from conftest import (
+    LONG_DIGITS,
+    TOO_LONG,
     assert_canonical_word,
     random_syllables,
     random_word,
@@ -335,6 +337,9 @@ SYNTAX_ERRORS = [
     ("x1]", "unexpected character ']'", 2),
     ("(" * (_MAX_NESTING + 1) + "x1" + ")" * (_MAX_NESTING + 1),
      f"nesting deeper than {_MAX_NESTING} levels", _MAX_NESTING),
+    # at the first digit of an index or an exponent
+    (f"x{LONG_DIGITS}", TOO_LONG, 1),
+    (f"x1 x2^-{LONG_DIGITS}", TOO_LONG, 7),
 ]
 
 
