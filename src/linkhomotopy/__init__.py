@@ -26,11 +26,26 @@ lives in :mod:`linkhomotopy.cli` (also exposed as ``python -m
 linkhomotopy``) and imports only the layers a subcommand uses.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
 _LAYERS = ("homotopy", "links", "magnus", "simplicial", "words")
+
+
+def _decimal(token: str) -> int | None:
+    """The integer an optional ``-`` and decimal digits spell, else ``None``;
+    the one reader of every integer token in words, files and arguments.
+    Raises ``ValueError`` over the interpreter's int/str digit limit."""
+    digits = token.removeprefix("-")
+    if not digits.isdecimal():
+        return None
+    try:
+        return int(token)
+    except ValueError:  # "-" and decimal digits fail only over the limit
+        raise ValueError(f"the integer has {len(digits)} digits; the "
+                         f"limit is {_sys.get_int_max_str_digits()}") from None
 
 
 def _export_layers() -> None:

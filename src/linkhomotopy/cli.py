@@ -18,6 +18,8 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Sequence
 
+from . import _decimal
+
 if TYPE_CHECKING:
     from .homotopy import HomotopyTable
 
@@ -40,16 +42,15 @@ def _load_table(path: str | None) -> HomotopyTable:
 def _parse_labels(tokens: Sequence[str]) -> list[int]:
     labels = []
     for token in tokens:
-        if not token.removeprefix("-").isdecimal():
+        if (label := _decimal(token)) is None:
             raise ValueError(f"bad component label {token!r}")
-        labels.append(int(token))
+        labels.append(label)
     return labels
 
 
 def _parse_int_list(token: str) -> list[int]:
-    pieces = token.split(",")
-    values = [int(piece) for piece in pieces if piece.removeprefix("-").isdecimal()]
-    if len(values) != len(pieces):
+    values = [_decimal(piece) for piece in token.split(",")]
+    if None in values:
         raise ValueError(f"bad integer list {token!r}")
     return values
 

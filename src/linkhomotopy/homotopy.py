@@ -27,10 +27,11 @@ unit weights it is :func:`lyndon_words`.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
+
+from . import _decimal
 
 __all__ = [
     "GroupDescription",
@@ -296,9 +297,9 @@ class HomotopyTable:
                 try:  # each check raises ValueError; the handler names the line
                     if len(fields) < 5 or fields[0] != "pi":
                         raise ValueError("expected 'pi <n> <m> <group> <provenance...>'")
-                    if not all(i.removeprefix("-").isdecimal() for i in fields[1:3]):
-                        raise ValueError("bad indices")
                     n, m = _decimal(fields[1]), _decimal(fields[2])
+                    if n is None or m is None:
+                        raise ValueError("bad indices")
                     if n < 1 or m < 1:
                         raise ValueError("indices must be >= 1")
                     if (known := self.entry(n, m)) is not None:
@@ -311,14 +312,6 @@ class HomotopyTable:
                 self.entries[(n, m)] = TableEntry(group, provenance, user_supplied=True)
 
 
-def _decimal(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:  # "-" and decimal digits fail only over the interpreter's limit
-        raise ValueError(f"the integer has {len(token.removeprefix('-'))} digits; the "
-                         f"limit is {sys.get_int_max_str_digits()}") from None
-
-
 def parse_group_token(token: str) -> GroupDescription:
     """Parse a compact group token such as ``Z/12`` or ``Z+Z/2``."""
     parts: list[GroupDescription] = []
@@ -329,8 +322,7 @@ def parse_group_token(token: str) -> GroupDescription:
             parts.append(FreeAbelian(1))
         elif piece == "Z^(countable)":
             parts.append(FreeAbelian(COUNTABLE))
-        elif piece[:2] in ("Z/", "Z^") and piece[2:].removeprefix("-").isdecimal():
-            k = _decimal(piece[2:])
+        elif piece[:2] in ("Z/", "Z^") and (k := _decimal(piece[2:])) is not None:
             parts.append(Cyclic(k) if piece[1] == "/" else FreeAbelian(k))
         else:
             raise ValueError(f"unrecognized group token {piece!r}")

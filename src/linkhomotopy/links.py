@@ -30,6 +30,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Collection, Iterable, Mapping
 
+from . import _decimal
 from .homotopy import (
     COUNTABLE,
     FreeAbelian,
@@ -40,7 +41,6 @@ from .homotopy import (
     SphereWedge,
     SymbolicGroup,
     Trivial,
-    _decimal,
     direct_sum,
 )
 
@@ -453,9 +453,8 @@ def parse_subset_token(token: str, n: int) -> frozenset[int]:
         return frozenset()
     if token == "full":
         return frozenset(range(1, n + 1))
-    pieces = token.split(",")
-    labels = [_decimal(piece) for piece in pieces if piece.removeprefix("-").isdecimal()]
-    if len(labels) != len(pieces):
+    labels = [_decimal(piece) for piece in token.split(",")]
+    if None in labels:
         raise ValueError(f"bad sublink {token!r}")
     if any(not 1 <= s <= n for s in labels):
         raise ValueError(f"sublink {token!r} has labels outside 1..{n}")
@@ -482,15 +481,6 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
     overrides: dict[frozenset[int], int] = {}
     seen_lines: dict[frozenset[int], int] = {}
 
-    def fail(number: int, message: str) -> ProfileFormatError:
-        return ProfileFormatError(f"{source}:{number}: {message}")
-
-    def integer(number: int, token: str) -> int:
-        try:
-            return _decimal(token)
-        except ValueError as exc:
-            raise fail(number, str(exc)) from exc
-
     lines = text.splitlines()
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -498,45 +488,44 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
             continue
         fields = line.split()
         directive = fields[0]
-        if directive == "components":
-            if n is not None:
-                raise fail(number, "duplicate 'components' line")
-            if len(fields) != 2 or not fields[1].isdecimal() or integer(number, fields[1]) < 1:
-                raise fail(number, "expected 'components <positive integer>'")
-            n = int(fields[1])
-        elif directive == "preset":
-            if n is None:
-                raise fail(number, "'preset' must follow 'components'")
-            if preset is not None:
-                raise fail(number, "duplicate 'preset' line")
-            if len(fields) != 2 or fields[1] not in PRESETS:
-                raise fail(number, f"expected 'preset <{'|'.join(PRESETS)}>'")
-            preset = fields[1]
-        elif directive == "nu":
-            if n is None:
-                raise fail(number, "'nu' must follow 'components'")
-            if len(fields) != 3:
-                raise fail(number, "expected 'nu <subset> <integer>'")
-            # 'full' lists all n labels; above the preset limit, 2^n sublinks
-            # need more lines than the text has (compared by bit length)
-            never_complete = n > _MAX_PRESET_COMPONENTS and n >= len(lines).bit_length()
-            if fields[1] == "full" and never_complete:
-                raise fail(number, f"a profile of {n} components needs all 2^{n} "
-                           f"sublinks, and this one has {len(lines)} lines")
-            try:
+        try:  # each check raises ValueError; the handler names the line
+            if directive == "components":
+                if n is not None:
+                    raise ValueError("duplicate 'components' line")
+                n = _decimal(fields[1]) if len(fields) == 2 else None
+                if n is None or n < 1:
+                    raise ValueError("expected 'components <positive integer>'")
+            elif directive == "preset":
+                if n is None:
+                    raise ValueError("'preset' must follow 'components'")
+                if preset is not None:
+                    raise ValueError("duplicate 'preset' line")
+                if len(fields) != 2 or fields[1] not in PRESETS:
+                    raise ValueError(f"expected 'preset <{'|'.join(PRESETS)}>'")
+                preset = fields[1]
+            elif directive == "nu":
+                if n is None:
+                    raise ValueError("'nu' must follow 'components'")
+                if len(fields) != 3:
+                    raise ValueError("expected 'nu <subset> <integer>'")
+                # 'full' lists all n labels; above the preset limit, 2^n sublinks
+                # need more lines than the text has (compared by bit length)
+                never_complete = n > _MAX_PRESET_COMPONENTS and n >= len(lines).bit_length()
+                if fields[1] == "full" and never_complete:
+                    raise ValueError(f"a profile of {n} components needs all 2^{n} "
+                                     f"sublinks, and this one has {len(lines)} lines")
                 subset = parse_subset_token(fields[1], n)
-            except ValueError as exc:
-                raise fail(number, str(exc)) from exc
-            if not fields[2].removeprefix("-").isdecimal():
-                raise fail(number, f"bad genus {fields[2]!r}")
-            genus = integer(number, fields[2])
-            if subset in seen_lines:
-                raise fail(number, f"duplicate sublink {fields[1]!r} (first given on line "
-                           f"{seen_lines[subset]})")
-            seen_lines[subset] = number
-            overrides[subset] = genus
-        else:
-            raise fail(number, f"unknown directive {directive!r}")
+                if (genus := _decimal(fields[2])) is None:
+                    raise ValueError(f"bad genus {fields[2]!r}")
+                if subset in seen_lines:
+                    raise ValueError(f"duplicate sublink {fields[1]!r} (first given on "
+                                     f"line {seen_lines[subset]})")
+                seen_lines[subset] = number
+                overrides[subset] = genus
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except ValueError as exc:
+            raise ProfileFormatError(f"{source}:{number}: {exc}") from exc
 
     if n is None:
         raise ProfileFormatError(f"{source}: missing 'components' line")

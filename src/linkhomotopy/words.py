@@ -35,9 +35,10 @@ accepts back.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+from . import _decimal
 
 __all__ = [
     "Word",
@@ -297,7 +298,7 @@ _MAX_NESTING = 100
 
 _SEPARATORS = re.compile(r"[ \t*]*")
 _INDEX = re.compile(r"\d*")  # after the generator letter
-_EXPONENT = re.compile(r"\^[+-]?(\d*)")
+_EXPONENT = re.compile(r"\^([+-]?)(\d*)")
 _WORD_ENDS = ("", ")", "]", ",")
 
 
@@ -309,12 +310,11 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-def _integer(token: str, position: int) -> int:
+def _integer(digits: str, position: int) -> int:
     try:
-        return int(token)
-    except ValueError:  # a sign and decimal digits fail only over the interpreter's limit
-        raise WordSyntaxError(f"the integer has {len(token.lstrip('+-'))} digits; the "
-                              f"limit is {sys.get_int_max_str_digits()}", position) from None
+        return _decimal(digits)
+    except ValueError as exc:  # over the digit limit, located at the first digit
+        raise WordSyntaxError(str(exc), position) from None
 
 
 class _Parser:
@@ -334,10 +334,11 @@ class _Parser:
         m = _EXPONENT.match(self.text, self.pos)
         if m is None:
             return 1
-        if not m[1]:
-            raise WordSyntaxError("expected an integer", m.start(1))
+        if not m[2]:
+            raise WordSyntaxError("expected an integer", m.start(2))
         self.pos = m.end()
-        return _integer(m[0][1:], m.start(1))
+        exp = _integer(m[2], m.start(2))
+        return -exp if m[1] == "-" else exp
 
     def word(self) -> Word:
         """Factors up to ``)``, ``]``, ``,`` or the end, on one stack, so

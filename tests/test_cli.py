@@ -8,6 +8,7 @@ import pytest
 
 import linkhomotopy
 from linkhomotopy.cli import EXIT_INPUT, main
+from conftest import LONG_DIGITS, TOO_LONG
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,13 +168,6 @@ def test_link_chi_commands(capsys):
     assert (code, out) == (0, "0\n")
 
 
-def test_link_chi_non_decimal_label_is_input_error(capsys):
-    # a superscript passes str.isdigit, but int() cannot read it
-    code, out, err = run_cli(capsys, "link", "chi2",
-                             "--profile", DATA / "hopf3.lnk", "1", "\u00b2")
-    assert (code, out, err) == (EXIT_INPUT, "", "error: bad component label '\u00b2'\n")
-
-
 def test_link_classify_hopf4(capsys):
     code, out, err = run_cli(capsys, "link", "classify",
                              "--profile", DATA / "hopf4.lnk",
@@ -301,6 +295,107 @@ def test_spheres_table_rejects_known_indices(capsys, tmp_path, content, n, m):
     code, out, err = run_cli(capsys, "spheres", "pi", n, m, "--table", table)
     assert (code, out) == (EXIT_INPUT, "")
     assert "already given" in err
+
+
+# Every integer token is an optional "-" and decimal digits, at most the
+# interpreter's int/str limit of them; int() alone would also read a "+",
+# underscores and non-decimal digits such as a superscript.
+GRAMMAR_TOKENS = {"plus": "+3", "underscore": "1_2", "superscript": "\u00b2",
+                  "double-minus": "--1", "long": LONG_DIGITS}
+
+# surface: argv, the text of the file {path} names (None for no file), and
+# the stderr message for each token in GRAMMAR_TOKENS order, with its
+# position or file:line; a tuple is the stdout of a token that is read
+GRAMMAR_SURFACES = {
+    "word-index": (("word", "parse", "x{t}"), None, (
+        "expected a generator index after 'x' (at position 1)",
+        "unexpected character '_' (at position 2)",
+        "expected a generator index after 'x' (at position 1)",
+        "expected a generator index after 'x' (at position 1)",
+        f"{TOO_LONG} (at position 1)")),
+    "word-exponent": (("word", "parse", "x1^{t}"), None, (
+        ("x1^3\n",),  # the grammar's exponent is a signed integer
+        "unexpected character '_' (at position 4)",
+        "expected an integer (at position 3)",
+        "expected an integer (at position 4)",
+        f"{TOO_LONG} (at position 3)")),
+    "profile-components": (("link", "check", "--profile", "{path}"), "components {t}\n", (
+        "{path}:1: expected 'components <positive integer>'",
+        "{path}:1: expected 'components <positive integer>'",
+        "{path}:1: expected 'components <positive integer>'",
+        "{path}:1: expected 'components <positive integer>'",
+        f"{{path}}:1: {TOO_LONG}")),
+    "profile-genus": (("link", "check", "--profile", "{path}"),
+                      "components 2\npreset hopf\nnu 1,2 {t}\n", (
+        "{path}:3: bad genus '+3'",
+        "{path}:3: bad genus '1_2'",
+        "{path}:3: bad genus '\u00b2'",
+        "{path}:3: bad genus '--1'",
+        f"{{path}}:3: {TOO_LONG}")),
+    "sublink-label": (("link", "check", "--profile", "{path}"),
+                      "components 2\npreset hopf\nnu 1,{t} 0\n", (
+        "{path}:3: bad sublink '1,+3'",
+        "{path}:3: bad sublink '1,1_2'",
+        "{path}:3: bad sublink '1,\u00b2'",
+        "{path}:3: bad sublink '1,--1'",
+        f"{{path}}:3: {TOO_LONG}")),
+    "table-index": (("spheres", "pi", "9", "3", "--table", "{path}"), "pi {t} 3 Z/2 src\n", (
+        "{path}:1: bad indices",
+        "{path}:1: bad indices",
+        "{path}:1: bad indices",
+        "{path}:1: bad indices",
+        f"{{path}}:1: {TOO_LONG}")),
+    # "+" joins the summands of a group token
+    "cyclic-order": (("spheres", "pi", "9", "3", "--table", "{path}"), "pi 9 3 Z/{t} src\n", (
+        "{path}:1: unrecognized group token 'Z/'",
+        "{path}:1: unrecognized group token 'Z/1_2'",
+        "{path}:1: unrecognized group token 'Z/\u00b2'",
+        "{path}:1: unrecognized group token 'Z/--1'",
+        f"{{path}}:1: {TOO_LONG}")),
+    "free-rank": (("spheres", "pi", "9", "3", "--table", "{path}"), "pi 9 3 Z^{t} src\n", (
+        "{path}:1: unrecognized group token 'Z^'",
+        "{path}:1: unrecognized group token 'Z^1_2'",
+        "{path}:1: unrecognized group token 'Z^\u00b2'",
+        "{path}:1: unrecognized group token 'Z^--1'",
+        f"{{path}}:1: {TOO_LONG}")),
+    # "--" passes a label that starts with "--" to the label reader
+    "chi2-label": (("link", "chi2", "--profile", "tests/data/hopf3.lnk", "--", "1", "{t}"),
+                   None, (
+        "bad component label '+3'",
+        "bad component label '1_2'",
+        "bad component label '\u00b2'",
+        "bad component label '--1'",
+        TOO_LONG)),
+    "wedge-list": (("spheres", "wedge", "3", "2,{t}"), None, (
+        "bad integer list '2,+3'",
+        "bad integer list '2,1_2'",
+        "bad integer list '2,\u00b2'",
+        "bad integer list '2,--1'",
+        TOO_LONG)),
+    "mu-list": (("magnus", "mu", "x1", "1,{t}"), None, (
+        "bad integer list '1,+3'",
+        "bad integer list '1,1_2'",
+        "bad integer list '1,\u00b2'",
+        "bad integer list '1,--1'",
+        TOO_LONG)),
+}
+
+
+@pytest.mark.parametrize("surface, token", [
+    (surface, token) for surface in GRAMMAR_SURFACES for token in GRAMMAR_TOKENS
+], ids=lambda name: name)
+def test_integer_token_grammar(capsys, monkeypatch, tmp_path, surface, token):
+    argv, text, expected = GRAMMAR_SURFACES[surface]
+    expected = expected[list(GRAMMAR_TOKENS).index(token)]
+    t, path = GRAMMAR_TOKENS[token], tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text.format(t=t), encoding="utf-8")
+    monkeypatch.chdir(DATA.parent.parent)
+    result = run_cli(capsys, *(arg.format(t=t, path=path) for arg in argv))
+    if isinstance(expected, tuple):
+        assert result == (0, *expected, "")
+    else:
+        assert result == (EXIT_INPUT, "", f"error: {expected.format(path=path)}\n")
 
 
 def fresh_python(*args, timeout=None, address_space=None) -> subprocess.CompletedProcess:
@@ -433,7 +528,10 @@ finally:
     (("link", "classify", "--profile", "tests/data/hopf4.lnk", "--L0", "empty",
       "--sub", "full"), {"homotopy", "links"}),
     (("spheres", "wedge", "3", "2,2"), {"homotopy"}),
-], ids=["word", "hatf", "magnus", "link", "spheres"])
+    # both read integer tokens: a reader kept in a layer would load it here
+    (("magnus", "mu", "[x1,x2]", "1,2"), {"words", "simplicial", "magnus"}),
+    (("link", "chi2", "--profile", "tests/data/hopf3.lnk", "1", "2"), {"homotopy", "links"}),
+], ids=["word", "hatf", "magnus", "link", "spheres", "magnus-mu", "link-chi2"])
 def test_each_subcommand_loads_only_its_layers(argv, layers):
     # runs the package as ``python -m`` does, then lists every loaded module
     proc = fresh_python("-c", SHOW_MODULES, *argv)

@@ -369,14 +369,6 @@ def test_parse_error_positions_lie_in_the_text(text, letter):
         assert 0 <= exc.position <= len(text)
 
 
-def test_parse_rejects_non_decimal_digits_with_position():
-    # superscripts pass str.isdigit, but int() cannot read them
-    for bad, position in (("x\u00b2", 1), ("x1^\u00b2", 3)):
-        with pytest.raises(WordSyntaxError) as info:
-            parse_word(bad)
-        assert info.value.position == position
-
-
 def test_parse_nesting_limit():
     depth = _MAX_NESTING
     assert parse_word("(" * depth + "x1" + ")" * depth) == generator(1)
