@@ -55,6 +55,17 @@ def _parse_int_list(token: str) -> list[int]:
     return values
 
 
+def _integer(token: str) -> int:
+    """argparse's ``type`` for integer arguments, on the one token grammar."""
+    if (value := _decimal(token)) is None:
+        raise ValueError(token)
+    return value
+
+
+# argparse names the type in its refusal: "invalid int value: '<token>'"
+_integer.__name__ = "int"
+
+
 def _error(exc: Exception, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
@@ -181,33 +192,33 @@ def build_parser() -> argparse.ArgumentParser:
     hatf_actions = hatf.add_subparsers(dest="action", required=True)
     for name in ("face", "degen"):
         action = hatf_actions.add_parser(name, help=f"apply a {name} map")
-        action.add_argument("--degree", type=int, required=True)
-        action.add_argument("--index", "-i", type=int, required=True)
+        action.add_argument("--degree", type=_integer, required=True)
+        action.add_argument("--index", "-i", type=_integer, required=True)
         action.add_argument("expr")
     cycle = hatf_actions.add_parser("cycle", help="Moore-cycle test")
-    cycle.add_argument("--degree", type=int, required=True)
+    cycle.add_argument("--degree", type=_integer, required=True)
     cycle.add_argument("expr")
     eta = hatf_actions.add_parser("eta", help="suspension-Hopf step on a cycle")
-    eta.add_argument("--degree", type=int, required=True)
+    eta.add_argument("--degree", type=_integer, required=True)
     eta.add_argument("expr")
     tower = hatf_actions.add_parser("tower", help="iterated tower word")
-    tower.add_argument("k", type=int)
+    tower.add_argument("k", type=_integer)
     meridian = hatf_actions.add_parser("meridian", help="meridian form of a tower word")
-    meridian.add_argument("k", type=int)
+    meridian.add_argument("k", type=_integer)
 
     mag = sub.add_parser("magnus", help="Magnus expansion and Milnor detection")
     mag_actions = mag.add_subparsers(dest="action", required=True)
     for name in ("expand", "gamma"):
         action = mag_actions.add_parser(name)
         action.add_argument("expr")
-        action.add_argument("--trunc", type=int, default=4)
+        action.add_argument("--trunc", type=_integer, default=4)
     mu = mag_actions.add_parser("mu", help="Milnor-type coefficient")
     mu.add_argument("expr")
     mu.add_argument("indices", help="comma-separated distinct indices, e.g. 1,2")
     verify = mag_actions.add_parser(
         "verify51", help="invisibility desk check for the tower classes"
     )
-    verify.add_argument("n", type=int)
+    verify.add_argument("n", type=_integer)
     verify.add_argument("--variant", action="store_true",
                         help="also check the literature's variant word")
 
@@ -230,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     spheres = sub.add_parser("spheres", help="homotopy groups of sphere wedges")
     spheres_actions = spheres.add_subparsers(dest="action", required=True)
     pi = spheres_actions.add_parser("pi")
-    pi.add_argument("n", type=int)
-    pi.add_argument("m", type=int)
+    pi.add_argument("n", type=_integer)
+    pi.add_argument("m", type=_integer)
     pi.add_argument("--table", help="extra homotopy-table file")
     wedge = spheres_actions.add_parser("wedge")
-    wedge.add_argument("n", type=int)
+    wedge.add_argument("n", type=_integer)
     wedge.add_argument("dims", help="comma-separated sphere dimensions, e.g. 2,2")
     wedge.add_argument("--table", help="extra homotopy-table file")
 

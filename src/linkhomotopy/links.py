@@ -8,12 +8,12 @@ single component has genus 0, and a k-component sublink has genus between
 0 and k-1.  Accepting a profile is *not* a realizability claim; only the
 constraints proved for actual links are enforced (see
 :func:`realizability_findings`).  A profile caches values derived from
-``nu`` (its label set, its splittable sublinks and the answers of
-:func:`strongly_nonsplittable` by base sublink), so ``nu`` must not be
-mutated after construction.  The answers are kept because a classification
-asks the same superset question for every meridian sublink over one base;
-there are at most ``2^n`` bases, one per entry of ``nu``, so the cache never
-outgrows the profile.
+``nu`` (its label set, its splittable sublinks, its :func:`chi2` by label
+pair and the answers of :func:`strongly_nonsplittable` by base sublink), so
+``nu`` must not be mutated after construction.  The answers are kept because
+a classification asks the same superset question for every meridian sublink
+over one base; there are at most ``2^n`` bases, one per entry of ``nu``, so
+the cache never outgrows the profile.
 
 From a profile the module computes the deletion inclusion-exclusion
 invariants :func:`chi2` and :func:`chi3`, the homotopy types of the
@@ -88,7 +88,9 @@ class LinkProfile:
     """Splitting genus of every sublink of an ``size``-component link.
 
     ``nu`` maps each subset of ``{1..size}`` (as a frozenset) to its genus.
-    Instances are validated on construction; treat them as immutable.
+    Instances are validated on construction; treat them as immutable: the
+    label set, the splittable sublinks, ``chi2`` by label pair and the
+    strong-nonsplittability answers are cached from ``nu``.
     """
 
     size: int
@@ -133,6 +135,13 @@ class LinkProfile:
         # Largest first: the full set or a size n-1 sublink usually ends a query.
         splittable = [s for s, genus in self.nu.items() if genus > 0]
         return tuple(sorted(splittable, key=len, reverse=True))
+
+    @cached_property
+    def _chi2(self) -> dict[frozenset[int], int]:
+        # chi2 by label pair: a two-component classification reads one entry
+        full = self.full_set
+        return {frozenset(pair): _chi2_within(self, full, *pair)
+                for pair in combinations(sorted(full), 2)}
 
     @cached_property
     def _strong(self) -> dict[frozenset[int], bool]:
@@ -212,7 +221,7 @@ def chi2(p: LinkProfile, i: int, j: int) -> int:
     Symmetric in the two labels.
     """
     _check_labels(p, (i, j))
-    return _chi2_within(p, p.full_set, i, j)
+    return p._chi2[frozenset((i, j))]
 
 
 def chi3(p: LinkProfile, i: int, j: int, k: int) -> int:
@@ -222,8 +231,7 @@ def chi3(p: LinkProfile, i: int, j: int, k: int) -> int:
     profile itself, and is invariant under permuting the labels.
     """
     _check_labels(p, (i, j, k))
-    full = p.full_set
-    return _chi2_within(p, full - {k}, i, j) - _chi2_within(p, full, i, j)
+    return _chi2_within(p, p.full_set - {k}, i, j) - p._chi2[frozenset((i, j))]
 
 
 def delete_component(p: LinkProfile, k: int) -> LinkProfile:
@@ -232,8 +240,9 @@ def delete_component(p: LinkProfile, k: int) -> LinkProfile:
     Remaining labels above ``k`` shift down by one.
     """
     _check_labels(p, (k,))
+    relabel = {s: s if s < k else s - 1 for s in p.full_set}.__getitem__
     nu = {
-        frozenset(s if s < k else s - 1 for s in subset): genus
+        frozenset(map(relabel, subset)): genus
         for subset, genus in p.nu.items()
         if k not in subset
     }
@@ -410,8 +419,7 @@ def classify_A(
     if n == 2:
         if p.size <= 3:
             return _PAIRWISE_COLLAPSE
-        i, j = sub  # chi2 on checked labels; it is symmetric, so either order
-        chi = _chi2_within(p, full, i, j)
+        chi = p._chi2[sub]
         if chi <= 0:
             return _TWO_COMPONENT_TRIVIAL
         return ClassificationResult(

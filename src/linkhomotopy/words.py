@@ -64,9 +64,12 @@ _MAX_SYLLABLES = 2**20
 
 def _check_syllables(bound: int, what: str) -> None:
     if bound > _MAX_SYLLABLES:
-        raise ValueError(
-            f"{what} may have {bound} syllables; the limit is {_MAX_SYLLABLES}"
-        )
+        try:
+            count = f"{bound}"
+        except ValueError:  # past the int/str digit limit: a power of ten
+            # below 2^(bits - 1) <= bound, as 0.30102 < log10(2)
+            count = f"over 10^{(bound.bit_length() - 1) * 30102 // 100000}"
+        raise ValueError(f"{what} may have {count} syllables; the limit is {_MAX_SYLLABLES}")
 
 
 def _push(stack: list[Syllable], gen: int, exp: int) -> None:

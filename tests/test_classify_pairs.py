@@ -5,7 +5,8 @@ the three presets with 2..5 components and on every ``tests/data/*.lnk``
 profile, the base L0, the meridian sublink, ``main_line()``, ``method`` and
 ``notes``.  Regenerate it with ``PYTHONPATH=src python
 tests/test_classify_pairs.py`` only when a classification is meant to
-change.
+change.  ``chi2`` and the two-component notes, which read a profile's
+cached table, are checked against the benchmark's sum formula.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ from linkhomotopy.links import (
     ClassificationResult,
     LinkProfile,
     build_profile,
+    chi2,
     classify_A,
+    delete_component,
     load_profile,
     preset_profile,
     realizability_findings,
     strongly_nonsplittable,
 )
-from conftest import PERFBENCH  # noqa: F401  puts perfbench/ on sys.path for a script run
+from conftest import PERFBENCH, random_profile  # noqa: F401  PERFBENCH puts perfbench/ on sys.path
 from oracles import nu_chi2, nu_chi3
 
 TESTS = Path(__file__).parent
@@ -215,6 +218,37 @@ def test_classify_A_matches_literal_definition_in_any_order():
             with pytest.raises(ValueError):
                 classify_A(p, outside, (1, 2))
     assert len(routes) == 7
+
+
+# -- chi2 by label pair against the sum formula -----------------------------
+
+
+def _chi2_profiles() -> list[LinkProfile]:
+    """Presets with 2..8 components, the data files, 200 random profiles of
+    2..6 components, and every profile one deletion away from those."""
+    rng = random.Random(2003)
+    profiles = [preset_profile(kind, n) for kind in PRESETS for n in range(2, 9)]
+    profiles += [load_profile(str(path)) for path in sorted((TESTS / "data").glob("*.lnk"))]
+    profiles += [random_profile(rng, rng.randint(2, 6)) for _ in range(200)]
+    return profiles + [delete_component(p, k) for p in profiles for k in p.full_set]
+
+
+def test_chi2_and_two_component_notes_match_the_sum_formula():
+    infinite = 0
+    for p in _chi2_profiles():
+        full = p.full_set
+        for i, j in combinations(sorted(full), 2):
+            expected = nu_chi2(p.nu, full, i, j)
+            assert chi2(p, i, j) == chi2(p, j, i) == expected, (p.nu, i, j)
+            sub = frozenset((i, j))
+            for l0 in _subsets(full - sub):
+                r = classify_A(p, l0, sub)
+                if r.method != "two-component meridian intersection" or p.size <= 3:
+                    continue
+                notes = (f"chi2 = {expected} > 0 forces infinite rank",) if expected > 0 else ()
+                assert r.notes == notes, (p.nu, l0, sub)
+                infinite += bool(notes)
+    assert infinite  # some pair reaches the note
 
 
 if __name__ == "__main__":

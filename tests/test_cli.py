@@ -398,6 +398,48 @@ def test_integer_token_grammar(capsys, monkeypatch, tmp_path, surface, token):
         assert result == (EXIT_INPUT, "", f"error: {expected.format(path=path)}\n")
 
 
+# argparse's integer arguments read the same grammar; int() alone would also
+# read a "+", underscores and surrounding spaces.  A refused token gets
+# argparse's own message, as int() gave for the tokens it refused too.
+ARGPARSE_TOKENS = {"plus": "+3", "underscore": "1_2", "space": " 3",
+                   "superscript": "\u00b2", "letters": "abc"}
+
+# surface: argv and the argument's name in argparse's message
+ARGPARSE_SURFACES = {
+    "face-degree": (("hatf", "face", "--degree", "{t}", "-i", "0", "x1"), "--degree"),
+    "face-index": (("hatf", "face", "--degree", "2", "-i", "{t}", "x1"), "--index/-i"),
+    "degen-index": (("hatf", "degen", "--degree", "2", "-i", "{t}", "x1"), "--index/-i"),
+    "cycle-degree": (("hatf", "cycle", "--degree", "{t}", "x1"), "--degree"),
+    "tower": (("hatf", "tower", "{t}"), "k"),
+    "meridian": (("hatf", "meridian", "{t}"), "k"),
+    "trunc": (("magnus", "expand", "x1", "--trunc", "{t}"), "--trunc"),
+    "verify51": (("magnus", "verify51", "{t}"), "n"),
+    "pi-n": (("spheres", "pi", "{t}", "3"), "n"),
+    "pi-m": (("spheres", "pi", "9", "{t}"), "m"),
+    "wedge-n": (("spheres", "wedge", "{t}", "2,2"), "n"),
+}
+
+
+@pytest.mark.parametrize("surface, token", [
+    (surface, token) for surface in ARGPARSE_SURFACES for token in ARGPARSE_TOKENS
+], ids=lambda name: name)
+def test_argparse_integer_grammar(capsys, surface, token):
+    argv, name = ARGPARSE_SURFACES[surface]
+    t = ARGPARSE_TOKENS[token]
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(t=t) for arg in argv])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (EXIT_INPUT, "")
+    assert captured.err.endswith(f": error: argument {name}: invalid int value: {t!r}\n")
+
+
+def test_argparse_integers_pass_negative_values_to_the_handlers(capsys):
+    code, out, err = run_cli(capsys, "hatf", "face", "--degree", "2", "-i", "-1", "x1")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: face index -1 out of range 0..2\n")
+    code, out, err = run_cli(capsys, "spheres", "pi", "-3", "-2")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: sphere homotopy indices must be >= 1\n")
+
+
 def fresh_python(*args, timeout=None, address_space=None) -> subprocess.CompletedProcess:
     """``python *args`` in a new interpreter, on the package these tests
     imported, from the repository root; ``address_space`` caps the child's
@@ -453,6 +495,11 @@ BUDGET_CASES = {
         f"all 2^{FAR} sublinks, and this one has 3 lines\n", 1),
     "power": (("word", "parse", "(x1 x2)^-99999999999"), None, EXIT_INPUT, "",
               "error: the power may have 199999999998 syllables; the limit is 1048576\n", 1),
+    # an exponent of as many digits as str() writes: the bound 2e has one more
+    "power-past-digit-limit": (
+        ("word", "parse", f"(x1 x2)^{LONG_DIGITS[1:]}"), None, EXIT_INPUT, "",
+        f"error: the power may have over 10^{len(LONG_DIGITS) - 1} syllables; "
+        "the limit is 1048576\n", 1),
     "one-syllable-power": (("word", "parse", f"x1^{FAR}"), None, 0, f"x1^{FAR}\n", "", 1),
     "conjugated-one-syllable-power": (
         ("word", "parse", f"(x2 x1 x2^-1)^{FAR}"), None, 0, f"x2 x1^{FAR} x2^-1\n", "", 1),
