@@ -16,13 +16,13 @@ Every ``pi_n(S^m)`` fact is read through one chain:
 falls back to :data:`DEFAULT_TABLE`) -> :meth:`PiOfSphere.evaluate` ->
 :func:`hilton_pi` and ``links.classify_A``.
 
-:func:`hilton_pi` computes the homotopy group of a wedge of spheres by
-summing sphere contributions over basic products, one for every Lyndon
-word in letters indexed by the wedge summands; a product of letters with
-dimensions ``d_1..d_w`` contributes the sphere of dimension
-``1 + sum(d_t - 1)``.  The generator yields only the words whose sphere
-fits the query dimension (nothing is generated and then dropped); with
-unit weights it is :func:`lyndon_words`.
+:func:`hilton_pi` computes the homotopy group of a wedge of spheres by the
+Hilton-Milnor splitting: one sphere per basic product, that is per Lyndon
+word in letters indexed by the wedge summands, where a product of letters
+with dimensions ``d_1..d_w`` contributes the sphere of dimension
+``1 + sum(d_t - 1)``.  Only the number of words of each weight matters, and
+the weighted Witt formula gives it, so no word is generated;
+:func:`lyndon_words` lists the words themselves for an unweighted alphabet.
 """
 
 from __future__ import annotations
@@ -341,23 +341,28 @@ def homotopy_table_lookup(
     return None if found is None else found.group
 
 
-#: Most Lyndon words :func:`_lyndon_words` may generate, each one summand of
-#: :func:`hilton_pi`; the largest wedge in use, ``pi_12`` of four 2-spheres,
-#: has 526,638.
+#: Most Lyndon words :func:`_lyndon_count` may count, each one summand of
+#: :func:`hilton_pi` or one word of :func:`lyndon_words`; the largest wedge in
+#: use, ``pi_12`` of four 2-spheres, has 526,638.
 _MAX_LYNDON_WORDS = 2**22
 
-#: Most letters those words may hold, bounded by their count times the
-#: longest word that fits; that wedge's bound is 5,793,018.
+#: Most weights :func:`_lyndon_count` may visit, each one distinct sphere
+#: dimension of :func:`hilton_pi`'s answer.
+_MAX_LYNDON_WEIGHTS = 2**16
+
+#: Most letters :func:`lyndon_words` may return, bounded by the number of words
+#: times the longest; ``lyndon_words(4, 11)`` needs 5,793,018.
 _MAX_LYNDON_LETTERS = 2**24
 
 
-def _lyndon_count(weights: Sequence[int], budget: int) -> int:
-    """Number of Lyndon words of total weight <= ``budget`` by the weighted
-    Witt formula, stopping at the first weight where it passes
-    :data:`_MAX_LYNDON_WORDS`.  With ``N_m`` words of weight ``m``, the
-    ``L_d`` Lyndon words of each weight ``d`` satisfy ``sum_{d | m} d L_d =
-    sum_i w_i N_{m - w_i}`` (the logarithmic derivative of
-    ``1 / (1 - sum_i t^w_i)``).
+def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
+    """Number ``L_m`` of Lyndon words of each total weight ``m <= budget`` by
+    the weighted Witt formula, keyed by ``m`` in increasing order and holding
+    only the weights that carry a word.  With ``N_m`` words of weight ``m``,
+    ``sum_{d | m} d L_d = sum_i w_i N_{m - w_i}`` (the logarithmic derivative
+    of ``1 / (1 - sum_i t^w_i)``).  More than :data:`_MAX_LYNDON_WORDS` words,
+    or than :data:`_MAX_LYNDON_WEIGHTS` weights, raise ``ValueError`` at the
+    first weight past the limit.
 
     Only the weights that carry a Lyndon word are visited, in increasing
     order: the letters' own and the mixed ones, made of two distinct letters
@@ -381,6 +386,12 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> int:
     pending: dict[int, list[int]] = {}
     total = 0
     while heap:
+        if len(lyndon) == _MAX_LYNDON_WEIGHTS:
+            raise ValueError(
+                f"Hilton-Milnor splitting needs at least {len(lyndon) + 1} sphere "
+                f"dimensions ({len(weights)} letters, weight <= {budget}); "
+                f"the limit is {_MAX_LYNDON_WEIGHTS}"
+            )
         m = heappop(heap)
         count = weighted = 0
         for w, k, kw in terms:
@@ -406,7 +417,11 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> int:
         lyndon[m] = found = (weighted - divided) // m
         total += found
         if total > _MAX_LYNDON_WORDS:
-            break
+            raise ValueError(
+                f"Hilton-Milnor splitting needs at least {total} Lyndon words "
+                f"({len(weights)} letters, weight <= {budget}); "
+                f"the limit is {_MAX_LYNDON_WORDS}"
+            )
         if m in mixed:
             if m not in letters:
                 pending.setdefault(2 * m, []).append(m)
@@ -417,73 +432,41 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> int:
                     mixed.add(m + w)
                     if m + w not in letters:
                         heappush(heap, m + w)
-    return total
-
-
-def _lyndon_words(weights: Sequence[int], budget: int) -> list[tuple[int, ...]]:
-    """Lyndon words over ``0..len(weights)-1`` of total weight <= ``budget``,
-    sorted by (length, word): Duval's loop pruned on prefix weight (Cattell,
-    Ruskey, Sawada, Serra, Miers 2000).  ``weights`` must be positive and
-    nondecreasing, so a letter that does not fit rules out every larger one.
-    The loop stops extending a word where the room left falls below the least
-    increment step of its letters, and appends whole periods at once, so each
-    step costs O(period + next word).  More than :data:`_MAX_LYNDON_WORDS`
-    words, or than :data:`_MAX_LYNDON_LETTERS` letters (words times the
-    longest that fits), raise ``ValueError`` before any word is generated.
-    """
-    out: list[tuple[int, ...]] = []
-    if not weights or weights[0] > budget:
-        return out
-    count = _lyndon_count(weights, budget)
-    if count > _MAX_LYNDON_WORDS:
-        raise ValueError(
-            f"Hilton-Milnor splitting needs at least {count} Lyndon words "
-            f"({len(weights)} letters, weight <= {budget}); "
-            f"the limit is {_MAX_LYNDON_WORDS}"
-        )
-    # a word of two letters or more holds a letter other than its first
-    longest = max(1, (budget - weights[1]) // weights[0] + 1) if len(weights) > 1 else 1
-    if count * longest > _MAX_LYNDON_LETTERS:
-        raise ValueError(
-            f"Hilton-Milnor splitting may need {count * longest} letters "
-            f"({count} Lyndon words of up to {longest} letters); "
-            f"the limit is {_MAX_LYNDON_LETTERS}"
-        )
-    # cost of incrementing each letter; the largest letter never fits
-    step = [b - a for a, b in zip(weights, weights[1:])] + [budget + 1]
-    word, room = [0], budget - weights[0]
-    # not `while word`: CPython 3.11 specializes a function only after 8 calls
-    # or unconditional backward jumps, and a loop tested at its bottom makes none
-    while True:
-        out.append(tuple(word))
-        # the word is one period of its extension word[p % m] and weighs
-        # budget - room.  No position past room < least can be incremented;
-        # the cutoff matters once a whole period fits, and all above it go at once
-        m, least = len(word), 0
-        if 2 * room >= budget:
-            least = min(map(step.__getitem__, word))
-            whole = (room - least) // (budget - room)
-            if whole > 0:
-                word *= whole + 1
-                room -= whole * (budget - room)
-        while weights[word[-m]] + least <= room:
-            room -= weights[word[-m]]
-            word.append(word[-m])
-        while word and step[word[-1]] > room:
-            room += weights[word.pop()]
-        if not word:
-            break
-        room -= step[word[-1]]
-        word[-1] += 1
-    out.sort(key=len)  # stable, and the loop emits lexicographic order
-    return out
+    return lyndon
 
 
 def lyndon_words(alphabet_size: int, max_length: int) -> list[tuple[int, ...]]:
     """All Lyndon words over ``0..alphabet_size-1`` of length <= max_length,
     sorted by (length, lexicographic) to match the grading of the free Lie
-    algebra; the unit-weight case of :func:`hilton_pi`'s generator."""
-    return _lyndon_words((1,) * alphabet_size, max_length)
+    algebra: Duval's loop (Duval 1988).  More than :data:`_MAX_LYNDON_WORDS`
+    words, or than :data:`_MAX_LYNDON_LETTERS` letters (words times
+    ``max_length``), raise ``ValueError`` before any word is generated."""
+    if alphabet_size < 1 or max_length < 1:
+        return []
+    if alphabet_size == 1:
+        return [(0,)]
+    count = sum(_lyndon_count((1,) * alphabet_size, max_length).values())
+    if count * max_length > _MAX_LYNDON_LETTERS:
+        raise ValueError(
+            f"lyndon_words may need {count * max_length} letters "
+            f"({count} Lyndon words of up to {max_length} letters); "
+            f"the limit is {_MAX_LYNDON_LETTERS}"
+        )
+    out: list[tuple[int, ...]] = []
+    last, word = alphabet_size - 1, [0]
+    while word:
+        out.append(tuple(word))
+        # the next word increments the last non-maximal letter of the
+        # periodic extension of this one to max_length
+        m = len(word)
+        while len(word) < max_length:
+            word.append(word[-m])
+        while word and word[-1] == last:
+            word.pop()
+        if word:
+            word[-1] += 1
+    out.sort(key=len)  # stable, and the loop emits lexicographic order
+    return out
 
 
 def hilton_pi(
@@ -493,21 +476,22 @@ def hilton_pi(
 ) -> GroupDescription:
     """``pi_n`` of a wedge of spheres of the given dimensions.
 
-    Sums one sphere contribution per Lyndon word on the wedge letters, where
-    letter ``i`` weighs ``d_i - 1``; spheres above dimension ``n`` contribute
-    nothing, so only words of weight <= ``n - 1`` (finitely many) are
-    generated, and each sphere dimension is evaluated once.  Table misses
-    stay in the sum as symbolic ``pi_n(S^m)`` terms.  The result does not
-    depend on the order of ``dims``.  A wedge with more than
-    :data:`_MAX_LYNDON_WORDS` summands, or a bound of more than
-    :data:`_MAX_LYNDON_LETTERS` letters in their words, raises ``ValueError``.
+    By the Hilton-Milnor splitting (Hilton 1955) the group is the sum of one
+    ``pi_n(S^(1 + m))`` per basic product of weight ``m``, where letter ``i``
+    weighs ``d_i - 1``.  Spheres above dimension ``n`` contribute nothing, so
+    only the weights ``m <= n - 1`` count, and :func:`_lyndon_count` gives the
+    number of basic products of each; no word is generated.  Each sphere
+    dimension is evaluated once, and the summands are listed in increasing
+    sphere dimension, so the result does not depend on the order of
+    ``dims``.  Table misses stay in the sum as symbolic ``pi_n(S^m)`` terms.
+    A wedge with more than :data:`_MAX_LYNDON_WORDS` summands, or more than
+    :data:`_MAX_LYNDON_WEIGHTS` distinct sphere dimensions, raises
+    ``ValueError``.
     """
     if n < 2:
         raise ValueError(f"wedge homotopy degree must be >= 2, got {n}")
     if any(d < 2 for d in dims):
         raise ValueError("sphere dimensions must be >= 2")
-    weights = sorted(d - 1 for d in dims)
-    spheres = [1 + sum(weights[letter] for letter in word)
-               for word in _lyndon_words(weights, n - 1)]
-    groups = {m: PiOfSphere(n, m).evaluate(table) for m in set(spheres)}
-    return direct_sum(groups[m] for m in spheres)
+    counts = _lyndon_count([d - 1 for d in dims], n - 1)
+    return direct_sum(group for m, count in counts.items()
+                      for group in [PiOfSphere(n, 1 + m).evaluate(table)] * count)

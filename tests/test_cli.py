@@ -464,15 +464,26 @@ NESTED = "[" * 30 + "x1" + ", x2]" * 30  # each level doubles the word
 # code, stdout, stderr, CPU seconds: 1 for a refusal from a closed-form
 # bound or an instant answer, 2 where the word is built up to the limit first
 BUDGET_CASES = {
-    # the light letter's periodic extension is 10^12 letters long; the
-    # generator stops extending where no letter can be incremented
+    # the count visits only the two letters' weights: the sum of the two
+    # letters weighs 10^12, past the budget of 10^12 - 1
     "far-heavy-wedge": (("spheres", "wedge", str(FAR), f"2,{FAR}"), None,
                         0, f"pi_{FAR}(S^2) [unknown] + Z\n", "", 1),
-    # 100,002 summands pass the count, but the longest word has 100,001 letters
+    # 100,002 summands pass the count, but each has its own sphere dimension
     "wedge-letter-limit": (
         ("spheres", "wedge", "200001", "2,100001"), None, EXIT_INPUT, "",
-        "error: Hilton-Milnor splitting may need 10000300002 letters (100002 Lyndon "
-        "words of up to 100001 letters); the limit is 16777216\n", 1),
+        "error: Hilton-Milnor splitting needs at least 65537 sphere dimensions "
+        "(2 letters, weight <= 200000); the limit is 65536\n", 1),
+    # millions of weights carry one word each: the dimension bound trips long
+    # before the summand count, and before the count's tables fill the memory
+    "wedge-dimension-limit": (
+        ("spheres", "wedge", "10000000", "2,5000001"), None, EXIT_INPUT, "",
+        "error: Hilton-Milnor splitting needs at least 65537 sphere dimensions "
+        "(2 letters, weight <= 9999999); the limit is 65536\n", 1),
+    # the same with the budget at twice the heavy letter's weight
+    "wedge-dimension-limit-at-double": (
+        ("spheres", "wedge", "8000001", "2,4000001"), None, EXIT_INPUT, "",
+        "error: Hilton-Milnor splitting needs at least 65537 sphere dimensions "
+        "(2 letters, weight <= 8000000); the limit is 65536\n", 1),
     # the sublink count is compared by bit length before 2^size is formed
     "huge-profile": (
         ("link", "check", "--profile", "{profile}"), f"components {FAR}\nnu empty -1\n",

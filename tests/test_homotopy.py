@@ -24,9 +24,10 @@ from linkhomotopy import (
 )
 from linkhomotopy.homotopy import (
     _MAX_LYNDON_LETTERS,
+    _MAX_LYNDON_WEIGHTS,
+    TableEntry,
     TableFormatError,
     _lyndon_count,
-    _lyndon_words,
     parse_group_token,
 )
 import oracles
@@ -190,22 +191,33 @@ def test_lyndon_word_enumeration():
             assert by_length[length] == oracles.witt_count(alphabet, length)
 
 
+class SphereDimensionTable(HomotopyTable):
+    """Gives ``pi_n(S^m)`` as ``Z/m``, so a sum names each summand's sphere."""
+
+    def entry(self, n, m):
+        return TableEntry(Cyclic(m), "sphere dimension")
+
+
+def sphere_dims(n, dims):
+    """Sphere dimension of each summand of ``hilton_pi(n, dims)``, in order."""
+    group = hilton_pi(n, dims, SphereDimensionTable())
+    if isinstance(group, DirectSum):
+        return [part.order for part in group.parts]
+    return [] if group == Trivial() else [group.order]
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(dims=st.lists(st.integers(2, 6), min_size=1, max_size=4), n=st.integers(2, 12))
-def test_weighted_lyndon_words_against_filter_and_graded_witt(dims, n):
-    weights = sorted(d - 1 for d in dims)
-
-    def sphere(word):
-        return 1 + sum(weights[letter] for letter in word)
-
-    words = _lyndon_words(weights, n - 1)
-    # the route it replaced: all Lyndon words short enough, filtered by sphere
-    # (a word longer than (n - 1) // weights[0] weighs more than n - 1)
-    short = lyndon_words(len(dims), (n - 1) // weights[0])
-    assert words == [w for w in short if sphere(w) <= n]
-    spheres = [sphere(word) for word in words]
+def test_hilton_summands_by_sphere_dimension(dims, n):
+    spheres = sphere_dims(n, dims)
+    assert spheres == sorted(spheres)
     assert Counter(spheres) == oracles.wedge_sphere_dims(n, dims)
     assert hilton_pi(n, dims) == direct_sum(PiOfSphere(n, m).evaluate() for m in spheres)
+
+
+def by_sphere(counts):
+    """``_lyndon_count``'s counts keyed by sphere dimension, in its order."""
+    return [(1 + weight, count) for weight, count in counts.items()]
 
 
 def test_lyndon_count_against_graded_witt():
@@ -213,8 +225,8 @@ def test_lyndon_count_against_graded_witt():
         for dims in combinations_with_replacement(range(2, 7), k):
             weights = sorted(d - 1 for d in dims)
             for n in range(2, 13):
-                expected = sum(oracles.wedge_sphere_dims(n, dims).values())
-                assert _lyndon_count(weights, n - 1) == expected
+                expected = oracles.wedge_sphere_dims(n, dims)
+                assert by_sphere(_lyndon_count(weights, n - 1)) == sorted(expected.items())
 
 
 def test_lyndon_count_with_gapped_weights():
@@ -223,40 +235,43 @@ def test_lyndon_count_with_gapped_weights():
     for dims in [(2, 9), (4, 6, 6), (2, 21, 22), (6, 8), (3, 3, 14)]:
         weights = sorted(d - 1 for d in dims)
         for n in range(2, 41, 3):
-            expected = sum(oracles.wedge_sphere_dims(n, dims).values())
-            assert _lyndon_count(weights, n - 1) == expected
-
-
-def test_lyndon_words_with_gapped_weights():
-    # a light letter far below the next one: the generator appends many
-    # periods of the current word at once instead of walking them
-    for dims in [(2, 9), (4, 6, 6), (2, 21, 22), (3, 3, 14)]:
-        weights = sorted(d - 1 for d in dims)
-        for n in (13, 25, 37):
-            words = _lyndon_words(weights, n - 1)
-            assert len(set(words)) == len(words)
-            spheres = Counter(1 + sum(weights[letter] for letter in w) for w in words)
-            assert spheres == oracles.wedge_sphere_dims(n, dims)
+            expected = oracles.wedge_sphere_dims(n, dims)
+            assert by_sphere(_lyndon_count(weights, n - 1)) == sorted(expected.items())
+            assert Counter(sphere_dims(n, dims)) == expected
 
 
 def test_lyndon_count_cost_follows_the_count():
     # each would take memory or time in proportion to the budget
     huge = 10**12
-    assert _lyndon_count((1, huge - 1), huge - 1) == 2
-    assert _lyndon_count((1,), huge) == 1
-    assert _lyndon_count((1, 2), huge) > 4194304
+    assert _lyndon_count((1, huge - 1), huge - 1) == {1: 1, huge - 1: 1}
+    assert _lyndon_count((1,), huge) == {1: 1}
     assert lyndon_words(1, huge) == [(0,)]
-    assert _lyndon_words((2, huge + 1), huge) == [(0,)]
-    # the extension of the light letter stops where it can no longer be
-    # incremented, before any of its 10^12 copies is walked
-    assert _lyndon_words((1, huge - 1, huge), huge) == [(0,), (1,), (2,), (0, 1)]
-    assert _lyndon_words((3, huge - 5, huge - 4), huge) == [
-        (0,), (1,), (2,), (0, 1), (0, 2)]
+    assert _lyndon_count((2, huge + 1), huge) == {2: 1}
+    # only the letters' weights and the sums of distinct letters that fit are visited
+    assert _lyndon_count((1, huge - 1, huge), huge) == {1: 1, huge - 1: 1, huge: 2}
+    assert _lyndon_count((3, huge - 5, huge - 4), huge) == {
+        3: 1, huge - 5: 1, huge - 4: 1, huge - 2: 1, huge - 1: 1}
+    assert sphere_dims(huge + 1, (2, huge, huge + 1)) == [2, huge, huge + 1, huge + 1]
     assert hilton_pi(10**6, (2,)) == PiOfSphere(10**6, 2).evaluate()
+    with pytest.raises(ValueError, match="the limit is 4194304"):
+        _lyndon_count((1, 2), huge)
     with pytest.raises(ValueError, match="the limit is 4194304"):
         lyndon_words(2, 10**6)
     with pytest.raises(ValueError, match="the limit is 4194304"):
         hilton_pi(huge, (2, 3))
+
+
+def test_lyndon_weights_are_budgeted():
+    # a light letter far below a heavy one: one word, and one sphere
+    # dimension, at each weight from the heavy letter's up to the budget
+    heavy = 10**5
+    counts = _lyndon_count((1, heavy), heavy + _MAX_LYNDON_WEIGHTS - 2)
+    assert len(counts) == _MAX_LYNDON_WEIGHTS
+    with pytest.raises(ValueError, match=r"needs at least 65537 sphere dimensions "
+                       r"\(2 letters, weight <= 165535\); the limit is 65536"):
+        _lyndon_count((1, heavy), heavy + _MAX_LYNDON_WEIGHTS - 1)
+    # 10,002 sphere dimensions, each of one summand
+    assert len(sphere_dims(20001, (2, 10001))) == 10002
 
 
 def lyndon_by_definition(weights, budget):
@@ -296,20 +311,22 @@ def test_lyndon_words_against_the_definition():
     for weights, top in cases:
         found = lyndon_by_definition(weights, top)
         for budget in range(top + 1):
-            expected = [word for word, weight in found if weight <= budget]
-            assert _lyndon_words(weights, budget) == expected, (weights, budget)
+            counts = Counter(weight for _, weight in found if weight <= budget)
+            assert _lyndon_count(weights, budget) == counts
+            if set(weights) == {1}:
+                expected = [word for word, weight in found if weight <= budget]
+                assert lyndon_words(len(weights), budget) == expected, (weights, budget)
 
 
 def test_lyndon_letters_are_budgeted():
-    # 10,002 words, few enough, but the longest holds 10,001 letters: a word of
-    # two letters or more holds a letter other than its first
-    with pytest.raises(ValueError, match=r"may need 100030002 letters \(10002 Lyndon "
-                       r"words of up to 10001 letters\); the limit is 16777216"):
-        hilton_pi(20001, (2, 10001))
-    # only one letter fits beside the light one, so the bound is 2 letters
-    assert _lyndon_words((1, 10**12 - 1), 10**12 - 1) == [(0,), (1,)]
+    # 766,150 words of up to 23 letters
+    with pytest.raises(ValueError, match=r"^lyndon_words may need 17621450 letters \(766150 "
+                       r"Lyndon words of up to 23 letters\); the limit is 16777216$"):
+        lyndon_words(2, 23)
+    # one letter fewer fits, counted without generating a word
+    assert sum(_lyndon_count((1, 1), 22).values()) * 22 == 8831416 <= _MAX_LYNDON_LETTERS
     # the largest wedge in use, pi_12 of four 2-spheres, stays inside it
-    assert _lyndon_count((1, 1, 1, 1), 11) * 11 == 5793018 <= _MAX_LYNDON_LETTERS
+    assert sum(_lyndon_count((1, 1, 1, 1), 11).values()) * 11 == 5793018
 
 
 def test_hilton_two_sphere_wedge_degree3():
@@ -359,7 +376,7 @@ def test_hilton_validation():
     with pytest.raises(ValueError):
         hilton_pi(3, [1])
     # the summand count is checked before any word is generated
-    assert _lyndon_count((1, 1, 1, 1), 11) == sum(
+    assert sum(_lyndon_count((1, 1, 1, 1), 11).values()) == sum(
         oracles.witt_count(4, length) for length in range(1, 12)
     ) == 526638
     with pytest.raises(ValueError, match="the limit is 4194304"):

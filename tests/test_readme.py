@@ -64,6 +64,7 @@ def power(value: int) -> str:
 LIMITS = {
     "homotopy._MAX_LYNDON_WORDS": lambda v: f"more than {power(v)} summands ({v:,})",
     "homotopy._MAX_LYNDON_LETTERS": lambda v: f"more than {power(v)} letters ({v:,})",
+    "homotopy._MAX_LYNDON_WEIGHTS": lambda v: f"more than {power(v)} sphere dimensions ({v:,})",
     "magnus._MAX_SLOTS": lambda v: f"more than {power(v)} slots ({v:,})",
     "magnus._MAX_BYTES": lambda v: f"more than {power(v)} bytes ({v // 2**20} MiB)",
     "links._MAX_PRESET_COMPONENTS": lambda v: f"takes at most {v} components",
