@@ -27,6 +27,7 @@ the weighted Witt formula gives it, so no word is generated;
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
@@ -355,6 +356,15 @@ _MAX_LYNDON_WEIGHTS = 2**16
 _MAX_LYNDON_LETTERS = 2**24
 
 
+def _check_words(count: int, weights: Sequence[int], budget: int) -> None:
+    if count > _MAX_LYNDON_WORDS:
+        raise ValueError(
+            f"Hilton-Milnor splitting needs at least {count} Lyndon words "
+            f"({len(weights)} letters, weight <= {budget}); "
+            f"the limit is {_MAX_LYNDON_WORDS}"
+        )
+
+
 def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
     """Number ``L_m`` of Lyndon words of each total weight ``m <= budget`` by
     the weighted Witt formula, keyed by ``m`` in increasing order and holding
@@ -362,7 +372,9 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
     ``sum_{d | m} d L_d = sum_i w_i N_{m - w_i}`` (the logarithmic derivative
     of ``1 / (1 - sum_i t^w_i)``).  More than :data:`_MAX_LYNDON_WORDS` words,
     or than :data:`_MAX_LYNDON_WEIGHTS` weights, raise ``ValueError`` at the
-    first weight past the limit.
+    first weight past the limit; the words are first bounded below by the
+    letters and the pairs of distinct letter weights that fit, each pair
+    spelling a word of two letters, counted without building their sums.
 
     Only the weights that carry a Lyndon word are visited, in increasing
     order: the letters' own and the mixed ones, made of two distinct letters
@@ -376,11 +388,16 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
         if w <= budget:
             letters[w] = letters.get(w, 0) + 1
     singles = sorted(letters)
-    terms = [(w, k, k * w) for w, k in letters.items()]
-    mixed = {a + b for a in singles for b in singles
-             if (a < b or a == b and letters[a] > 1) and a + b <= budget}
+    # singles[i + 1:ends[i]] are the heavier weights that fit beside singles[i]
+    ends = [bisect_right(singles, budget - a) for a in singles]
+    least = sum(letters.values()) + sum(max(0, end - i - 1) for i, end in enumerate(ends))
+    _check_words(least, weights, budget)
+    terms = [(w, letters[w], letters[w] * w) for w in singles]
+    mixed = {a + b for i, a in enumerate(singles) for b in singles[i + 1:ends[i]]}
+    mixed.update(2 * a for a in singles if letters[a] > 1 and 2 * a <= budget)
     heap = sorted(mixed.union(singles))
-    words = {0: 1}
+    lightest = singles[0] if singles else 0
+    words: dict[int, int] = {}
     lyndon: dict[int, int] = {}
     # a mixed weight divides only mixed weights, so it waits at its next multiple
     pending: dict[int, list[int]] = {}
@@ -393,21 +410,24 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
                 f"the limit is {_MAX_LYNDON_WEIGHTS}"
             )
         m = heappop(heap)
-        count = weighted = 0
+        # the letters of weight m, each followed by the empty word (N_0 = 1)
+        own = letters.get(m, 0)
+        count, weighted = own, own * m
         for w, k, kw in terms:
-            n = words.get(m - w)
-            if n is None:
-                rest = m - w
-                if rest < 0:
-                    continue
-                n = sum(j for v, j in letters.items() if rest % v == 0)
+            rest = m - w
+            if rest < lightest:  # N_rest = 0 for 0 < rest < lightest
+                break
+            n = words.get(rest)
+            if n is None:  # only letters as light as rest can divide it
+                n = sum(letters[v] for v in singles[:bisect_right(singles, rest)]
+                        if rest % v == 0)
             count += k * n
             weighted += kw * n
         words[m] = count
         # sum_{d | m, d < m} d L_d
         divided = 0
         for d in singles:
-            if d >= m:
+            if 2 * d > m:
                 break
             if m % d == 0:
                 divided += d * lyndon[d]
@@ -416,12 +436,7 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
             pending.setdefault(m + d, []).append(d)
         lyndon[m] = found = (weighted - divided) // m
         total += found
-        if total > _MAX_LYNDON_WORDS:
-            raise ValueError(
-                f"Hilton-Milnor splitting needs at least {total} Lyndon words "
-                f"({len(weights)} letters, weight <= {budget}); "
-                f"the limit is {_MAX_LYNDON_WORDS}"
-            )
+        _check_words(total, weights, budget)
         if m in mixed:
             if m not in letters:
                 pending.setdefault(2 * m, []).append(m)

@@ -13,7 +13,8 @@ Faces and degeneracies act on generators by
 
 for ``0 <= i <= n``.  Each face and degeneracy is one pass over a word's
 syllables whose image is already canonical in the target degree, except
-``d_n``, which fixes ``x_n`` and so goes through :func:`element`.  The
+``d_n``, which fixes ``x_n``, the generator eliminated one degree down; it
+rewrites ``x_n`` in the same pass, as :func:`element` does.  The
 kernel of ``d_i`` is the normal closure of ``x_{i+1}``, the Moore chains
 are the intersection of the kernels of ``d_1..d_n``, and the Moore cycles
 additionally lie in ``Ker d_0``.  The homology of the Moore complex
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from .words import (
-    GeneratorMap,
     Word,
     _check_syllables,
+    _join,
     _push,
     _word,
     commutator,
@@ -72,7 +73,7 @@ class NotACycleError(ValueError):
     """A Moore-cycle precondition failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplicialElement:
     """An element of the degree-``degree`` group, in canonical form.
 
@@ -100,26 +101,63 @@ class SimplicialElement:
         return f"degree={self.degree}; word={print_word(self.word)}"
 
 
+_set_degree = SimplicialElement.__dict__["degree"].__set__
+_set_word = SimplicialElement.__dict__["word"].__set__
+
+
 def _element(degree: int, word: Word) -> SimplicialElement:
-    """An element from a word already canonical at ``degree``, unchecked."""
+    """An element from a word already canonical at ``degree``, unchecked:
+    the fields are written through their slots' descriptors, past the
+    frozen ``__setattr__`` and ``__post_init__``."""
     e = object.__new__(SimplicialElement)
-    object.__setattr__(e, "degree", degree)
-    object.__setattr__(e, "word", word)
+    _set_degree(e, degree)
+    _set_word(e, word)
     return e
 
 
 def prefix_product(k: int) -> Word:
     """The word ``x1 x2 ... xk`` (identity for ``k = 0``)."""
     _check_syllables(k, "the prefix product")
-    return reduce_word((i, 1) for i in range(1, k + 1))
+    return _word(tuple((i, 1) for i in range(1, k + 1)))
+
+
+def _eliminate(degree: int, word: Word) -> Word:
+    """``word`` on ``x1..x_{degree+1}`` with ``x_{degree+1}`` rewritten as
+    ``(x1...x_degree)^-1``, reduced, in one pass over its syllables.
+
+    A power ``x_{degree+1}^e`` is joined as ``|e|`` copies of the run
+    ``x_degree^-1 ... x1^-1`` (or of its inverse), which are reduced from
+    degree 2 on; at degree 1 it is the syllable ``x1^-e``, and at degree 0
+    the empty run.  A word without ``x_{degree+1}`` is returned as it is,
+    so only a word that holds it builds the prefix product.
+    """
+    last = degree + 1
+    syllables = word.syllables
+    for start, (gen, _) in enumerate(syllables):
+        if gen == last:
+            break
+    else:
+        return word
+    up = prefix_product(degree)
+    runs = ((~up).syllables, up.syllables)  # indexed by exp < 0
+    stack: list[tuple[int, int]] = list(syllables[:start])
+    for gen, exp in syllables[start:]:
+        if gen != last:
+            _push(stack, gen, exp)
+        elif degree == 1:
+            _push(stack, 1, -exp)
+        else:
+            _check_syllables(len(stack) + abs(exp) * degree, "the image")
+            _join(stack, runs[exp < 0] * abs(exp))
+    return _word(tuple(stack))
 
 
 def element(degree: int, word: Word | str) -> SimplicialElement:
     """Build an element at ``degree``, rewriting into canonical form.
 
     ``word`` may use generators up to ``x_{degree+1}``; the last one is
-    substituted by ``(x1...x_degree)^-1`` and the result reduced.  At degree
-    0 every element collapses to the identity.
+    rewritten as ``(x1...x_degree)^-1`` in one pass that reduces as it
+    goes.  At degree 0 every element collapses to the identity.
     """
     if isinstance(word, str):
         word = parse_word(word)
@@ -132,19 +170,23 @@ def element(degree: int, word: Word | str) -> SimplicialElement:
         )
     if top <= degree:
         return _element(degree, word)
-    return _element(degree, GeneratorMap({degree + 1: ~prefix_product(degree)})(word))
+    return _element(degree, _eliminate(degree, word))
 
 
 def face(i: int, e: SimplicialElement) -> SimplicialElement:
-    """The ``i``-th face, a homomorphism from degree ``n`` to ``n - 1``."""
+    """The ``i``-th face, a homomorphism from degree ``n`` to ``n - 1``.
+
+    ``d_i`` for ``i < n`` deletes ``x_{i+1}`` and relabels the generators
+    above it; ``d_n`` keeps every generator, and rewrites ``x_n``, the one
+    eliminated at degree ``n - 1``, as :func:`element` does.
+    """
     n = e.degree
     if n == 0:
         raise ValueError("degree-0 elements have no faces")
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range 0..{n}")
     if i == n:
-        # d_n fixes x1..xn, and x_n is the eliminated generator at degree n - 1
-        return element(n - 1, e.word)
+        return _element(n - 1, _eliminate(n - 1, e.word))
     j = i + 1
     stack: list[tuple[int, int]] = []
     for gen, exp in e.word.syllables:

@@ -98,7 +98,7 @@ def _join(stack: list[Syllable], syllables: tuple[Syllable, ...]) -> None:
     stack.extend(syllables[j:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word; ``Word()`` is the identity.
 
@@ -177,10 +177,15 @@ class Word:
         return f"Word({print_word(self)!r})"
 
 
+_set_syllables = Word.__dict__["syllables"].__set__
+
+
 def _word(syllables: tuple[Syllable, ...]) -> Word:
-    """A word from syllables already known to be reduced, unchecked."""
+    """A word from syllables already known to be reduced, unchecked: the
+    field is written through its slot's descriptor, past the frozen
+    ``__setattr__`` and ``__post_init__``."""
     w = object.__new__(Word)
-    object.__setattr__(w, "syllables", syllables)
+    _set_syllables(w, syllables)
     return w
 
 

@@ -8,10 +8,15 @@ importable from the tests as ``oracles``.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 from typing import Mapping
+
+import pytest
 
 from linkhomotopy import SimplicialElement, Word, element, reduce_word
 from linkhomotopy.links import LinkProfile, build_profile
@@ -69,6 +74,23 @@ def assert_canonical_element(e: SimplicialElement) -> None:
     """Rebuilding ``e`` through the checking constructor gives ``e`` back."""
     assert_canonical_word(e.word)
     assert SimplicialElement(e.degree, e.word) == e
+
+
+def assert_frozen_value(value: Word | SimplicialElement) -> None:
+    """Copies and pickle round trips give an equal value with an equal hash,
+    and no field can be assigned or deleted."""
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+    for field in fields(value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, field.name)
+    # a slotted frozen dataclass raises TypeError for a name that is not a
+    # field (its generated __setattr__ calls a zero-argument super())
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        value.other = 1
 
 
 def oracle_multiply(

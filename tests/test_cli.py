@@ -484,6 +484,17 @@ BUDGET_CASES = {
         ("spheres", "wedge", "8000001", "2,4000001"), None, EXIT_INPUT, "",
         "error: Hilton-Milnor splitting needs at least 65537 sphere dimensions "
         "(2 letters, weight <= 8000000); the limit is 65536\n", 1),
+    # 8,000 letters and the 31,996,000 pairs of them that fit each spell a
+    # Lyndon word: refused from that count, before any pair's sum is formed
+    "wedge-letter-pairs": (
+        ("spheres", "wedge", "100000", ",".join(map(str, range(2, 8002)))), None,
+        EXIT_INPUT, "", "error: Hilton-Milnor splitting needs at least 32004000 Lyndon "
+        "words (8000 letters, weight <= 99999); the limit is 4194304\n", 1),
+    # no two of 5,000 letters fit together, so each weighs its own word, and
+    # no word is light enough to extend another
+    "wedge-heavy-letters": (
+        ("spheres", "wedge", "10002", ",".join(map(str, range(5002, 10002)))), None, 0,
+        " + ".join(f"pi_10002(S^{m}) [unknown]" for m in range(5002, 10002)) + "\n", "", 1),
     # the sublink count is compared by bit length before 2^size is formed
     "huge-profile": (
         ("link", "check", "--profile", "{profile}"), f"components {FAR}\nnu empty -1\n",
@@ -522,6 +533,13 @@ BUDGET_CASES = {
     "prefix-product": (
         ("hatf", "face", "--degree", "99999999", "-i", "0", "x100000000"), None, EXIT_INPUT,
         "", "error: the prefix product may have 99999999 syllables; the limit is 1048576\n", 1),
+    # d_3 rewrites x3, the eliminated generator at degree 2, as (x1 x2)^-1
+    "last-face-image": (
+        ("hatf", "face", "--degree", "3", "-i", "3", f"x3^{FAR}"), None, EXIT_INPUT, "",
+        "error: the image may have 2000000000000 syllables; the limit is 1048576\n", 1),
+    # the last face of a word without x_n builds no prefix product
+    "last-face-far-degree": (("hatf", "face", "--degree", "2000000", "-i", "2000000", "x1"),
+                             None, 0, "degree=1999999; word=x1\n", "", 1),
     # faces and degeneracies touch only the generators the word holds
     "face-far-degree": (("hatf", "face", "--degree", "1000000", "-i", "0", "x1"), None,
                         0, "degree=999999; word=1\n", "", 1),

@@ -10,6 +10,7 @@ from linkhomotopy import (
     VARIANT_ETA_DEGREE4,
     GeneratorMap,
     NotACycleError,
+    SimplicialElement,
     commutator,
     conjugate,
     degeneracy,
@@ -30,6 +31,7 @@ from linkhomotopy import (
 from linkhomotopy import words
 from conftest import (
     assert_canonical_element,
+    assert_frozen_value,
     random_element,
     random_syllables,
     random_word,
@@ -57,6 +59,21 @@ def test_element_rejects_out_of_range_generators():
 def test_element_serialization():
     assert str(element(2, "[x1 x2, x1]")) == "degree=2; word=x1 x2 x1 x2^-1 x1^-2"
     assert str(element(1, "")) == "degree=1; word=1"
+
+
+def test_element_value_contract():
+    e = element(2, "x3")
+    same = SimplicialElement(2, parse_word("x2^-1 x1^-1"))
+    assert e == same and hash(e) == hash(same)
+    assert e != element(3, e.word) and e != element(2, "x1 x2") and e != e.word
+    assert repr(e) == "SimplicialElement(degree=2, word=Word('x2^-1 x1^-1'))"
+    assert str(e) == "degree=2; word=x2^-1 x1^-1"
+    with pytest.raises(ValueError, match="canonical degree-1 words use only x1..x1"):
+        SimplicialElement(1, generator(2))
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        SimplicialElement(-1, IDENTITY)
+    for value in (e, element(0, ""), eta_tower(3)):
+        assert_frozen_value(value)
 
 
 def test_face_examples():
@@ -113,6 +130,49 @@ def test_face_and_degeneracy_match_letter_oracle():
                     for op, oracle in maps:
                         got = oracles.letters_of(op(i, e).word.syllables)
                         assert got == oracle(i, letters, degree), (op.__name__, i, e)
+
+
+def eliminate_by_substitution(degree, w):
+    """The second route for the eliminated generator: ``x_{degree+1}`` goes to
+    ``(x1...x_degree)^-1`` through :class:`GeneratorMap`."""
+    return GeneratorMap({degree + 1: ~prefix_product(degree)})(w)
+
+
+def test_eliminated_generator_matches_substitution():
+    # element(d, w) and d_{d+1} of w at degree d + 1 both rewrite x_{d+1}
+    rng = random.Random(22)
+    large = (10 ** 12, -10 ** 12)
+    for degree in range(9):
+        last = degree + 1
+        cases = [prefix_product(last), prefix_product(degree) * generator(last, 5)]
+        for _ in range(300):
+            raw = []
+            for _ in range(rng.randint(0, 12)):
+                gen = rng.randint(1, last)
+                # x_last^e from degree 2 on is |e| runs of degree syllables
+                powers = large if gen < last or degree < 2 else (40, -40)
+                raw.append((gen, rng.choice((1, -1, 2, -2, 3, -3) + powers)))
+            cases.append(reduce_word(raw))
+        for w in cases:
+            expected = eliminate_by_substitution(degree, w)
+            got = element(degree, w)
+            assert got.word == expected, (degree, w)
+            assert_canonical_element(got)
+            last_face = face(last, element(last, w))
+            assert last_face == got, (degree, w)
+            assert_canonical_element(last_face)
+
+
+def test_eliminated_generator_on_towers():
+    for k in range(1, 9):
+        t = eta_tower(k)
+        tail = t.word * generator(k, -3) * prefix_product(k - 1)  # not a cycle
+        for w in (t.word, tail):
+            expected = eliminate_by_substitution(k - 1, w)
+            assert face(k, element(k, w)).word == expected
+            assert element(k - 1, w).word == expected
+            assert_canonical_element(element(k - 1, w))
+        assert face(k, t).is_identity
 
 
 def test_operations_return_canonical_elements():

@@ -24,6 +24,7 @@ from conftest import (
     LONG_DIGITS,
     TOO_LONG,
     assert_canonical_word,
+    assert_frozen_value,
     random_syllables,
     random_word,
     syllable_text,
@@ -68,6 +69,20 @@ def test_word_constructor_rejects_unreduced():
         Word(((1, 0),))
     with pytest.raises(ValueError):
         Word(((0, 1),))
+
+
+def test_word_value_contract():
+    w = parse_word("x1 x2^-3")
+    same = Word(((1, 1), (2, -3)))
+    assert w == same == reduce_word([(1, 1), (2, -1), (2, -2)])
+    assert hash(w) == hash(same)
+    assert w != parse_word("x1 x2^3") and w != IDENTITY and w != w.syllables
+    assert (repr(w), str(w)) == ("Word('x1 x2^-3')", "x1 x2^-3")
+    assert (repr(IDENTITY), str(IDENTITY)) == ("Word('1')", "1")
+    with pytest.raises(ValueError, match="zero exponent"):
+        Word(((1, 0),))
+    for value in (w, IDENTITY, x1 ** 10**12):
+        assert_frozen_value(value)
 
 
 def test_operations_return_reduced_words():
