@@ -127,9 +127,10 @@ def _eliminate(degree: int, word: Word) -> Word:
 
     A power ``x_{degree+1}^e`` is joined as ``|e|`` copies of the run
     ``x_degree^-1 ... x1^-1`` (or of its inverse), which are reduced from
-    degree 2 on; at degree 1 it is the syllable ``x1^-e``, and at degree 0
-    the empty run.  A word without ``x_{degree+1}`` is returned as it is,
-    so only a word that holds it builds the prefix product.
+    degree 2 on; at degree 1 it is the syllable ``x1^-e``, and at degree 0,
+    where ``x1`` is the only generator, the whole word is the identity.  A
+    word without ``x_{degree+1}`` is returned as it is, so only a word that
+    holds it builds the prefix product.
     """
     last = degree + 1
     syllables = word.syllables
@@ -138,6 +139,8 @@ def _eliminate(degree: int, word: Word) -> Word:
             break
     else:
         return word
+    if degree == 0:
+        return _word(())
     up = prefix_product(degree)
     runs = ((~up).syllables, up.syllables)  # indexed by exp < 0
     stack: list[tuple[int, int]] = list(syllables[:start])

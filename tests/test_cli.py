@@ -537,6 +537,10 @@ BUDGET_CASES = {
     "last-face-image": (
         ("hatf", "face", "--degree", "3", "-i", "3", f"x3^{FAR}"), None, EXIT_INPUT, "",
         "error: the image may have 2000000000000 syllables; the limit is 1048576\n", 1),
+    # d_1 sends every degree-1 word to the degree-0 identity without
+    # building a run, however large its exponent
+    "last-face-degree-0": (("hatf", "face", "--degree", "1", "-i", "1", f"x1^{2 ** 63}"),
+                           None, 0, "degree=0; word=1\n", "", 1),
     # the last face of a word without x_n builds no prefix product
     "last-face-far-degree": (("hatf", "face", "--degree", "2000000", "-i", "2000000", "x1"),
                              None, 0, "degree=1999999; word=x1\n", "", 1),

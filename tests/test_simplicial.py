@@ -141,10 +141,15 @@ def eliminate_by_substitution(degree, w):
 def test_eliminated_generator_matches_substitution():
     # element(d, w) and d_{d+1} of w at degree d + 1 both rewrite x_{d+1}
     rng = random.Random(22)
-    large = (10 ** 12, -10 ** 12)
+    # 2**64 does not fit a tuple repeat count, so it must never build a run
+    large = (10 ** 12, -10 ** 12, 2 ** 64, -2 ** 64)
     for degree in range(9):
         last = degree + 1
-        cases = [prefix_product(last), prefix_product(degree) * generator(last, 5)]
+        cases = [prefix_product(last), prefix_product(degree) * generator(last, 5),
+                 generator(last, 2 ** 64) * prefix_product(degree)]
+        if last <= 8:
+            t = eta_tower(last).word
+            cases += [t, t * generator(last, -3) * prefix_product(degree)]  # a non-cycle
         for _ in range(300):
             raw = []
             for _ in range(rng.randint(0, 12)):
@@ -154,25 +159,20 @@ def test_eliminated_generator_matches_substitution():
                 raw.append((gen, rng.choice((1, -1, 2, -2, 3, -3) + powers)))
             cases.append(reduce_word(raw))
         for w in cases:
-            expected = eliminate_by_substitution(degree, w)
+            try:
+                expected = eliminate_by_substitution(degree, w)
+            except ValueError:  # x_last^(2**64) from degree 2 on is over budget
+                with pytest.raises(ValueError, match="the image may have"):
+                    element(degree, w)
+                with pytest.raises(ValueError, match="the image may have"):
+                    face(last, element(last, w))
+                continue
             got = element(degree, w)
             assert got.word == expected, (degree, w)
             assert_canonical_element(got)
             last_face = face(last, element(last, w))
             assert last_face == got, (degree, w)
             assert_canonical_element(last_face)
-
-
-def test_eliminated_generator_on_towers():
-    for k in range(1, 9):
-        t = eta_tower(k)
-        tail = t.word * generator(k, -3) * prefix_product(k - 1)  # not a cycle
-        for w in (t.word, tail):
-            expected = eliminate_by_substitution(k - 1, w)
-            assert face(k, element(k, w)).word == expected
-            assert element(k - 1, w).word == expected
-            assert_canonical_element(element(k - 1, w))
-        assert face(k, t).is_identity
 
 
 def test_operations_return_canonical_elements():
