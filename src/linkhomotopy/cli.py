@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from . import _decimal
+from . import _decimal, _unwritable
 
 if TYPE_CHECKING:
     from .homotopy import HomotopyTable
@@ -116,7 +116,11 @@ def _cmd_magnus(args: argparse.Namespace) -> int:
         print(f">= {args.trunc + 1}" if bound is None else bound)
     elif args.action == "mu":
         indices = _parse_int_list(args.indices)
-        print(magnus.mu_coefficient(words.parse_word(args.expr), indices))
+        mu = magnus.mu_coefficient(words.parse_word(args.expr), indices)
+        try:
+            print(mu)
+        except ValueError:  # past the int/str digit limit
+            raise _unwritable((mu,)) from None
     else:  # verify51
         report = magnus.milnor_invisibility_report(args.n)
         for line in report.lines(include_variant=args.variant):

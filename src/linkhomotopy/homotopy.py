@@ -28,11 +28,10 @@ the weighted Witt formula gives it, so no word is generated;
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from . import _decimal
+from . import _decimal, _Frozen
 
 __all__ = [
     "GroupDescription",
@@ -56,8 +55,9 @@ __all__ = [
 COUNTABLE = "countable"
 
 
-class GroupDescription:
-    """Base class for symbolic abelian-group descriptions."""
+class GroupDescription(_Frozen):
+    """Base class for symbolic abelian-group descriptions, which are
+    immutable values."""
 
     @property
     def is_concrete(self) -> bool:
@@ -75,35 +75,34 @@ class GroupDescription:
         return self.render()
 
 
-@dataclass(frozen=True)
 class Trivial(GroupDescription):
     def render(self, mark_unknown: bool = False) -> str:
         return "0"
 
 
-@dataclass(frozen=True)
 class Cyclic(GroupDescription):
     """The finite cyclic group of the given order (>= 2)."""
 
-    order: int
+    __match_args__ = ("order",)
 
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"cyclic order must be >= 2, got {self.order}")
+    def __init__(self, order: int) -> None:
+        if order < 2:
+            raise ValueError(f"cyclic order must be >= 2, got {order}")
+        self.__dict__.update(order=order)
 
     def render(self, mark_unknown: bool = False) -> str:
         return f"Z/{self.order}"
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupDescription):
     """Free abelian of finite rank >= 1 or countably infinite rank."""
 
-    rank: int | str = 1
+    __match_args__ = ("rank",)
 
-    def __post_init__(self) -> None:
-        if self.rank != COUNTABLE and (not isinstance(self.rank, int) or self.rank < 1):
+    def __init__(self, rank: int | str = 1) -> None:
+        if rank != COUNTABLE and (not isinstance(rank, int) or rank < 1):
             raise ValueError(f"rank must be a positive integer or {COUNTABLE!r}")
+        self.__dict__.update(rank=rank)
 
     def render(self, mark_unknown: bool = False) -> str:
         if self.rank == COUNTABLE:
@@ -111,8 +110,7 @@ class FreeAbelian(GroupDescription):
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
 
 
-@dataclass(frozen=True)
-class SphereWedge:
+class SphereWedge(_Frozen):
     """A finite wedge of spheres with an optional aspherical factor.
 
     ``dims`` lists sphere dimensions (each >= 2, stored sorted); the factor
@@ -121,13 +119,12 @@ class SphereWedge:
     is a point.
     """
 
-    dims: tuple[int, ...] = ()
-    group_factor: str | None = None
+    __match_args__ = ("dims", "group_factor")
 
-    def __post_init__(self) -> None:
-        if any(d < 2 for d in self.dims):
+    def __init__(self, dims: Sequence[int] = (), group_factor: str | None = None) -> None:
+        if any(d < 2 for d in dims):
             raise ValueError("sphere dimensions must be >= 2")
-        object.__setattr__(self, "dims", tuple(sorted(self.dims)))
+        self.__dict__.update(dims=tuple(sorted(dims)), group_factor=group_factor)
 
     def render(self) -> str:
         parts = ([self.group_factor] if self.group_factor else []) + [
@@ -139,16 +136,15 @@ class SphereWedge:
         return self.render()
 
 
-@dataclass(frozen=True)
 class PiOfSphere(GroupDescription):
     """Unevaluated ``pi_n(S^m)``."""
 
-    n: int
-    m: int
+    __match_args__ = ("n", "m")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n: int, m: int) -> None:
+        if n < 1 or m < 1:
             raise ValueError("sphere homotopy indices must be >= 1")
+        self.__dict__.update(n=n, m=m)
 
     @property
     def is_concrete(self) -> bool:
@@ -163,7 +159,6 @@ class PiOfSphere(GroupDescription):
         return f"{text} [unknown]" if mark_unknown else text
 
 
-@dataclass(frozen=True)
 class PiOfWedge(GroupDescription):
     """Unevaluated ``pi_n`` of a wedge of spheres (with optional factor).
 
@@ -172,8 +167,10 @@ class PiOfWedge(GroupDescription):
     wedge evaluates to the trivial group either way.
     """
 
-    n: int
-    wedge: SphereWedge
+    __match_args__ = ("n", "wedge")
+
+    def __init__(self, n: int, wedge: SphereWedge) -> None:
+        self.__dict__.update(n=n, wedge=wedge)
 
     @property
     def is_concrete(self) -> bool:
@@ -190,11 +187,13 @@ class PiOfWedge(GroupDescription):
         return f"pi_{self.n}({self.wedge.render()})"
 
 
-@dataclass(frozen=True)
 class SymbolicGroup(GroupDescription):
     """An opaque symbolic description that evaluation never touches."""
 
-    text: str
+    __match_args__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.__dict__.update(text=text)
 
     @property
     def is_concrete(self) -> bool:
@@ -204,9 +203,11 @@ class SymbolicGroup(GroupDescription):
         return self.text
 
 
-@dataclass(frozen=True)
 class DirectSum(GroupDescription):
-    parts: tuple[GroupDescription, ...]
+    __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[GroupDescription, ...]) -> None:
+        self.__dict__.update(parts=parts)
 
     @property
     def is_concrete(self) -> bool:
@@ -234,14 +235,15 @@ def direct_sum(parts: Iterable[GroupDescription]) -> GroupDescription:
     return DirectSum(tuple(flat))
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(_Frozen):
     """A known ``pi_n(S^m)`` with its provenance note; ``user_supplied``
     marks entries loaded by :meth:`HomotopyTable.load_file`."""
 
-    group: GroupDescription
-    provenance: str
-    user_supplied: bool = False
+    __match_args__ = ("group", "provenance", "user_supplied")
+
+    def __init__(self, group: GroupDescription, provenance: str,
+                 user_supplied: bool = False) -> None:
+        self.__dict__.update(group=group, provenance=provenance, user_supplied=user_supplied)
 
     def render(self) -> str:
         """The group, with ``[provenance]`` appended for user-supplied entries."""
@@ -374,7 +376,9 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
     or than :data:`_MAX_LYNDON_WEIGHTS` weights, raise ``ValueError`` at the
     first weight past the limit; the words are first bounded below by the
     letters and the pairs of distinct letter weights that fit, each pair
-    spelling a word of two letters, counted without building their sums.
+    spelling a word of two letters, counted without building their sums, and
+    then by the words ``x_a^k x_b`` of a lighter letter's powers before a
+    heavier letter, in closed form.
 
     Only the weights that carry a Lyndon word are visited, in increasing
     order: the letters' own and the mixed ones, made of two distinct letters
@@ -391,6 +395,23 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
     # singles[i + 1:ends[i]] are the heavier weights that fit beside singles[i]
     ends = [bisect_right(singles, budget - a) for a in singles]
     least = sum(letters.values()) + sum(max(0, end - i - 1) for i, end in enumerate(ends))
+    _check_words(least, weights, budget)
+    # each letter a before a heavier b spells x_a^k x_b for k = 1..(cap - b) // a;
+    # no weight up to cap can be past the weight limit, so the walk would refuse
+    # these words before the weights.  Over the b that fit, with prefix sums of
+    # their counts and weights, sum (cap - b) // a >= sum (cap - a + 1 - b) / a
+    cap = min(budget, _MAX_LYNDON_WEIGHTS)
+    counts, sums = [0], [0]
+    for w in singles:
+        counts.append(counts[-1] + letters[w])
+        sums.append(sums[-1] + letters[w] * w)
+    least = counts[bisect_right(singles, cap)]
+    for i, a in enumerate(singles):
+        end = bisect_right(singles, cap - a)
+        if end <= i + 1:
+            break
+        fit, total = counts[end] - counts[i + 1], sums[end] - sums[i + 1]
+        least += letters[a] * max(fit, -((total - fit * (cap - a + 1)) // a))
     _check_words(least, weights, budget)
     terms = [(w, letters[w], letters[w] * w) for w in singles]
     mixed = {a + b for i, a in enumerate(singles) for b in singles[i + 1:ends[i]]}

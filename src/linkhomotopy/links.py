@@ -25,12 +25,11 @@ commutator subgroup -- in terms of homotopy groups of spheres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Collection, Iterable, Mapping
 
-from . import _decimal
+from . import _decimal, _Frozen
 from .homotopy import (
     COUNTABLE,
     FreeAbelian,
@@ -83,8 +82,7 @@ class UnrealizableProfileError(ValueError):
     """A profile contradicts a constraint proved for actual links."""
 
 
-@dataclass(frozen=True, eq=True)
-class LinkProfile:
+class LinkProfile(_Frozen):
     """Splitting genus of every sublink of an ``size``-component link.
 
     ``nu`` maps each subset of ``{1..size}`` (as a frozenset) to its genus.
@@ -93,24 +91,24 @@ class LinkProfile:
     strong-nonsplittability answers are cached from ``nu``.
     """
 
-    size: int
-    nu: Mapping[frozenset[int], int]
+    __match_args__ = ("size", "nu")
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ProfileError(f"component count must be >= 1, got {self.size}")
-        count = len(self.nu)
+    def __init__(self, size: int, nu: Mapping[frozenset[int], int]) -> None:
+        if size < 1:
+            raise ProfileError(f"component count must be >= 1, got {size}")
+        count = len(nu)
         # bit lengths first: 2 ** size is formed only where count could match
         # it, or written out below 2**64, which no mapping reaches
-        if count.bit_length() != self.size + 1 or count != 2 ** self.size:
-            expected = 2 ** self.size if self.size < 64 else f"2^{self.size}"
+        if count.bit_length() != size + 1 or count != 2 ** size:
+            expected = 2 ** size if size < 64 else f"2^{size}"
             raise ProfileError(
                 f"profile must assign a genus to all {expected} sublinks, got {count}"
             )
+        self.__dict__.update(size=size, nu=nu)
         full = self.full_set
-        for subset, genus in self.nu.items():
+        for subset, genus in nu.items():
             if not subset <= full:
-                raise ProfileError(f"sublink {set(subset)} is not within 1..{self.size}")
+                raise ProfileError(f"sublink {set(subset)} is not within 1..{size}")
             if not subset:
                 if genus != -1:
                     raise ProfileError("the empty sublink must have genus -1")
@@ -298,8 +296,7 @@ def classify_X3(p: LinkProfile, i: int, j: int, k: int) -> SphereWedge:
     return _deletion_wedge(p, (i, j, k), chi)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(_Frozen):
     """Outcome of :func:`classify_A`.
 
     ``group`` is the most-evaluated description (``None`` when no
@@ -308,12 +305,14 @@ class ClassificationResult:
     ``notes`` carry caveats such as the bar-quotient flag.
     """
 
-    group: GroupDescription | None
-    symbolic_form: GroupDescription | None
-    method: str
-    notes: tuple[str, ...] = ()
+    __match_args__ = ("group", "symbolic_form", "method", "notes")
 
     NOT_CLASSIFIED = "not classified by implemented theorems"
+
+    def __init__(self, group: GroupDescription | None, symbolic_form: GroupDescription | None,
+                 method: str, notes: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(group=group, symbolic_form=symbolic_form, method=method,
+                             notes=notes)
 
     @property
     def classified(self) -> bool:

@@ -43,10 +43,10 @@ sparse product would be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb
+from math import comb, log2
 from typing import Mapping, Sequence
 
+from . import _Frozen, _unwritable
 from .simplicial import (
     VARIANT_ETA_DEGREE3,
     VARIANT_ETA_DEGREE4,
@@ -86,38 +86,43 @@ def _format_terms(terms: Mapping[Monomial, int]) -> str:
         return "0"
     ordered = sorted(terms.items(), key=lambda item: (len(item[0]), item[0]))
     pieces: list[str] = []
-    for monomial, coeff in ordered:
-        name = "".join(f"X{i}" for i in monomial) if monomial else "1"
-        magnitude = abs(coeff)
-        body = name if magnitude == 1 and monomial else (
-            str(magnitude) if not monomial else f"{magnitude}*{name}"
-        )
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    try:
+        for monomial, coeff in ordered:
+            name = "".join(f"X{i}" for i in monomial) if monomial else "1"
+            magnitude = abs(coeff)
+            body = name if magnitude == 1 and monomial else (
+                str(magnitude) if not monomial else f"{magnitude}*{name}"
+            )
+            if not pieces:
+                pieces.append(body if coeff > 0 else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    except ValueError:  # a coefficient past the int/str digit limit
+        raise _unwritable(terms.values()) from None
     return " ".join(pieces)
 
 
-@dataclass(frozen=True)
-class MagnusSeries:
+class MagnusSeries(_Frozen):
     """A degree-truncated noncommutative polynomial with integer coefficients.
 
     ``terms`` stores no zero coefficients and no monomial above the
-    truncation degree; instances compare by truncation and terms.
+    truncation degree, and is a new empty dict when omitted; instances
+    compare by truncation and terms.
     """
 
-    truncation: int
-    terms: dict[Monomial, int] = field(default_factory=dict)
+    __match_args__ = ("truncation", "terms")
 
-    def __post_init__(self) -> None:
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
-        for monomial, coeff in self.terms.items():
+    def __init__(self, truncation: int, terms: dict[Monomial, int] | None = None) -> None:
+        if terms is None:
+            terms = {}
+        if truncation < 1:
+            raise ValueError(f"truncation must be >= 1, got {truncation}")
+        for monomial, coeff in terms.items():
             if coeff == 0:
                 raise ValueError("stored zero coefficient")
-            if len(monomial) > self.truncation:
+            if len(monomial) > truncation:
                 raise ValueError("monomial exceeds truncation degree")
+        self.__dict__.update(truncation=truncation, terms=terms)
 
     @property
     def is_one(self) -> bool:
@@ -125,6 +130,19 @@ class MagnusSeries:
 
     def __str__(self) -> str:
         return _format_terms(self.terms)
+
+
+def _check_bytes(slots: int, bits: int, least: str) -> int:
+    """The field width for coefficients of ``bits`` bits, after checking
+    that ``slots`` fields of it fit :data:`_MAX_BYTES`; ``least`` prefixes
+    the sizes in the refusal when ``bits`` is only a lower bound."""
+    width = (bits + 8) // 8 * 8  # a sign bit, in whole bytes
+    if slots * width // 8 > _MAX_BYTES:
+        raise ValueError(
+            f"dense Magnus expansion needs {least}{slots * width // 8} bytes ({slots} "
+            f"coefficient slots of {least}{width} bits); the limit is {_MAX_BYTES}"
+        )
+    return width
 
 
 def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[int]]:
@@ -149,14 +167,16 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[
             f"{slots} coefficient slots ({r} generators, truncation {truncation}); "
             f"the limit is {_MAX_SLOTS}"
         )
-    # the coefficient bound C(E + T - 1, T) plus a sign bit, in whole bytes
-    bound = comb(w.length + truncation - 1, truncation) if w.syllables else 0
-    width = (bound.bit_length() + 8) // 8 * 8
-    if slots * width // 8 > _MAX_BYTES:
-        raise ValueError(
-            f"dense Magnus expansion needs {slots * width // 8} bytes ({slots} "
-            f"coefficient slots of {width} bits); the limit is {_MAX_BYTES}"
-        )
+    # the coefficient bound C(E + T - 1, T) plus a sign bit, in whole bytes.
+    # Computing it exactly takes time that grows with k = min(T, E - 1), so
+    # past k = 64 its bit length is first bounded below by C(n, k) >= (n/k)^k,
+    # less two bits for rounding, and a width over the limit by that bound is
+    # refused before the exact value
+    n, k = w.length + truncation - 1, min(truncation, w.length - 1)
+    if k > 64:
+        _check_bytes(slots, max(0, int(k * (log2(n) - log2(k))) - 1), "at least ")
+    bound = comb(n, truncation) if w.syllables else 0
+    width = _check_bytes(slots, bound.bit_length(), "")
     # ones[m] = sum_{i < m} r**i; X_a^j adds a * (ones[d] - ones[d - j]) to the
     # slot of a degree d - j monomial.  Degree T is kept as r sub-blocks
     # tops[a] of r**(T-1) slots, one per last letter a (the most significant
@@ -283,18 +303,17 @@ def mu_coefficient(w: Word, indices: Sequence[int]) -> int:
     return matched[-1]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Frozen):
+    __match_args__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class InvisibilityReport:
+class InvisibilityReport(_Frozen):
     """Desk check that low-length Milnor-type data cannot see a tower class.
 
     For the ``link_size``-strand fibration link the relevant class is the
@@ -303,9 +322,11 @@ class InvisibilityReport:
     when one is defined for this size.
     """
 
-    link_size: int
-    checks: tuple[CheckResult, ...]
-    variant_checks: tuple[CheckResult, ...]
+    __match_args__ = ("link_size", "checks", "variant_checks")
+
+    def __init__(self, link_size: int, checks: tuple[CheckResult, ...],
+                 variant_checks: tuple[CheckResult, ...]) -> None:
+        self.__dict__.update(link_size=link_size, checks=checks, variant_checks=variant_checks)
 
     def lines(self, include_variant: bool = False) -> list[str]:
         out = [check.line() for check in self.checks]

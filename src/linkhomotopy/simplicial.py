@@ -33,9 +33,9 @@ through ``SimplicialElement(...)`` to confirm the invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
+from . import _Frozen
 from .words import (
     Word,
     _check_syllables,
@@ -73,25 +73,33 @@ class NotACycleError(ValueError):
     """A Moore-cycle precondition failed."""
 
 
-@dataclass(frozen=True, slots=True)
-class SimplicialElement:
+class SimplicialElement(_Frozen):
     """An element of the degree-``degree`` group, in canonical form.
 
     The stored word uses only generators ``x1..x_degree``; construct
     through :func:`element`, which rewrites ``x_{degree+1}`` away.
     """
 
-    degree: int
-    word: Word
+    __slots__ = __match_args__ = ("degree", "word")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if self.word.max_generator > self.degree:
+    def __init__(self, degree: int, word: Word) -> None:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        if word.max_generator > degree:
             raise ValueError(
-                f"word uses x{self.word.max_generator} but canonical degree-"
-                f"{self.degree} words use only x1..x{self.degree}"
+                f"word uses x{word.max_generator} but canonical degree-"
+                f"{degree} words use only x1..x{degree}"
             )
+        _set_degree(self, degree)
+        _set_word(self, word)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.degree == other.degree and self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.word))
 
     @property
     def is_identity(self) -> bool:
@@ -108,7 +116,7 @@ _set_word = SimplicialElement.__dict__["word"].__set__
 def _element(degree: int, word: Word) -> SimplicialElement:
     """An element from a word already canonical at ``degree``, unchecked:
     the fields are written through their slots' descriptors, past the
-    frozen ``__setattr__`` and ``__post_init__``."""
+    frozen ``__setattr__`` and the checks of ``__init__``."""
     e = object.__new__(SimplicialElement)
     _set_degree(e, degree)
     _set_word(e, word)

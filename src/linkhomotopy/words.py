@@ -35,10 +35,9 @@ accepts back.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from . import _decimal
+from . import _decimal, _Frozen, _unwritable
 
 __all__ = [
     "Word",
@@ -98,8 +97,7 @@ def _join(stack: list[Syllable], syllables: tuple[Syllable, ...]) -> None:
     stack.extend(syllables[j:])
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(_Frozen):
     """A freely reduced word; ``Word()`` is the identity.
 
     Direct construction checks the reduction invariant and raises
@@ -107,11 +105,11 @@ class Word:
     word from an arbitrary syllable sequence.
     """
 
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = __match_args__ = ("syllables",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, syllables: tuple[Syllable, ...] = ()) -> None:
         previous = 0
-        for syllable in self.syllables:
+        for syllable in syllables:
             gen, exp = syllable
             if gen < 1:
                 raise ValueError(f"generator index must be >= 1, got {gen}")
@@ -120,6 +118,15 @@ class Word:
             if gen == previous:
                 raise ValueError("adjacent syllables share a generator; word is not reduced")
             previous = gen
+        _set_syllables(self, syllables)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.syllables == other.syllables
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.syllables,))
 
     @property
     def is_identity(self) -> bool:
@@ -183,7 +190,7 @@ _set_syllables = Word.__dict__["syllables"].__set__
 def _word(syllables: tuple[Syllable, ...]) -> Word:
     """A word from syllables already known to be reduced, unchecked: the
     field is written through its slot's descriptor, past the frozen
-    ``__setattr__`` and ``__post_init__``."""
+    ``__setattr__`` and the checks of ``__init__``."""
     w = object.__new__(Word)
     _set_syllables(w, syllables)
     return w
@@ -226,8 +233,7 @@ def conjugate(w: Word, g: Word) -> Word:
     return g * w * ~g
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(_Frozen):
     """A substitution homomorphism between free groups.
 
     ``images`` sends a generator index to the image word; indices missing
@@ -236,7 +242,10 @@ class GeneratorMap:
     the homomorphism law holds on the nose.
     """
 
-    images: Mapping[int, Word]
+    __match_args__ = ("images",)
+
+    def __init__(self, images: Mapping[int, Word]) -> None:
+        self.__dict__.update(images=images)
 
     def __call__(self, w: Word) -> Word:
         stack: list[Syllable] = []
@@ -294,8 +303,11 @@ def print_word(w: Word, letter: str = "x") -> str:
     if w.is_identity:
         return "1"
     parts = []
-    for gen, exp in w.syllables:
-        parts.append(f"{letter}{gen}" if exp == 1 else f"{letter}{gen}^{exp}")
+    try:
+        for gen, exp in w.syllables:
+            parts.append(f"{letter}{gen}" if exp == 1 else f"{letter}{gen}^{exp}")
+    except ValueError:  # an exponent past the int/str digit limit
+        raise _unwritable(exp for _, exp in w.syllables) from None
     return " ".join(parts)
 
 

@@ -495,6 +495,12 @@ BUDGET_CASES = {
     "wedge-heavy-letters": (
         ("spheres", "wedge", "10002", ",".join(map(str, range(5002, 10002)))), None, 0,
         " + ".join(f"pi_10002(S^{m}) [unknown]" for m in range(5002, 10002)) + "\n", "", 1),
+    # one light letter before 5,000 heavy ones: its powers x1^k x_b alone are
+    # 12,502,500 words, bounded in closed form before any weight is visited
+    "wedge-light-before-heavy": (
+        ("spheres", "wedge", "10002", ",".join(map(str, (2, *range(5002, 10002))))), None,
+        EXIT_INPUT, "", "error: Hilton-Milnor splitting needs at least 12507501 Lyndon "
+        "words (5001 letters, weight <= 10001); the limit is 4194304\n", 1),
     # the sublink count is compared by bit length before 2^size is formed
     "huge-profile": (
         ("link", "check", "--profile", "{profile}"), f"components {FAR}\nnu empty -1\n",
@@ -559,6 +565,24 @@ BUDGET_CASES = {
     "parsed-factors": (
         ("word", "parse", "(x1 x2)^500000 x3 " * 40), None, EXIT_INPUT, "",
         "error: the word may have 2000001 syllables; the limit is 1048576\n", 1),
+    # the field width is refused from C(n, k) >= (n/k)^k before the exact
+    # binomial C(10^7 + 999999, 10^7); gamma then finds degree 1 at truncation 1
+    "expand-width-bound": (
+        ("magnus", "expand", "x1^1000000", "--trunc", "10000000"), None, EXIT_INPUT, "",
+        "error: dense Magnus expansion needs at least 4324290432429 bytes (10000001 "
+        "coefficient slots of at least 3459432 bits); the limit is 67108864\n", 1),
+    "gamma-width-bound": (("magnus", "gamma", "x1^1000000", "--trunc", "10000000"), None,
+                          0, "1\n", "", 1),
+    # values the program builds past the int/str digit limit cannot be written
+    "word-output-digits": (
+        ("word", "parse", f"((x1^{'9' * 4000})^{'9' * 4000})"), None,
+        EXIT_INPUT, "", "error: an integer in the output has 8000 digits; the limit is 4300\n", 1),
+    "expand-output-digits": (
+        ("magnus", "expand", f"x1^{'9' * 1200}", "--trunc", "4"), None,
+        EXIT_INPUT, "", "error: an integer in the output has 4799 digits; the limit is 4300\n", 1),
+    "mu-output-digits": (
+        ("magnus", "mu", f"x1^{'9' * 3000} x2^{'9' * 3000}", "1,2"), None,
+        EXIT_INPUT, "", "error: an integer in the output has 6000 digits; the limit is 4300\n", 1),
     "nested-brackets": (
         ("word", "parse", NESTED), None, EXIT_INPUT, "",
         "error: the commutator may have 1048578 syllables; the limit is 1048576\n", 2),
@@ -618,6 +642,8 @@ def test_each_subcommand_loads_only_its_layers(argv, layers):
     assert proc.returncode == 0
     loaded = set(proc.stderr.splitlines()[-1].split())
     assert {layer for layer in LAYERS if f"linkhomotopy.{layer}" in loaded} == layers
+    # dataclasses pulls in inspect, ast, dis and tokenize on every start
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 @pytest.mark.parametrize("argv, code, message", [
