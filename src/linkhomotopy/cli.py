@@ -8,8 +8,9 @@ Exit codes: 0 success, 2 input error (syntax, ranges, file formats),
 3 precondition violation (eta on a non-cycle), 4 unrealizable profile.
 
 Each handler imports the layers it uses, so a process loads only those:
-``word`` loads words, ``hatf`` words and simplicial, ``magnus`` those and
-magnus, ``link`` homotopy and links, ``spheres`` homotopy.
+``word`` loads words, ``hatf`` words and simplicial, ``magnus`` words and
+magnus (and simplicial for ``verify51``), ``link`` homotopy and links,
+``spheres`` homotopy.
 """
 
 from __future__ import annotations

@@ -13,9 +13,7 @@ exact certificate.  Deleting every monomial with a repeated index gives the
 *reduced* expansion, whose coefficients on distinct-index monomials are the
 Milnor-type invariants: a nonzero coefficient certifies nontriviality in
 the quotient of the group by the commutators of each meridian closure with
-itself, while vanishing up to a truncation certifies nothing.  The deleted
-monomials form an ideal, so the reduced expansion is the full one with
-those monomials filtered out (Milnor 1954), and one kernel computes both.
+itself, while vanishing up to a truncation certifies nothing.
 
 Expansions are computed densely (Magnus-Karrass-Solitar, ch. 5): on ``r``
 generators, degree ``d`` has ``r**d`` slots packed into one exact integer
@@ -23,22 +21,37 @@ generators, degree ``d`` has ``r**d`` slots packed into one exact integer
 slots in all.  Slot ``i`` holds ``(g[i_0], ..., g[i_{d-1}])`` for the
 word's generators ``g`` in increasing order and the base-``r`` digits
 ``i_0, i_1, ...`` of ``i``, least significant first; only nonzero fields
-are decoded into monomials.  A distinct-index monomial has degree at most
-``r``, so the reduced expansion stops at ``d <= min(T, r)``.  A syllable
-``x_a^e`` costs one shift-and-add per degree and binomial term, at most
-``T`` terms however large ``|e|`` is.  Below the top degree ``T`` these
-act on whole blocks.  Degree ``T`` is kept as ``r`` sub-blocks, one per
-last letter: the last letter is the most significant digit, so sub-block
-``a`` is the ``a``-th run of ``r**(T-1)`` slots, the only run that
-``x_a^e`` changes, and the sub-blocks are joined once at the end.  So a
-top-degree term touches ``r**(T-1)`` slots, not ``r**T``.  As
-``|C(e, j)| <= [t^j] (1-t)^-|e|``, no coefficient of a word of ``E``
-letters exceeds ``C(E + T - 1, T)`` in absolute value; ``B`` is its bit
-length plus a sign bit, in whole bytes.  The cost follows the slot count,
-not the nonzero terms, so a short word on many generators is slower than a
-sparse product would be.
+are decoded into monomials.  A syllable ``x_a^e`` costs one shift-and-add
+per degree and binomial term, at most ``T`` terms however large ``|e|``
+is.  Below the top degree ``T`` these act on whole blocks.  Degree ``T``
+is kept as ``r`` sub-blocks, one per last letter: the last letter is the
+most significant digit, so sub-block ``a`` is the ``a``-th run of
+``r**(T-1)`` slots, the only run that ``x_a^e`` changes, and the
+sub-blocks are joined once at the end.  So a top-degree term touches
+``r**(T-1)`` slots, not ``r**T``.  As ``|C(e, j)| <= [t^j] (1-t)^-|e|``,
+no coefficient of a word of ``E`` letters exceeds ``C(E + T - 1, T)`` in
+absolute value; ``B`` is its bit length plus a sign bit, in whole bytes.
+The cost follows the slot count, not the nonzero terms, so a short word on
+many generators is slower than a sparse product would be.
+
+The deleted monomials form an ideal, and a distinct-index monomial has
+degree at most ``r``.  Below ``T = r`` the reduced expansion is the dense
+one, filtered (Milnor 1954).  From ``T >= r`` on, it is kept on sets of
+generators instead, ``sum_{k <= r} r!/(r-k)!`` slots in all: one packed
+integer per set ``S`` holds its ``|S|!`` orderings, the last letter most
+significant (an ordering's slot is the rank of its last letter in ``S``
+times ``(|S|-1)!`` plus the slot of the rest).  Modulo the ideal,
+``(1 + X_a)^e = 1 + e X_a`` for every integer ``e``, and the orderings of
+``S`` followed by ``a`` are one run of the block of ``S + {a}``; so a
+syllable ``x_a^e`` costs one shift-and-add per nonzero set without ``a``,
+at most ``2**(r-1)``.  The reduced coefficients are coefficients of the
+full expansion at truncation ``r``, so the same ``B`` holds.  At a low
+truncation on a wide support, sets would mean many small shifts where the
+dense kernel makes a few whole-block ones, which is why ``T < r`` stays
+dense.
 :func:`mu_coefficient` needs no expansion: one pass over the syllables,
-``O(syllables + k)`` for ``k`` indices (Fox 1953).
+``O(syllables + k)`` for ``k`` indices (Fox 1953).  Either decoder counts
+the letters of the nonzero terms before it builds a monomial.
 """
 
 from __future__ import annotations
@@ -47,13 +60,6 @@ from math import comb, log2
 from typing import Mapping, Sequence
 
 from . import _Frozen, _unwritable
-from .simplicial import (
-    VARIANT_ETA_DEGREE3,
-    VARIANT_ETA_DEGREE4,
-    SimplicialElement,
-    eta_tower,
-    is_cycle,
-)
 from .words import Word
 
 __all__ = [
@@ -67,14 +73,20 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 
-#: Most coefficient slots a dense expansion may hold, ``B / 8`` bytes each; the
-#: largest in use, ``eta_tower(5)`` at truncation 7, holds 97,656 of 7 bytes.
+#: Most coefficient slots an expansion may hold, ``B / 8`` bytes each; the
+#: largest in use, ``eta_tower(5)`` at truncation 7, holds 97,656 of 7 bytes,
+#: and the largest on sets, ``eta_tower(7)`` at 7, holds 13,700 of 10 bytes.
+#: On sets, ``r <= 10`` fits at any truncation (``r = 10`` takes 9,864,101).
 _MAX_SLOTS = 2**24
 
 #: Most bytes those slots may take: ``B`` grows with the logarithm of the
 #: exponents, so few slots can still be large.  The largest expansion in use
 #: takes 683,592 bytes.
 _MAX_BYTES = 2**26
+
+#: Most letters the monomials of an expansion's nonzero terms may hold in all,
+#: counted from the nonzero fields before any monomial is built.
+_MAX_LETTERS = 2**24
 
 
 def _has_repeat(monomial: Monomial) -> bool:
@@ -132,17 +144,62 @@ class MagnusSeries(_Frozen):
         return _format_terms(self.terms)
 
 
-def _check_bytes(slots: int, bits: int, least: str) -> int:
+def _check_bytes(slots: int, bits: int, least: str, layout: str) -> int:
     """The field width for coefficients of ``bits`` bits, after checking
     that ``slots`` fields of it fit :data:`_MAX_BYTES`; ``least`` prefixes
     the sizes in the refusal when ``bits`` is only a lower bound."""
     width = (bits + 8) // 8 * 8  # a sign bit, in whole bytes
     if slots * width // 8 > _MAX_BYTES:
         raise ValueError(
-            f"dense Magnus expansion needs {least}{slots * width // 8} bytes ({slots} "
+            f"{layout} Magnus expansion needs {least}{slots * width // 8} bytes ({slots} "
             f"coefficient slots of {least}{width} bits); the limit is {_MAX_BYTES}"
         )
     return width
+
+
+def _check_slots(slots: int, over: bool, r: int, truncation: int, layout: str) -> None:
+    if slots > _MAX_SLOTS:
+        raise ValueError(
+            f"{layout} Magnus expansion needs {'over ' if over else ''}{slots} coefficient "
+            f"slots ({r} generators, truncation {truncation}); the limit is {_MAX_SLOTS}"
+        )
+
+
+def _field_width(w: Word, degree: int, slots: int, layout: str) -> int:
+    """The width of ``slots`` fields holding coefficients of ``w``'s
+    expansion in degrees up to ``degree``, after the byte check."""
+    # the coefficient bound C(E + T - 1, T) plus a sign bit, in whole bytes.
+    # Computing it exactly takes time that grows with k = min(T, E - 1), so
+    # past k = 64 its bit length is first bounded below by C(n, k) >= (n/k)^k,
+    # less two bits for rounding, and a width over the limit by that bound is
+    # refused before the exact value
+    n, k = w.length + degree - 1, min(degree, w.length - 1)
+    if k > 64:
+        _check_bytes(slots, max(0, int(k * (log2(n) - log2(k))) - 1), "at least ", layout)
+    bound = comb(n, degree) if w.syllables else 0
+    return _check_bytes(slots, bound.bit_length(), "", layout)
+
+
+def _nonzero_fields(block: int, count: int, width: int) -> list[tuple[int, int]]:
+    """The nonzero fields ``(i, v_i)`` of a block of ``count`` fields."""
+    size, half = width // 8, 1 << (width - 1)
+    zero = half.to_bytes(size, "little")  # a zero field, biased by half
+    data = (block + int.from_bytes(zero * count, "little")).to_bytes(size * count, "little")
+    return [
+        (at // size, int.from_bytes(chunk, "little") - half)
+        for at in range(0, len(data), size)
+        if (chunk := data[at : at + size]) != zero
+    ]
+
+
+def _check_letters(found: list[tuple[int, list[tuple[int, int]]]]) -> None:
+    """Refuse, before any monomial is built, nonzero fields ``(degree,
+    fields)`` whose monomials hold more than :data:`_MAX_LETTERS` letters."""
+    letters = sum(d * len(fields) for d, fields in found)
+    if letters > _MAX_LETTERS:
+        terms = sum(len(fields) for _, fields in found)
+        raise ValueError(f"Magnus expansion has {terms} terms of {letters} letters in all; "
+                         f"the limit is {_MAX_LETTERS}")
 
 
 def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[int]]:
@@ -161,22 +218,8 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[
     # is only a lower bound (it is cheap and already above the limit)
     top = min(truncation, 64)
     slots = truncation + 1 if r < 2 else (r ** (top + 1) - 1) // (r - 1)
-    if slots > _MAX_SLOTS:
-        raise ValueError(
-            f"dense Magnus expansion needs {'over ' if top < truncation else ''}"
-            f"{slots} coefficient slots ({r} generators, truncation {truncation}); "
-            f"the limit is {_MAX_SLOTS}"
-        )
-    # the coefficient bound C(E + T - 1, T) plus a sign bit, in whole bytes.
-    # Computing it exactly takes time that grows with k = min(T, E - 1), so
-    # past k = 64 its bit length is first bounded below by C(n, k) >= (n/k)^k,
-    # less two bits for rounding, and a width over the limit by that bound is
-    # refused before the exact value
-    n, k = w.length + truncation - 1, min(truncation, w.length - 1)
-    if k > 64:
-        _check_bytes(slots, max(0, int(k * (log2(n) - log2(k))) - 1), "at least ")
-    bound = comb(n, truncation) if w.syllables else 0
-    width = _check_bytes(slots, bound.bit_length(), "")
+    _check_slots(slots, top < truncation, r, truncation, "dense")
+    width = _field_width(w, truncation, slots, "dense")
     # ones[m] = sum_{i < m} r**i; X_a^j adds a * (ones[d] - ones[d - j]) to the
     # slot of a degree d - j monomial.  Degree T is kept as r sub-blocks
     # tops[a] of r**(T-1) slots, one per last letter a (the most significant
@@ -218,34 +261,91 @@ def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     sends the identity to 1.
     """
     support, width, blocks = _dense_blocks(w, truncation)
-    r, size, half = len(support), width // 8, 1 << (width - 1)
-    zero = half.to_bytes(size, "little")  # a zero field, biased by half
+    r = len(support)
+    found = [(d, _nonzero_fields(block, r**d, width)) for d, block in enumerate(blocks) if block]
+    _check_letters(found)
     terms: dict[Monomial, int] = {}
-    for d, block in enumerate(blocks):
-        if not block:
-            continue
-        data = (block + int.from_bytes(zero * r**d, "little")).to_bytes(size * r**d, "little")
-        strides = [size * r**k for k in range(d)]  # bytes per step of each digit
-        for at in range(0, len(data), size):
-            if (chunk := data[at : at + size]) != zero:
-                monomial = tuple([support[at // stride % r] for stride in strides])
-                terms[monomial] = int.from_bytes(chunk, "little") - half
+    for d, fields in found:
+        powers = [r**k for k in range(d)]  # slots per step of each digit
+        for i, coeff in fields:
+            terms[tuple([support[i // power % r] for power in powers])] = coeff
     return MagnusSeries(truncation, terms)
+
+
+def _reduced_terms(w: Word, support: tuple[int, ...], truncation: int) -> dict[Monomial, int]:
+    """The reduced expansion of ``w`` on all distinct-index monomials, one
+    block per set of generators (see the module docstring); ``truncation``
+    is at least ``r`` and only named in a refusal."""
+    r = len(support)
+    factorial = [1]
+    for k in range(1, r + 1):
+        factorial.append(factorial[-1] * k)
+    # sum_k C(r, k) * k! fields: the orderings of every set
+    slots = sum(factorial[r] // factorial[r - k] for k in range(r + 1))
+    _check_slots(slots, False, r, truncation, "reduced")
+    width = _field_width(w, r, slots, "reduced")
+    # x_a^e is 1 + e X_a modulo repeated indices: each set S without a adds
+    # e times its orderings, followed by a, to the run of S + {a} whose last
+    # letter has rank rank(a) there.  Sets are bit masks over the support
+    steps = {}
+    for a, index in enumerate(support):
+        bit = 1 << a
+        steps[index] = [
+            (s, s | bit, width * factorial[s.bit_count()] * (s & (bit - 1)).bit_count())
+            for s in range(1 << r)
+            if not s & bit
+        ]
+    blocks = [1] + [0] * ((1 << r) - 1)
+    for index, exponent in w.syllables:
+        # the targets all hold a and the sources do not: any order will do.
+        # Exponents +-1 skip the multiplication (a quarter of the time on
+        # the tower words, whose exponents are all +-1)
+        if exponent == 1:
+            for source, target, shift in steps[index]:
+                if block := blocks[source]:
+                    blocks[target] += block << shift
+        elif exponent == -1:
+            for source, target, shift in steps[index]:
+                if block := blocks[source]:
+                    blocks[target] -= block << shift
+        else:
+            for source, target, shift in steps[index]:
+                if block := blocks[source]:
+                    blocks[target] += exponent * (block << shift)
+    found = [(s, _nonzero_fields(block, factorial[s.bit_count()], width))
+             for s, block in enumerate(blocks) if block]
+    _check_letters([(s.bit_count(), fields) for s, fields in found])
+    terms: dict[Monomial, int] = {}
+    for s, fields in found:
+        members = [index for a, index in enumerate(support) if s >> a & 1]
+        for i, coeff in fields:
+            # slot i of a set of k + 1 holds the ordering whose last letter
+            # has rank i // k! in the set and whose rest has slot i % k!
+            left, monomial = members.copy(), []
+            for k in range(len(members) - 1, -1, -1):
+                rank, i = divmod(i, factorial[k])
+                monomial.append(left.pop(rank))
+            terms[tuple(reversed(monomial))] = coeff
+    return terms
 
 
 def reduced_expand(w: Word, truncation: int) -> MagnusSeries:
     """The Magnus expansion with repeated-index monomials deleted.
 
-    The full expansion at truncation ``min(truncation, r)`` on the word's
-    ``r`` generators, filtered: the deleted monomials form an ideal, and no
-    distinct-index monomial has degree above ``r``.
+    On the word's ``r`` generators no distinct-index monomial has degree
+    above ``r``.  From ``truncation >= r`` on, the expansion is computed on
+    sets of generators; below it, it is the dense expansion filtered, as
+    the deleted monomials form an ideal.
     """
-    r = len({index for index, _ in w.syllables})
-    # the identity has no generators, but a dense expansion needs degree 1
-    terms = magnus_expand(w, min(truncation, max(r, 1))).terms
-    return MagnusSeries(
-        truncation, {m: c for m, c in terms.items() if not _has_repeat(m)}
-    )
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    support = tuple(sorted({index for index, _ in w.syllables}))
+    if truncation < len(support):
+        terms = magnus_expand(w, truncation).terms
+        terms = {m: c for m, c in terms.items() if not _has_repeat(m)}
+    else:
+        terms = _reduced_terms(w, support, truncation)
+    return MagnusSeries(truncation, terms)
 
 
 def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
@@ -335,10 +435,9 @@ class InvisibilityReport(_Frozen):
         return out
 
 
-def _invisibility_checks(e: SimplicialElement, n: int) -> tuple[CheckResult, ...]:
-    cycle = is_cycle(e)
-    bound = gamma_class_lower_bound(e.word, n - 1)
-    reduced = reduced_expand(e.word, n - 1)
+def _invisibility_checks(w: Word, cycle: bool, n: int) -> tuple[CheckResult, ...]:
+    bound = gamma_class_lower_bound(w, n - 1)
+    reduced = reduced_expand(w, n - 1)
     return (
         CheckResult(
             "moore cycle",
@@ -371,12 +470,16 @@ def milnor_invisibility_report(n: int) -> InvisibilityReport:
     Contrast with the 2-generator commutator at ``n = 3``, which the
     length-2 coefficient detects (see :func:`mu_coefficient`).
     """
+    # the only use of the simplicial layer here, so that expanding a word
+    # does not load it
+    from .simplicial import VARIANT_ETA_DEGREE3, VARIANT_ETA_DEGREE4, eta_tower, is_cycle
+
     if n not in (4, 5):
         raise ValueError(f"unsupported link size {n}; expected 4 or 5")
     tower = eta_tower(n - 1)
     variant = VARIANT_ETA_DEGREE3 if n == 4 else VARIANT_ETA_DEGREE4
     return InvisibilityReport(
         link_size=n,
-        checks=_invisibility_checks(tower, n),
-        variant_checks=_invisibility_checks(variant, n),
+        checks=_invisibility_checks(tower.word, is_cycle(tower), n),
+        variant_checks=_invisibility_checks(variant.word, is_cycle(variant), n),
     )

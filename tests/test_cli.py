@@ -573,6 +573,12 @@ BUDGET_CASES = {
         "coefficient slots of at least 3459432 bits); the limit is 67108864\n", 1),
     "gamma-width-bound": (("magnus", "gamma", "x1^1000000", "--trunc", "10000000"), None,
                           0, "1\n", "", 1),
+    # 30,001 slots of one byte, but their monomials would hold 450,015,000
+    # letters: counted from the nonzero fields before any is built
+    "expand-decoded-letters": (
+        ("magnus", "expand", "x1^-1", "--trunc", "30000"), None, EXIT_INPUT, "",
+        "error: Magnus expansion has 30001 terms of 450015000 letters in all; "
+        "the limit is 16777216\n", 1),
     # values the program builds past the int/str digit limit cannot be written
     "word-output-digits": (
         ("word", "parse", f"((x1^{'9' * 4000})^{'9' * 4000})"), None,
@@ -633,7 +639,7 @@ finally:
       "--sub", "full"), {"homotopy", "links"}),
     (("spheres", "wedge", "3", "2,2"), {"homotopy"}),
     # both read integer tokens: a reader kept in a layer would load it here
-    (("magnus", "mu", "[x1,x2]", "1,2"), {"words", "simplicial", "magnus"}),
+    (("magnus", "mu", "[x1,x2]", "1,2"), {"words", "magnus"}),
     (("link", "chi2", "--profile", "tests/data/hopf3.lnk", "1", "2"), {"homotopy", "links"}),
 ], ids=["word", "hatf", "magnus", "link", "spheres", "magnus-mu", "link-chi2"])
 def test_each_subcommand_loads_only_its_layers(argv, layers):
@@ -686,7 +692,7 @@ def test_package_namespace_is_every_layers_public_names():
 @pytest.mark.parametrize("module, layers", [
     ("words", {"words"}),
     ("simplicial", {"words", "simplicial"}),
-    ("magnus", {"words", "simplicial", "magnus"}),
+    ("magnus", {"words", "magnus"}),
     ("homotopy", {"homotopy"}),
     ("links", {"homotopy", "links"}),
     ("cli", set()),

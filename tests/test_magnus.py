@@ -1,5 +1,6 @@
 import random
-from itertools import product
+import time
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -18,7 +19,9 @@ from linkhomotopy import (
     parse_word,
     reduce_word,
     reduced_expand,
+    symmetric_commutator_sample,
 )
+from linkhomotopy import magnus
 from conftest import oracle_multiply, random_syllables, random_word
 
 x1, x2, x3 = generator(1), generator(2), generator(3)
@@ -237,10 +240,81 @@ def test_reduced_expand_examples():
 
 
 def test_reduced_expand_equals_filtered_full_expansion():
-    for w, k in _family_cases(61):
-        full = magnus_expand(w, k).terms
-        filtered = {m: c for m, c in full.items() if len(set(m)) == len(m)}
-        assert reduced_expand(w, k).terms == filtered
+    # below T = r the reduced expansion is the dense one filtered; from T = r
+    # on it is kept on sets of generators, against the dense expansion at
+    # truncation r, filtered, on the families, one-generator words and 1
+    rng = random.Random(71)
+    cases = list(_family_cases(61))
+    cases += [(generator(g, e), 1) for g in (1, 4, 9) for e in (1, -1, 2, -6, 10**20)]
+    cases += [(random_word(rng, 1, 6, 6), 1) for _ in range(20)] + [(parse_word(""), 1)]
+    for w, k in cases:
+        r = len({index for index, _ in w.syllables})
+        for t in {k, max(r, 1), r + 2}:
+            full = magnus_expand(w, min(t, max(r, 1))).terms
+            filtered = MagnusSeries(t, {m: c for m, c in full.items() if len(set(m)) == len(m)})
+            assert reduced_expand(w, t) == filtered
+            assert str(reduced_expand(w, t)) == str(filtered)
+
+
+def test_reduced_expand_on_eight_generators():
+    # 109,601 slots on sets, where the dense layout needs 19,173,961
+    eight = parse_word(" ".join(f"x{i}" for i in range(1, 9)))
+    with pytest.raises(ValueError, match="dense Magnus expansion needs 19173961"):
+        magnus_expand(eight, 8)
+    expected = {}
+    for mask in range(1 << 8):
+        expected[tuple(i + 1 for i in range(8) if mask >> i & 1)] = 1
+    assert reduced_expand(eight, 8).terms == expected
+
+
+def test_reduced_expand_refuses_eleven_generators():
+    eleven = parse_word(" ".join(f"x{i}" for i in range(1, 12)))
+    with pytest.raises(ValueError, match=(
+            r"^reduced Magnus expansion needs 108505112 coefficient slots "
+            r"\(11 generators, truncation 12\); the limit is 16777216$")):
+        reduced_expand(eleven, 12)
+
+
+def test_reduced_expand_towers_are_trivial():
+    # the invisibility corollary at every truncation up to r = k; the dense
+    # filter took 12 s of CPU on k = 7, sets take well under one
+    start = time.process_time()
+    for k in (5, 6, 7):
+        assert reduced_expand(eta_tower(k).word, k).is_one
+    assert time.process_time() - start < 2
+
+
+def test_mu_coefficient_matches_every_distinct_index_monomial():
+    # the one-monomial Fox pass against the set layout, on every ordering of
+    # every set of generators; the products with a random word make the
+    # coefficients nonzero, as the cycles alone lie too deep
+    rng = random.Random(73)
+    for d in (3, 4, 5):
+        for _ in range(4):
+            e = symmetric_commutator_sample(d, rng.randrange(10**12))
+            for w in (e.word, e.word * random_word(rng, d, 8, 3)):
+                reduced = reduced_expand(w, d).terms
+                seen = 0
+                for k in range(1, d + 1):
+                    for indices in permutations(range(1, d + 1), k):
+                        mu = mu_coefficient(w, indices)
+                        assert mu == reduced.get(indices, 0)
+                        seen += mu != 0
+                assert seen == len(reduced) - 1
+
+
+def test_letter_budget_refuses_before_decoding(monkeypatch):
+    # x1 x2 x3 has 7 dense terms of 9 letters at truncation 2 and 8 reduced
+    # terms of 12 letters on sets: either decoder counts them first
+    w = parse_word("x1 x2 x3")
+    monkeypatch.setattr(magnus, "_MAX_LETTERS", 8)
+    for t, terms, letters in ((2, 7, 9), (3, 8, 12)):
+        with pytest.raises(ValueError, match=(
+                f"^Magnus expansion has {terms} terms of {letters} letters in all; "
+                "the limit is 8$")):
+            reduced_expand(w, t)
+    monkeypatch.setattr(magnus, "_MAX_LETTERS", 12)
+    assert len(reduced_expand(w, 3).terms) == 8
 
 
 def test_mu_coefficient_detects_commutator_powers():

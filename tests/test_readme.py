@@ -67,6 +67,7 @@ LIMITS = {
     "homotopy._MAX_LYNDON_WEIGHTS": lambda v: f"more than {power(v)} sphere dimensions ({v:,})",
     "magnus._MAX_SLOTS": lambda v: f"more than {power(v)} slots ({v:,})",
     "magnus._MAX_BYTES": lambda v: f"more than {power(v)} bytes ({v // 2**20} MiB)",
+    "magnus._MAX_LETTERS": lambda v: f"decode to more than {power(v)} letters ({v:,})",
     "links._MAX_PRESET_COMPONENTS": lambda v: f"takes at most {v} components",
     "words._MAX_NESTING": lambda v: f"nest at most {v} levels deep",
     "words._MAX_SYLLABLES": lambda v: f"more than {power(v)} syllables ({v:,})",
