@@ -16,23 +16,25 @@ the quotient of the group by the commutators of each meridian closure with
 itself, while vanishing up to a truncation certifies nothing.
 
 Expansions are computed densely (Magnus-Karrass-Solitar, ch. 5): on ``r``
-generators, degree ``d`` has ``r**d`` slots packed into one exact integer
-``sum_i v_i * 2**(B*i)`` (Kronecker substitution), ``sum_{d <= T} r**d``
-slots in all.  Slot ``i`` holds ``(g[i_0], ..., g[i_{d-1}])`` for the
+generators, degree ``d`` has ``r**d`` slots, ``sum_{d <= T} r**d`` in all,
+packed into exact integers ``sum_i v_i * 2**(B*i)`` (Kronecker
+substitution).  Slot ``i`` holds ``(g[i_0], ..., g[i_{d-1}])`` for the
 word's generators ``g`` in increasing order and the base-``r`` digits
 ``i_0, i_1, ...`` of ``i``, least significant first; only nonzero fields
-are decoded into monomials.  A syllable ``x_a^e`` costs one shift-and-add
-per degree and binomial term, at most ``T`` terms however large ``|e|``
-is.  Below the top degree ``T`` these act on whole blocks.  Degree ``T``
-is kept as ``r`` sub-blocks, one per last letter: the last letter is the
-most significant digit, so sub-block ``a`` is the ``a``-th run of
-``r**(T-1)`` slots, the only run that ``x_a^e`` changes, and the
-sub-blocks are joined once at the end.  So a top-degree term touches
-``r**(T-1)`` slots, not ``r**T``.  As ``|C(e, j)| <= [t^j] (1-t)^-|e|``,
-no coefficient of a word of ``E`` letters exceeds ``C(E + T - 1, T)`` in
-absolute value; ``B`` is its bit length plus a sign bit, in whole bytes.
-The cost follows the slot count, not the nonzero terms, so a short word on
-many generators is slower than a sparse product would be.
+are decoded into monomials.  Degrees up to ``m = max(1, T - 2)`` are one
+integer each, and a higher degree ``d`` is ``r**(d-m)`` chunks of
+``r**m`` slots, keyed by the last ``d - m`` letters.  A syllable ``x_a^e``
+costs at most ``T`` binomial terms however large ``|e|`` is.  The term
+``X_a^j`` appends ``j`` letters ``a``: it adds each chunk of degree ``d -
+j`` unshifted onto one chunk of degree ``d``, and a whole lower degree
+shifted inside one chunk; chunks that are still zero are skipped.  So a
+term touches about ``r**(T-1) * (r+1)/(r-1)`` slots, where rewriting whole
+degrees would touch ``sum_{d <= T} r**d``.  As ``|C(e, j)| <= [t^j]
+(1-t)^-|e|``, no coefficient of a word of ``E`` letters exceeds ``C(E + T
+- 1, T)`` in absolute value; ``B`` is its bit length plus a sign bit, in
+whole bytes.  The cost follows the slots of the nonzero chunks, not the
+nonzero terms, so a short word on many generators is slower than a sparse
+product would be.
 
 The deleted monomials form an ideal, and a distinct-index monomial has
 degree at most ``r``.  Below ``T = r`` the reduced expansion is the dense
@@ -56,7 +58,8 @@ the letters of the nonzero terms before it builds a monomial.
 
 from __future__ import annotations
 
-from math import comb, log2
+from math import comb, isqrt, log2
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from . import _Frozen, _unwritable
@@ -74,14 +77,16 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 #: Most coefficient slots an expansion may hold, ``B / 8`` bytes each; the
-#: largest in use, ``eta_tower(5)`` at truncation 7, holds 97,656 of 7 bytes,
-#: and the largest on sets, ``eta_tower(7)`` at 7, holds 13,700 of 10 bytes.
-#: On sets, ``r <= 10`` fits at any truncation (``r = 10`` takes 9,864,101).
+#: largest in use, ``eta_tower(5)`` at truncation 7, holds 97,656 of 7 bytes
+#: in chunks of 3,125, of which a syllable ``x_a^+-1`` touches at most
+#: 22,655; the largest on sets, ``eta_tower(7)`` at 7, holds 13,700 of 10
+#: bytes.  On sets, ``r <= 10`` fits at any truncation (``r = 10`` takes
+#: 9,864,101).
 _MAX_SLOTS = 2**24
 
 #: Most bytes those slots may take: ``B`` grows with the logarithm of the
 #: exponents, so few slots can still be large.  The largest expansion in use
-#: takes 683,592 bytes.
+#: takes 683,592 bytes, 21,875 per chunk.
 _MAX_BYTES = 2**26
 
 #: Most letters the monomials of an expansion's nonzero terms may hold in all,
@@ -181,13 +186,18 @@ def _field_width(w: Word, degree: int, slots: int, layout: str) -> int:
 
 
 def _nonzero_fields(block: int, count: int, width: int) -> list[tuple[int, int]]:
-    """The nonzero fields ``(i, v_i)`` of a block of ``count`` fields."""
+    """The nonzero fields ``(i, v_i)`` of a block of ``count`` fields, in
+    order; runs of ``isqrt(count)`` fields that are all zero are skipped
+    with one comparison each."""
     size, half = width // 8, 1 << (width - 1)
     zero = half.to_bytes(size, "little")  # a zero field, biased by half
     data = (block + int.from_bytes(zero * count, "little")).to_bytes(size * count, "little")
+    run = zero * isqrt(count)
     return [
         (at // size, int.from_bytes(chunk, "little") - half)
-        for at in range(0, len(data), size)
+        for start in range(0, len(data), len(run))
+        if data[start : start + len(run)] != run  # the last run may be short
+        for at in range(start, min(start + len(run), len(data)), size)
         if (chunk := data[at : at + size]) != zero
     ]
 
@@ -202,56 +212,60 @@ def _check_letters(found: list[tuple[int, list[tuple[int, int]]]]) -> None:
                          f"the limit is {_MAX_LETTERS}")
 
 
-def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, list[int]]:
-    """Coefficients of ``w``'s expansion as ``(support, width, blocks)``.
+def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, int, list[list[int]]]:
+    """Coefficients of ``w``'s expansion as ``(support, width, m, blocks)``.
 
     ``support`` is the sorted tuple of the ``r`` generators of ``w`` and
-    ``blocks[d]`` is ``sum_i v_i * 2**(width * i)`` with every ``|v_i| <
-    2**(width - 1)``, ``v_i`` the coefficient of slot ``i``'s monomial (see
-    the module docstring).
+    ``blocks[d][c]`` is ``sum_i v_i * 2**(width * i)`` with every ``|v_i| <
+    2**(width - 1)``, ``v_i`` the coefficient of slot ``c * r**m + i``'s
+    monomial in degree ``d`` (see the module docstring).
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     support = tuple(sorted({index for index, _ in w.syllables}))
     r = len(support)
-    # sum_{d <= T} r**d slots, one block per degree; past degree 64 the count
-    # is only a lower bound (it is cheap and already above the limit)
+    # sum_{d <= T} r**d slots; past degree 64 the count is only a lower bound
+    # (it is cheap and already above the limit)
     top = min(truncation, 64)
     slots = truncation + 1 if r < 2 else (r ** (top + 1) - 1) // (r - 1)
     _check_slots(slots, top < truncation, r, truncation, "dense")
     width = _field_width(w, truncation, slots, "dense")
-    # ones[m] = sum_{i < m} r**i; X_a^j adds a * (ones[d] - ones[d - j]) to the
-    # slot of a degree d - j monomial.  Degree T is kept as r sub-blocks
-    # tops[a] of r**(T-1) slots, one per last letter a (the most significant
-    # digit), so its offset drops that digit: ones[T] = ones[T - 1]
+    # ones[n] = sum_{i < n} r**i.  X_a^j moves slot s of degree d - j by
+    # a * (ones[d] - ones[d - j]) slots, whole chunks of r**m and a shift that
+    # stays inside one (nothing when d - j >= m)
+    m = max(1, truncation - 2)
     ones = [0]
-    for _ in range(truncation - 1):
+    for _ in range(truncation):
         ones.append(ones[-1] * r + 1)
-    ones.append(ones[-1])
-    letter = {index: (a, width * a) for a, index in enumerate(support)}
-    blocks = [1] + [0] * truncation
-    tops = [0] * r
-    descending, ascending = range(truncation, 0, -1), range(1, truncation + 1)
+    letter = {index: a for a, index in enumerate(support)}
+    blocks = [[1]] + [[0] * r ** max(0, d - m) for d in range(1, truncation + 1)]
+    # the moves of each letter and signed k are kept: a word on one generator
+    # is one syllable, and on more T <= 23 (slot limit), so at most T**2 moves
+    plans: dict[tuple[int, int], list] = {}
     for index, exponent in w.syllables:
-        (a, shift), k = letter[index], abs(exponent)
-        coeffs = [comb(k, j) for j in range(min(k, truncation) + 1)]
-        blocks[truncation] = tops[a]
-        # multiplying by (1 + X_a)^k reads the old lower blocks, so degrees
+        # multiplying by (1 + X_a)^k reads the old lower degrees, so degrees
         # descend; dividing by it reads the new ones, so they ascend
-        for d in ascending if exponent < 0 else descending:
-            block = blocks[d]
-            for j in range(1, min(d, k) + 1):
-                term = blocks[d - j] << shift * (ones[d] - ones[d - j])
-                term = term if coeffs[j] == 1 else coeffs[j] * term
-                block = block + term if exponent > 0 else block - term
-            blocks[d] = block
-        tops[a] = blocks[truncation]
-    # join the sub-blocks: tops[a] starts at slot a * r**(T-1)
-    run, top = width * r ** (truncation - 1), 0
-    while tops:
-        top = (top << run) + tops.pop()
-    blocks[truncation] = top
-    return support, width, blocks
+        a, k = letter[index], min(abs(exponent), truncation)
+        if (plan := plans.get(key := (a, k if exponent > 0 else -k))) is None:
+            plan = ((blocks[d], blocks[d - j],
+                     *divmod(width * a * (ones[d] - ones[d - j]), width * r**m), j)
+                    for d in (range(1, truncation + 1) if exponent < 0 else range(truncation, 0, -1))
+                    for j in range(1, min(d, k) + 1))
+            if r > 1:
+                plan = plans[key] = list(plan)
+        if abs(exponent) == 1:
+            step = add if exponent > 0 else sub
+            for target, source, hop, shift, _ in plan:
+                for c, block in enumerate(source, hop):
+                    if block:
+                        target[c] = step(target[c], block << shift)
+        else:
+            coeffs = [comb(abs(exponent), j) * (1 if exponent > 0 else -1) for j in range(k + 1)]
+            for target, source, hop, shift, j in plan:
+                for c, block in enumerate(source, hop):
+                    if block:
+                        target[c] += coeffs[j] * (block << shift)
+    return support, width, m, blocks
 
 
 def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
@@ -260,9 +274,12 @@ def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     Multiplicative (``expand(uv) = expand(u) expand(v)`` truncated) and
     sends the identity to 1.
     """
-    support, width, blocks = _dense_blocks(w, truncation)
+    support, width, m, blocks = _dense_blocks(w, truncation)
     r = len(support)
-    found = [(d, _nonzero_fields(block, r**d, width)) for d, block in enumerate(blocks) if block]
+    # degree d has chunks of r**min(d, m) fields; only the nonzero ones are read
+    found = [(d, [(c * r ** min(d, m) + i, coeff) for c, chunk in enumerate(chunks) if chunk
+                  for i, coeff in _nonzero_fields(chunk, r ** min(d, m), width)])
+             for d, chunks in enumerate(blocks)]
     _check_letters(found)
     terms: dict[Monomial, int] = {}
     for d, fields in found:
@@ -362,17 +379,17 @@ def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     try:
-        _, _, blocks = _dense_blocks(w, max_degree)
+        blocks = _dense_blocks(w, max_degree)[3]
     except ValueError as refusal:
         # the identity has no nonzero degree to find at any truncation
         for d in range(1, max_degree if w.syllables else 1):
             try:
-                if _dense_blocks(w, d)[2][d]:
+                if any(_dense_blocks(w, d)[3][d]):
                     return d
             except ValueError:
                 raise refusal from None
         raise
-    return next((d for d in range(1, max_degree + 1) if blocks[d]), None)
+    return next((d for d in range(1, max_degree + 1) if any(blocks[d])), None)
 
 
 def mu_coefficient(w: Word, indices: Sequence[int]) -> int:

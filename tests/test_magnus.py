@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -17,6 +17,7 @@ from linkhomotopy import (
     milnor_invisibility_report,
     mu_coefficient,
     parse_word,
+    prefix_product,
     reduce_word,
     reduced_expand,
     symmetric_commutator_sample,
@@ -199,11 +200,46 @@ def test_series_validation_and_errors():
 
 
 def test_tower4_degree8_term_count():
-    # the top block is kept per last letter and joined once; every one of
-    # its nonzero terms comes back
+    # degree 8 is kept as 16 chunks of 4**6 slots; every one of its nonzero
+    # terms comes back, in slot order (the last letter most significant)
     terms = magnus_expand(eta_tower(4).word, 8).terms
     assert sum(len(m) == 8 for m in terms) == 6144
     assert all(len(m) in (0, 8) for m in terms)
+    assert list(terms) == sorted(terms, key=lambda m: (len(m), m[::-1]))
+
+
+def _chunk_cases():
+    # degrees above m = max(1, T - 2) are chunks of r**m slots.  Exponents up
+    # to +-9 give terms X_a^j with j up to T, so a degree d above m takes a
+    # whole degree d - j < m shifted inside one chunk, degree m unshifted and
+    # the chunks of a degree d - j > m, on the multiplying (descending) and
+    # the dividing (ascending) pass; each word comes with its inverse, so
+    # every letter gets both signs
+    exponents = (-9, 8, -7, 9, -5, 6)
+    for r in (1, 2, 3, 4):
+        support = (2, 3, 5, 8)[:r]
+        w = reduce_word([(support[i % r], e) for i, e in enumerate(exponents[: r + 2])])
+        for t in (5, 6, 7, 8):
+            yield w, t
+            yield w ** -1, t
+    for t in (5, 6, 7, 8):
+        yield parse_word(""), t
+
+
+def test_chunk_boundaries_match_the_oracles():
+    for w, t in _chunk_cases():
+        # the closed form (1 + X_g)^e of each syllable, multiplied as dicts
+        expected = {(): 1}
+        for g, e in w.syllables:
+            expected = oracle_multiply(
+                expected, {(g,) * j: _binomial(e, j) for j in range(t + 1)}, t)
+        assert magnus_expand(w, t).terms == expected
+        if t <= 6:
+            assert oracle_expand(w, t) == expected
+    for t in (4, 5, 6, 7):
+        assert gamma_class_lower_bound(eta_tower(3).word, t) == 4
+    for t in (5, 6, 7):
+        assert gamma_class_lower_bound(eta_tower(4).word, t) is None
 
 
 def test_gamma_bound_examples():
@@ -265,6 +301,22 @@ def test_reduced_expand_on_eight_generators():
     for mask in range(1 << 8):
         expected[tuple(i + 1 for i in range(8) if mask >> i & 1)] = 1
     assert reduced_expand(eight, 8).terms == expected
+
+
+def test_reduced_decode_skips_zero_runs():
+    # x1 ... x10 has one nonzero ordering per set of generators, 1,024 terms
+    # in 9,864,101 slots: the decoder skips runs of zero fields whole (1.5 s
+    # of CPU when it read every field)
+    start = time.process_time()
+    terms = reduced_expand(prefix_product(10), 10).terms
+    assert time.process_time() - start < 1
+    increasing = [m for k in range(11) for m in combinations(range(1, 11), k)]
+    assert terms == dict.fromkeys(increasing, 1)
+    # decoded set by set, in the order of their bit masks
+    assert list(terms) == sorted(increasing, key=lambda m: sum(1 << i for i in m))
+    nine = [m for k in range(1, 10) for m in combinations(range(1, 10), k)]
+    assert str(reduced_expand(prefix_product(9), 9)) == " + ".join(
+        ["1"] + ["".join(f"X{i}" for i in m) for m in nine])
 
 
 def test_reduced_expand_refuses_eleven_generators():
