@@ -21,20 +21,17 @@ packed into exact integers ``sum_i v_i * 2**(B*i)`` (Kronecker
 substitution).  Slot ``i`` holds ``(g[i_0], ..., g[i_{d-1}])`` for the
 word's generators ``g`` in increasing order and the base-``r`` digits
 ``i_0, i_1, ...`` of ``i``, least significant first; only nonzero fields
-are decoded into monomials.  Degrees up to ``m = max(1, T - 2)`` are one
-integer each, and a higher degree ``d`` is ``r**(d-m)`` chunks of
-``r**m`` slots, keyed by the last ``d - m`` letters.  A syllable ``x_a^e``
-costs at most ``T`` binomial terms however large ``|e|`` is.  The term
-``X_a^j`` appends ``j`` letters ``a``: it adds each chunk of degree ``d -
-j`` unshifted onto one chunk of degree ``d``, and a whole lower degree
-shifted inside one chunk; chunks that are still zero are skipped.  So a
-term touches about ``r**(T-1) * (r+1)/(r-1)`` slots, where rewriting whole
-degrees would touch ``sum_{d <= T} r**d``.  As ``|C(e, j)| <= [t^j]
-(1-t)^-|e|``, no coefficient of a word of ``E`` letters exceeds ``C(E + T
-- 1, T)`` in absolute value; ``B`` is its bit length plus a sign bit, in
-whole bytes.  The cost follows the slots of the nonzero chunks, not the
-nonzero terms, so a short word on many generators is slower than a sparse
-product would be.
+are decoded into monomials.  Degree ``d`` is ``r**max(0, d-m)`` chunks of
+``r**min(d, m)`` slots, ``m = max(1, T - 2)``, keyed by its last letters.
+A syllable ``x_a^e`` costs at most ``T`` binomial terms however large
+``|e|`` is: ``X_a^j`` adds each nonzero chunk of degree ``d - j`` onto one
+chunk of degree ``d``, shifted inside it only when it is a whole lower
+degree, so a term touches about ``r**(T-1) * (r+1)/(r-1)`` slots, not
+``sum_{d <= T} r**d``.  As ``|C(e, j)| <= [t^j] (1-t)^-|e|``, no
+coefficient of a word of ``E`` letters exceeds ``C(E + T - 1, T)`` in
+absolute value; ``B`` is its bit length plus a sign bit, in whole bytes.
+The cost follows the slots of the nonzero chunks, not the nonzero terms, so
+a short word on many generators is slower than a sparse product would be.
 
 The deleted monomials form an ideal, and a distinct-index monomial has
 degree at most ``r``.  Below ``T = r`` the reduced expansion is the dense
@@ -58,9 +55,10 @@ the letters of the nonzero terms before it builds a monomial.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, isqrt, log2
 from operator import add, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import _Frozen, _unwritable
 from .words import Word
@@ -77,11 +75,9 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 #: Most coefficient slots an expansion may hold, ``B / 8`` bytes each; the
-#: largest in use, ``eta_tower(5)`` at truncation 7, holds 97,656 of 7 bytes
-#: in chunks of 3,125, of which a syllable ``x_a^+-1`` touches at most
-#: 22,655; the largest on sets, ``eta_tower(7)`` at 7, holds 13,700 of 10
-#: bytes.  On sets, ``r <= 10`` fits at any truncation (``r = 10`` takes
-#: 9,864,101).
+#: largest in use, ``eta_tower(5)`` at 7, holds 97,656 of 7 bytes (a syllable
+#: ``x_a^+-1`` touches 22,655), and the largest on sets, ``eta_tower(7)`` at 7,
+#: 13,700 of 10.  On sets, ``r <= 10`` fits at any truncation (9,864,101).
 _MAX_SLOTS = 2**24
 
 #: Most bytes those slots may take: ``B`` grows with the logarithm of the
@@ -187,8 +183,7 @@ def _field_width(w: Word, degree: int, slots: int, layout: str) -> int:
 
 def _nonzero_fields(block: int, count: int, width: int) -> list[tuple[int, int]]:
     """The nonzero fields ``(i, v_i)`` of a block of ``count`` fields, in
-    order; runs of ``isqrt(count)`` fields that are all zero are skipped
-    with one comparison each."""
+    order, skipping each run of ``isqrt(count)`` zero fields in one test."""
     size, half = width // 8, 1 << (width - 1)
     zero = half.to_bytes(size, "little")  # a zero field, biased by half
     data = (block + int.from_bytes(zero * count, "little")).to_bytes(size * count, "little")
@@ -212,13 +207,13 @@ def _check_letters(found: list[tuple[int, list[tuple[int, int]]]]) -> None:
                          f"the limit is {_MAX_LETTERS}")
 
 
-def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, int, list[list[int]]]:
+def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, int, Iterable[list]]:
     """Coefficients of ``w``'s expansion as ``(support, width, m, blocks)``.
 
-    ``support`` is the sorted tuple of the ``r`` generators of ``w`` and
-    ``blocks[d][c]`` is ``sum_i v_i * 2**(width * i)`` with every ``|v_i| <
-    2**(width - 1)``, ``v_i`` the coefficient of slot ``c * r**m + i``'s
-    monomial in degree ``d`` (see the module docstring).
+    ``support`` is the sorted tuple of the ``r`` generators of ``w``; ``blocks``
+    yields the chunks of degrees ``0, 1, ...`` up to ``T`` or the last nonzero
+    one, chunk ``c`` of degree ``d`` being ``sum_i v_i * 2**(width * i)`` with
+    ``|v_i| < 2**(width - 1)`` the coefficient of slot ``c * r**m + i``.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
@@ -230,41 +225,38 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, int, 
     slots = truncation + 1 if r < 2 else (r ** (top + 1) - 1) // (r - 1)
     _check_slots(slots, top < truncation, r, truncation, "dense")
     width = _field_width(w, truncation, slots, "dense")
+    m = max(1, truncation - 2)
+    if r < 2:
+        # one syllable x^e, or none: degree d's one slot holds C(e, d), yielded
+        # as found and none past d = e >= 0, as T may be in the millions
+        e = w.syllables[0][1] if r else 0
+        steps = range(truncation if e < 0 else min(e, truncation))
+        binomials = accumulate(steps, lambda c, d: c * (e - d) // (d + 1), initial=1)
+        return support, width, m, ([c] for c in binomials)
     # ones[n] = sum_{i < n} r**i.  X_a^j moves slot s of degree d - j by
     # a * (ones[d] - ones[d - j]) slots, whole chunks of r**m and a shift that
     # stays inside one (nothing when d - j >= m)
-    m = max(1, truncation - 2)
-    ones = [0]
-    for _ in range(truncation):
-        ones.append(ones[-1] * r + 1)
+    ones = [(r**n - 1) // (r - 1) for n in range(truncation + 1)]
     letter = {index: a for a, index in enumerate(support)}
     blocks = [[1]] + [[0] * r ** max(0, d - m) for d in range(1, truncation + 1)]
-    # the moves of each letter and signed k are kept: a word on one generator
-    # is one syllable, and on more T <= 23 (slot limit), so at most T**2 moves
+    # the moves of each letter and signed k, built once: T <= 23 (slot limit)
     plans: dict[tuple[int, int], list] = {}
     for index, exponent in w.syllables:
         # multiplying by (1 + X_a)^k reads the old lower degrees, so degrees
         # descend; dividing by it reads the new ones, so they ascend
         a, k = letter[index], min(abs(exponent), truncation)
         if (plan := plans.get(key := (a, k if exponent > 0 else -k))) is None:
-            plan = ((blocks[d], blocks[d - j],
-                     *divmod(width * a * (ones[d] - ones[d - j]), width * r**m), j)
-                    for d in (range(1, truncation + 1) if exponent < 0 else range(truncation, 0, -1))
-                    for j in range(1, min(d, k) + 1))
-            if r > 1:
-                plan = plans[key] = list(plan)
-        if abs(exponent) == 1:
-            step = add if exponent > 0 else sub
-            for target, source, hop, shift, _ in plan:
-                for c, block in enumerate(source, hop):
-                    if block:
-                        target[c] = step(target[c], block << shift)
-        else:
-            coeffs = [comb(abs(exponent), j) * (1 if exponent > 0 else -1) for j in range(k + 1)]
-            for target, source, hop, shift, j in plan:
-                for c, block in enumerate(source, hop):
-                    if block:
-                        target[c] += coeffs[j] * (block << shift)
+            plan = plans[key] = [
+                (blocks[d], blocks[d - j],
+                 *divmod(width * a * (ones[d] - ones[d - j]), width * r**m), j)
+                for d in (range(1, truncation + 1) if exponent < 0 else range(truncation, 0, -1))
+                for j in range(1, min(d, k) + 1)]
+        # the term X_a^j has coefficient C(|e|, j), which is 1 only at j = |e|
+        step, e = add if exponent > 0 else sub, abs(exponent)
+        for to, source, hop, shift, j in plan:
+            for c, block in enumerate(source, hop):
+                if block:
+                    to[c] = step(to[c], block << shift if j == e else comb(e, j) * block << shift)
     return support, width, m, blocks
 
 
@@ -279,7 +271,7 @@ def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     # degree d has chunks of r**min(d, m) fields; only the nonzero ones are read
     found = [(d, [(c * r ** min(d, m) + i, coeff) for c, chunk in enumerate(chunks) if chunk
                   for i, coeff in _nonzero_fields(chunk, r ** min(d, m), width)])
-             for d, chunks in enumerate(blocks)]
+             for d, chunks in enumerate(blocks) if any(chunks)]
     _check_letters(found)
     terms: dict[Monomial, int] = {}
     for d, fields in found:
@@ -381,15 +373,15 @@ def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
     try:
         blocks = _dense_blocks(w, max_degree)[3]
     except ValueError as refusal:
-        # the identity has no nonzero degree to find at any truncation
+        # the identity has no nonzero degree; those below d were zero before
         for d in range(1, max_degree if w.syllables else 1):
             try:
-                if any(_dense_blocks(w, d)[3][d]):
+                if any(map(any, list(_dense_blocks(w, d)[3])[1:])):
                     return d
             except ValueError:
                 raise refusal from None
         raise
-    return next((d for d in range(1, max_degree + 1) if any(blocks[d])), None)
+    return next((d for d, chunks in enumerate(blocks) if d and any(chunks)), None)
 
 
 def mu_coefficient(w: Word, indices: Sequence[int]) -> int:

@@ -579,6 +579,14 @@ BUDGET_CASES = {
         ("magnus", "expand", "x1^-1", "--trunc", "30000"), None, EXIT_INPUT, "",
         "error: Magnus expansion has 30001 terms of 450015000 letters in all; "
         "the limit is 16777216\n", 1),
+    # one generator: only the nonzero degrees are decoded, and the degrees
+    # are binomials found one at a time, none past the exponent, and never
+    # a list of millions
+    "expand-one-generator": (("magnus", "expand", "x1", "--trunc", "30000"), None,
+                             0, "1 + X1\n", "", 1),
+    "expand-one-generator-millions": (
+        ("magnus", "expand", "x1^2", "--trunc", "16000000"), None,
+        0, "1 + 2*X1 + X1X1\n", "", 1),
     # values the program builds past the int/str digit limit cannot be written
     "word-output-digits": (
         ("word", "parse", f"((x1^{'9' * 4000})^{'9' * 4000})"), None,

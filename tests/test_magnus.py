@@ -148,6 +148,22 @@ def test_expand_at_the_coefficient_bound():
             assert magnus_expand(generator(1, -k), t).terms == expected
 
 
+def test_one_generator_is_the_binomial_series():
+    # one syllable x_g^e expands as (1 + X_g)^e in closed form, and only the
+    # nonzero degrees are decoded (see BUDGET_CASES in test_cli.py for a
+    # truncation in the millions)
+    for e in (-3, -1, 1, 2, 5, 10**20):
+        for t in (1, 2, 5, 12):
+            expected = {(7,) * j: _binomial(e, j) for j in range(t + 1) if _binomial(e, j)}
+            assert magnus_expand(generator(7, e), t).terms == expected
+            assert gamma_class_lower_bound(generator(7, e), t) == 1
+    start = time.process_time()
+    assert str(magnus_expand(generator(1, 2), 20_000)) == "1 + 2*X1 + X1X1"
+    assert magnus_expand(parse_word(""), 20_000).is_one
+    assert gamma_class_lower_bound(generator(1, -1), 20_000) == 1
+    assert time.process_time() - start < 1
+
+
 def test_expand_large_exponents_in_closed_form():
     # a syllable costs at most t terms per degree however large |e| is; a
     # kernel that repeats a letter |e| times would not finish
