@@ -50,7 +50,8 @@ dense kernel makes a few whole-block ones, which is why ``T < r`` stays
 dense.
 :func:`mu_coefficient` needs no expansion: one pass over the syllables,
 ``O(syllables + k)`` for ``k`` indices (Fox 1953).  Either decoder counts
-the letters of the nonzero terms before it builds a monomial.
+the letters of the nonzero terms before it builds a monomial; on one
+generator they are counted in closed form before any degree is decoded.
 """
 
 from __future__ import annotations
@@ -197,12 +198,10 @@ def _nonzero_fields(block: int, count: int, width: int) -> list[tuple[int, int]]
     ]
 
 
-def _check_letters(found: list[tuple[int, list[tuple[int, int]]]]) -> None:
-    """Refuse, before any monomial is built, nonzero fields ``(degree,
-    fields)`` whose monomials hold more than :data:`_MAX_LETTERS` letters."""
-    letters = sum(d * len(fields) for d, fields in found)
+def _check_letters(terms: int, letters: int) -> None:
+    """Refuse, before any monomial is built, ``terms`` nonzero terms whose
+    monomials hold ``letters`` letters in all, past :data:`_MAX_LETTERS`."""
     if letters > _MAX_LETTERS:
-        terms = sum(len(fields) for _, fields in found)
         raise ValueError(f"Magnus expansion has {terms} terms of {letters} letters in all; "
                          f"the limit is {_MAX_LETTERS}")
 
@@ -268,11 +267,18 @@ def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     """
     support, width, m, blocks = _dense_blocks(w, truncation)
     r = len(support)
+    if r == 1:
+        # x^e is nonzero in degrees 0..D, D = T for e < 0 and min(e, T) else:
+        # counted in closed form, before any degree is decoded
+        e = w.syllables[0][1]
+        top = truncation if e < 0 else min(e, truncation)
+        _check_letters(top + 1, top * (top + 1) // 2)
     # degree d has chunks of r**min(d, m) fields; only the nonzero ones are read
     found = [(d, [(c * r ** min(d, m) + i, coeff) for c, chunk in enumerate(chunks) if chunk
                   for i, coeff in _nonzero_fields(chunk, r ** min(d, m), width)])
              for d, chunks in enumerate(blocks) if any(chunks)]
-    _check_letters(found)
+    _check_letters(sum(len(fields) for _, fields in found),
+                   sum(d * len(fields) for d, fields in found))
     terms: dict[Monomial, int] = {}
     for d, fields in found:
         powers = [r**k for k in range(d)]  # slots per step of each digit
@@ -323,7 +329,8 @@ def _reduced_terms(w: Word, support: tuple[int, ...], truncation: int) -> dict[M
                     blocks[target] += exponent * (block << shift)
     found = [(s, _nonzero_fields(block, factorial[s.bit_count()], width))
              for s, block in enumerate(blocks) if block]
-    _check_letters([(s.bit_count(), fields) for s, fields in found])
+    _check_letters(sum(len(fields) for _, fields in found),
+                   sum(s.bit_count() * len(fields) for s, fields in found))
     terms: dict[Monomial, int] = {}
     for s, fields in found:
         members = [index for a, index in enumerate(support) if s >> a & 1]

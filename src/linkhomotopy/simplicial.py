@@ -26,9 +26,11 @@ by :func:`eta_tower`.
 Validation happens where values enter: a direct ``SimplicialElement(...)``
 call checks the degree and the canonical generator range, :func:`element`
 checks its input word's range, and :func:`eta_word` checks that its input
-is a cycle.  Faces, degeneracies and the tower step build their canonical
-results directly, without re-checking them; the tests rebuild such results
-through ``SimplicialElement(...)`` to confirm the invariant.
+is a cycle.  Faces, degeneracies, the elimination of the last generator and
+the tower step build their canonical results directly, the element and its
+word in one unchecked step; the tests rebuild such results through
+``SimplicialElement(...)`` to confirm the invariant.  Element equality is
+structural on ``(degree, syllables)``.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ from math import factorial
 
 from . import _Frozen
 from .words import (
+    Syllable,
     Word,
     _check_syllables,
     _join,
     _push,
+    _set_syllables,
     _word,
     commutator,
     conjugate,
@@ -95,7 +99,7 @@ class SimplicialElement(_Frozen):
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.degree == other.degree and self.word == other.word
+            return self.degree == other.degree and self.word.syllables == other.word.syllables
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -113,13 +117,16 @@ _set_degree = SimplicialElement.__dict__["degree"].__set__
 _set_word = SimplicialElement.__dict__["word"].__set__
 
 
-def _element(degree: int, word: Word) -> SimplicialElement:
-    """An element from a word already canonical at ``degree``, unchecked:
-    the fields are written through their slots' descriptors, past the
-    frozen ``__setattr__`` and the checks of ``__init__``."""
+def _element(degree: int, syllables: tuple[Syllable, ...]) -> SimplicialElement:
+    """An element from syllables already reduced and canonical at
+    ``degree``, unchecked: the word and the element are written through
+    their slots' descriptors, past the frozen ``__setattr__`` and the checks
+    of ``__init__``."""
+    w = object.__new__(Word)
+    _set_syllables(w, syllables)
     e = object.__new__(SimplicialElement)
     _set_degree(e, degree)
-    _set_word(e, word)
+    _set_word(e, w)
     return e
 
 
@@ -129,29 +136,30 @@ def prefix_product(k: int) -> Word:
     return _word(tuple((i, 1) for i in range(1, k + 1)))
 
 
-def _eliminate(degree: int, word: Word) -> Word:
-    """``word`` on ``x1..x_{degree+1}`` with ``x_{degree+1}`` rewritten as
-    ``(x1...x_degree)^-1``, reduced, in one pass over its syllables.
+def _eliminate(degree: int, syllables: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
+    """``syllables`` on ``x1..x_{degree+1}`` with ``x_{degree+1}`` rewritten
+    as ``(x1...x_degree)^-1``, reduced, in one pass.
 
     A power ``x_{degree+1}^e`` is joined as ``|e|`` copies of the run
     ``x_degree^-1 ... x1^-1`` (or of its inverse), which are reduced from
     degree 2 on; at degree 1 it is the syllable ``x1^-e``, and at degree 0,
-    where ``x1`` is the only generator, the whole word is the identity.  A
-    word without ``x_{degree+1}`` is returned as it is, so only a word that
-    holds it builds the prefix product.
+    where ``x1`` is the only generator, the whole word is the identity.
+    Syllables without ``x_{degree+1}`` are returned as they are, so only a
+    word that holds it builds the two runs.
     """
     last = degree + 1
-    syllables = word.syllables
     for start, (gen, _) in enumerate(syllables):
         if gen == last:
             break
     else:
-        return word
+        return syllables
     if degree == 0:
-        return _word(())
-    up = prefix_product(degree)
-    runs = ((~up).syllables, up.syllables)  # indexed by exp < 0
-    stack: list[tuple[int, int]] = list(syllables[:start])
+        return ()
+    _check_syllables(degree, "the prefix product")
+    # (x1 ... x_degree)^-1 and x1 ... x_degree, indexed by exp < 0
+    runs = (tuple([(i, -1) for i in range(degree, 0, -1)]),
+            tuple([(i, 1) for i in range(1, last)]))
+    stack: list[Syllable] = list(syllables[:start])
     for gen, exp in syllables[start:]:
         if gen != last:
             _push(stack, gen, exp)
@@ -160,7 +168,7 @@ def _eliminate(degree: int, word: Word) -> Word:
         else:
             _check_syllables(len(stack) + abs(exp) * degree, "the image")
             _join(stack, runs[exp < 0] * abs(exp))
-    return _word(tuple(stack))
+    return tuple(stack)
 
 
 def element(degree: int, word: Word | str) -> SimplicialElement:
@@ -179,9 +187,7 @@ def element(degree: int, word: Word | str) -> SimplicialElement:
         raise ValueError(
             f"word uses x{top}; degree-{degree} elements allow at most x{degree + 1}"
         )
-    if top <= degree:
-        return _element(degree, word)
-    return _element(degree, _eliminate(degree, word))
+    return _element(degree, _eliminate(degree, word.syllables))
 
 
 def face(i: int, e: SimplicialElement) -> SimplicialElement:
@@ -197,13 +203,26 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range 0..{n}")
     if i == n:
-        return _element(n - 1, _eliminate(n - 1, e.word))
-    j = i + 1
-    stack: list[tuple[int, int]] = []
-    for gen, exp in e.word.syllables:
-        if gen != j:
-            _push(stack, gen - 1 if gen > j else gen, exp)
-    return _element(n - 1, _word(tuple(stack)))
+        return _element(n - 1, _eliminate(n - 1, e.word.syllables))
+    # delete, relabel and cancel in one pass, as in_normal_closure does;
+    # top is the generator of stack[-1], 0 for an empty stack
+    j, top = i + 1, 0
+    stack: list[Syllable] = []
+    for syllable in e.word.syllables:
+        gen, exp = syllable
+        if gen > j:
+            gen -= 1
+            syllable = (gen, exp)
+        elif gen == j:
+            continue
+        if gen != top:
+            stack.append(syllable)
+            top = gen
+        elif exp := stack.pop()[1] + exp:
+            stack.append((gen, exp))
+        else:
+            top = stack[-1][0] if stack else 0
+    return _element(n - 1, tuple(stack))
 
 
 def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
@@ -214,17 +233,18 @@ def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
     j = i + 1
     # the relabelling is injective and x_j^e is written out as alternating
     # x_j, x_{j+1} letters, so no two neighbours share a generator
-    out: list[tuple[int, int]] = []
-    for gen, exp in e.word.syllables:
+    out: list[Syllable] = []
+    for syllable in e.word.syllables:
+        gen, exp = syllable
         if gen < j:
-            out.append((gen, exp))
+            out.append(syllable)
         elif gen > j:
             out.append((gen + 1, exp))
         else:
             _check_syllables(len(out) + 2 * abs(exp), "the image")
             pair = ((j, 1), (j + 1, 1)) if exp > 0 else ((j + 1, -1), (j, -1))
             out.extend(pair * abs(exp))
-    return _element(n + 1, _word(tuple(out)))
+    return _element(n + 1, tuple(out))
 
 
 def is_moore_chain(e: SimplicialElement) -> bool:
@@ -273,7 +293,7 @@ def _eta_step(z: SimplicialElement) -> SimplicialElement:
     # commutator has at most eight per letter of z; checked before building
     _check_syllables(8 * z.word.length, "the tower step")
     word = commutator(degeneracy(0, z).word, degeneracy(1, z).word)
-    return _element(z.degree + 1, word)
+    return _element(z.degree + 1, word.syllables)
 
 
 def eta_tower(k: int) -> SimplicialElement:
@@ -365,7 +385,7 @@ def symmetric_commutator_sample(degree: int, seed: int) -> SimplicialElement:
         entry = conjugate(core, _decode_conjugator(conj_index, degree))
         word = entry if word is None else commutator(word, entry)
     assert word is not None
-    return _element(degree, word)
+    return _element(degree, word.syllables)
 
 
 def meridian_word(k: int) -> SimplicialElement:

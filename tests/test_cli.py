@@ -579,6 +579,16 @@ BUDGET_CASES = {
         ("magnus", "expand", "x1^-1", "--trunc", "30000"), None, EXIT_INPUT, "",
         "error: Magnus expansion has 30001 terms of 450015000 letters in all; "
         "the limit is 16777216\n", 1),
+    # one generator: the nonzero degrees are 1..T for a negative exponent,
+    # so terms and letters are counted in closed form before any is decoded
+    "expand-one-generator-letters": (
+        ("magnus", "expand", "x1^-1", "--trunc", "1000000"), None, EXIT_INPUT, "",
+        "error: Magnus expansion has 1000001 terms of 500000500000 letters in all; "
+        "the limit is 16777216\n", 1),
+    "expand-one-generator-letters-millions": (
+        ("magnus", "expand", "x1^-1", "--trunc", "3000000"), None, EXIT_INPUT, "",
+        "error: Magnus expansion has 3000001 terms of 4500001500000 letters in all; "
+        "the limit is 16777216\n", 1),
     # one generator: only the nonzero degrees are decoded, and the degrees
     # are binomials found one at a time, none past the exponent, and never
     # a list of millions

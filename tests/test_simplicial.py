@@ -130,6 +130,28 @@ def test_face_and_degeneracy_match_letter_oracle():
                     for op, oracle in maps:
                         got = oracles.letters_of(op(i, e).word.syllables)
                         assert got == oracle(i, letters, degree), (op.__name__, i, e)
+    # words built to cancel across the deleted generator x_{i+1}: d_i takes
+    # u x_{i+1}^k u^-1 to 1, popping back to earlier tops, and merges
+    # x_{i+2}^a x_{i+1}^b x_{i+2}^c into x_{i+1}^(a+c), or 1 when a + c = 0
+    rng = random.Random(44)
+    for degree in range(1, 7):
+        for _ in range(40):
+            i = rng.randrange(degree)
+            u = random_word(rng, degree, 6, 2)
+            cases = [(u * generator(i + 1, rng.choice((1, -1, 2, -3))) * ~u, True)]
+            if i + 2 <= degree:
+                a, b = rng.choice((1, -1, 2, -2)), rng.choice((1, -1, 3))
+                c = rng.choice((-a, 1, 3))  # a + c = 0 in a third of the cases or more
+                merge = generator(i + 2, a) * generator(i + 1, b) * generator(i + 2, c)
+                cases += [(merge, a + c == 0), (u * merge * ~u, a + c == 0)]
+            for w, trivial in cases:
+                e = element(degree, w)
+                got = face(i, e)
+                letters = oracles.letters_of(e.word.syllables)
+                assert oracles.letters_of(got.word.syllables) == oracles.face(
+                    i, letters, degree), (i, e)
+                assert SimplicialElement(got.degree, got.word) == got
+                assert got.is_identity == trivial, (i, e)
 
 
 def eliminate_by_substitution(degree, w):
@@ -327,6 +349,9 @@ def test_prefix_product_and_tower_step_syllable_budgets(monkeypatch):
     monkeypatch.setattr(words, "_MAX_SYLLABLES", 223)
     with pytest.raises(ValueError, match="the prefix product may have 224 syllables"):
         prefix_product(224)
+    # d_n rewrites x_n as (x1 ... x_{n-1})^-1 and refuses its runs alike
+    with pytest.raises(ValueError, match="the prefix product may have 224 syllables"):
+        face(225, element(225, "x225"))
     with pytest.raises(ValueError, match="the tower step may have 224 syllables"):
         eta_tower(4)
 
