@@ -9,11 +9,12 @@ single component has genus 0, and a k-component sublink has genus between
 constraints proved for actual links are enforced (see
 :func:`realizability_findings`).  A profile caches values derived from
 ``nu`` (its label set, its splittable sublinks, its :func:`chi2` by label
-pair and the answers of :func:`strongly_nonsplittable` by base sublink), so
-``nu`` must not be mutated after construction.  The answers are kept because
-a classification asks the same superset question for every meridian sublink
-over one base; there are at most ``2^n`` bases, one per entry of ``nu``, so
-the cache never outgrows the profile.
+pair, the answers of :func:`strongly_nonsplittable` by base sublink, each
+checked to lie within the profile, and :func:`classify_A`'s two-component
+results by label pair), so ``nu`` must not be mutated after construction.
+Base answers are kept because every meridian sublink over one base asks
+the same superset question; there are at most ``2^n`` bases, one per entry
+of ``nu``, and ``C(n, 2)`` pairs, so the cache never outgrows the profile.
 
 From a profile the module computes the deletion inclusion-exclusion
 invariants :func:`chi2` and :func:`chi3`, the homotopy types of the
@@ -87,8 +88,9 @@ class LinkProfile(_Frozen):
 
     ``nu`` maps each subset of ``{1..size}`` (as a frozenset) to its genus.
     Instances are validated on construction; treat them as immutable: the
-    label set, the splittable sublinks, ``chi2`` by label pair and the
-    strong-nonsplittability answers are cached from ``nu``.
+    label set, the splittable sublinks, ``chi2`` by label pair, the
+    strong-nonsplittability answers by base and the two-component
+    classifications by label pair are cached from ``nu``.
     """
 
     __match_args__ = ("size", "nu")
@@ -140,6 +142,11 @@ class LinkProfile(_Frozen):
         full = self.full_set
         return {frozenset(pair): _chi2_within(self, full, *pair)
                 for pair in combinations(sorted(full), 2)}
+
+    @cached_property
+    def _two_component(self) -> dict[frozenset[int], ClassificationResult]:
+        # classify_A's two-component results by label pair, filled on first ask
+        return {}
 
     @cached_property
     def _strong(self) -> dict[frozenset[int], bool]:
@@ -381,23 +388,28 @@ def classify_A(
 
     Anything else returns an explicit not-classified result rather than a
     guess.  Results are immutable, and routes whose result depends on
-    nothing but the route return one shared instance.
+    nothing but the route return one shared instance, as do two-component
+    results of one profile and ``sub``.  A base answer the profile keeps
+    stands for the check on the base; ``sub`` is checked on every call.
     """
     l0 = frozenset(l0)
     sub = frozenset(sub)
-    full = p.full_set
-    if not l0 <= full or not sub <= full:
-        raise ValueError("sublinks must be within the profile's components")
-    if not l0.isdisjoint(sub):
-        raise ValueError("the base sublink and the meridian sublink must be disjoint")
-    if len(sub) < 2:
-        raise ValueError("the meridian sublink needs at least two components")
+    n = len(sub)
+    # a kept answer for l0 stands for its check; on a miss every check runs
+    strong = p._strong.get(l0)
+    if strong is None or n < 2 or not sub <= p.full_set or not l0.isdisjoint(sub):
+        if not l0 <= p.full_set or not sub <= p.full_set:
+            raise ValueError("sublinks must be within the profile's components")
+        if not l0.isdisjoint(sub):
+            raise ValueError("the base sublink and the meridian sublink must be disjoint")
+        if n < 2:
+            raise ValueError("the meridian sublink needs at least two components")
+        strong = strongly_nonsplittable(p, l0)
 
     # l0 and sub are disjoint within full, so sub is the rest of the link
     # exactly when their sizes add up to the component count
-    sub_is_rest = len(l0) + len(sub) == p.size
-    n = len(sub)
-    if strongly_nonsplittable(p, l0):
+    sub_is_rest = len(l0) + n == p.size
+    if strong:
         if not sub_is_rest:
             return _PROPER_SUB_INTERSECTION
         if not l0:
@@ -418,13 +430,14 @@ def classify_A(
     if n == 2:
         if p.size <= 3:
             return _PAIRWISE_COLLAPSE
-        chi = p._chi2[sub]
-        if chi <= 0:
-            return _TWO_COMPONENT_TRIVIAL
-        return ClassificationResult(
-            FreeAbelian(COUNTABLE), PiOfWedge(2, _deletion_wedge(p, sub, chi)),
-            _TWO_COMPONENT, (f"chi2 = {chi} > 0 forces infinite rank",),
-        )
+        result = p._two_component.get(sub)
+        if result is None:
+            chi = p._chi2[sub]
+            result = p._two_component[sub] = _TWO_COMPONENT_TRIVIAL if chi <= 0 else (
+                ClassificationResult(
+                    FreeAbelian(COUNTABLE), PiOfWedge(2, _deletion_wedge(p, sub, chi)),
+                    _TWO_COMPONENT, (f"chi2 = {chi} > 0 forces infinite rank",)))
+        return result
 
     if n == 3 and sub_is_rest:
         note = ("bar-quotient; for 3-component links it equals the full quotient "

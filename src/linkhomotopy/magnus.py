@@ -101,8 +101,9 @@ def _format_terms(terms: Mapping[Monomial, int]) -> str:
     ordered = sorted(terms.items(), key=lambda item: (len(item[0]), item[0]))
     pieces: list[str] = []
     try:
+        names = {i: f"X{i}" for i in set().union(*terms)}.__getitem__
         for monomial, coeff in ordered:
-            name = "".join(f"X{i}" for i in monomial) if monomial else "1"
+            name = "".join(map(names, monomial)) if monomial else "1"
             magnitude = abs(coeff)
             body = name if magnitude == 1 and monomial else (
                 str(magnitude) if not monomial else f"{magnitude}*{name}"
@@ -281,6 +282,9 @@ def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
                    sum(d * len(fields) for d, fields in found))
     terms: dict[Monomial, int] = {}
     for d, fields in found:
+        if r == 1:  # one slot per degree, d copies of the generator
+            terms[support * d] = fields[0][1]
+            continue
         powers = [r**k for k in range(d)]  # slots per step of each digit
         for i, coeff in fields:
             terms[tuple([support[i // power % r] for power in powers])] = coeff

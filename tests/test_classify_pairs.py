@@ -220,6 +220,25 @@ def test_classify_A_matches_literal_definition_in_any_order():
     assert len(routes) == 7
 
 
+def test_two_component_results_are_shared_by_pair():
+    # with chi2 > 0 the result depends on the profile and the pair alone, so
+    # every base that is not strongly nonsplittable gets one kept instance
+    shared = 0
+    for p in _chi2_profiles():
+        full = p.full_set
+        for i, j in combinations(sorted(full), 2):
+            sub = frozenset((i, j))
+            if p.size <= 3 or nu_chi2(p.nu, full, i, j) <= 0:
+                continue
+            bases = [l0 for l0 in _subsets(full - sub) if not _literally_strong(p, l0)]
+            results = [classify_A(p, l0, sub) for l0 in reversed(bases)]
+            for l0, result in zip(reversed(bases), results):
+                assert result is results[0], (p.nu, l0, sub)
+                assert _fields(result) == _fields(_oracle_classify(p, l0, sub)), (p.nu, l0, sub)
+            shared += len(bases) > 1
+    assert shared  # some pair is asked over more than one base
+
+
 # -- chi2 by label pair against the sum formula -----------------------------
 
 

@@ -27,7 +27,7 @@ from linkhomotopy import (
     realizability_findings,
     strongly_nonsplittable,
 )
-from linkhomotopy.links import parse_subset_token
+from linkhomotopy.links import PRESETS, parse_subset_token
 from conftest import LONG_DIGITS, TOO_LONG, random_profile
 
 Z = FreeAbelian(1)
@@ -384,13 +384,27 @@ def test_classify_not_covered_cases_are_marked():
 
 
 def test_classify_validates_arguments():
-    p = preset_profile("hopf", 4)
-    with pytest.raises(ValueError):
-        classify_A(p, (1,), (1, 2))
-    with pytest.raises(ValueError):
-        classify_A(p, (), (1,))
-    with pytest.raises(ValueError):
-        classify_A(p, (), (1, 9))
+    # each refusal, on a fresh profile and again once every base answer is
+    # kept, so a kept answer never stands in for a check on sub
+    refusals = [
+        ((9,), (1, 2), "sublinks must be within"),
+        ((1,), (1, 2), "must be disjoint"),
+        ((), (1, 9), "sublinks must be within"),
+        ((1,), (2, 9), "sublinks must be within"),
+        ((), (1,), "at least two components"),
+        ((2,), (1,), "at least two components"),
+    ]
+    for kind in PRESETS:
+        p = preset_profile(kind, 4)
+        for warm in (False, True):
+            if warm:
+                for size in range(3):
+                    for l0 in combinations(range(1, 5), size):
+                        classify_A(p, l0, p.full_set - set(l0))
+                assert len(p._strong) == 11  # every base with a pair over it
+            for l0, sub, message in refusals:
+                with pytest.raises(ValueError, match=message):
+                    classify_A(p, l0, sub)
 
 
 def test_realizability_findings():

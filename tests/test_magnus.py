@@ -418,6 +418,44 @@ def test_series_rendering():
     assert str(magnus_expand(x1 ** -1, 2)) == "1 - X1 + X1X1"
 
 
+def _spelled_letter_by_letter(terms) -> str:
+    # the rendering written out: one f-string per letter of each monomial
+    if not terms:
+        return "0"
+    pieces = []
+    for monomial, coeff in sorted(terms.items(), key=lambda item: (len(item[0]), item[0])):
+        name = "".join(f"X{i}" for i in monomial) if monomial else "1"
+        magnitude = abs(coeff)
+        if not monomial:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = name
+        else:
+            body = f"{magnitude}*{name}"
+        sign = ("" if coeff > 0 else "-") if not pieces else ("+ " if coeff > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces)
+
+
+def test_term_rendering_matches_letter_by_letter_spelling():
+    rng = random.Random(2707)
+    series = [{}, {(): 1}, {(): -3}, {(12,): 1, (3, 12, 12): -1, (12, 3): 10**30}]
+    for _ in range(200):  # repeated and multi-digit indices, any coefficients
+        letters = rng.sample([1, 2, 3, 9, 10, 12, 123], rng.randint(1, 4))
+        terms = {tuple(rng.choices(letters, k=rng.randint(0, 5))): rng.choice([-1, 1, -7, 12])
+                 for _ in range(rng.randint(1, 12))}
+        series.append(terms)
+    for e in (-3, -1, 2, 7):  # one generator
+        series.append(magnus_expand(generator(12, e), 9).terms)
+        series.append(reduced_expand(generator(12, e), 4).terms)
+    series.append(magnus_expand(parse_word("x12^-2 x3 x12 x10^-1"), 4).terms)
+    for terms in series:
+        expected = _spelled_letter_by_letter(terms)
+        assert magnus._format_terms(terms) == expected
+        if terms:
+            assert str(MagnusSeries(max(map(len, terms)) or 1, terms)) == expected
+
+
 def test_degree2_antisymmetry():
     for i, j in [(1, 2), (2, 3), (1, 3)]:
         series = magnus_expand(commutator(generator(i), generator(j)), 2)
