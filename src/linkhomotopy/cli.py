@@ -213,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mag = sub.add_parser("magnus", help="Magnus expansion and Milnor detection")
     mag_actions = mag.add_subparsers(dest="action", required=True)
-    for name in ("expand", "gamma"):
-        action = mag_actions.add_parser(name)
+    for name, about in (("expand", "Magnus expansion"), ("gamma", "lower-central class")):
+        action = mag_actions.add_parser(name, help=f"{about} of a word, up to --trunc")
         action.add_argument("expr")
         action.add_argument("--trunc", type=_integer, default=4)
     mu = mag_actions.add_parser("mu", help="Milnor-type coefficient")
@@ -230,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     link = sub.add_parser("link", help="splitting-profile invariants")
     link_actions = link.add_subparsers(dest="action", required=True)
     for name, count in (("chi2", 2), ("chi3", 3)):
-        action = link_actions.add_parser(name)
+        action = link_actions.add_parser(name, help=f"deletion invariant of {count} labels")
         action.add_argument("--profile", required=True)
         action.add_argument("labels", nargs=count)
-    classify = link_actions.add_parser("classify")
+    classify = link_actions.add_parser("classify", help="classify a meridian quotient")
     classify.add_argument("--profile", required=True)
     classify.add_argument("--L0", dest="l0", required=True,
                           help='base sublink: "empty", "full" or e.g. "1,3"')
@@ -245,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     spheres = sub.add_parser("spheres", help="homotopy groups of sphere wedges")
     spheres_actions = spheres.add_subparsers(dest="action", required=True)
-    pi = spheres_actions.add_parser("pi")
+    pi = spheres_actions.add_parser("pi", help="homotopy group pi_n(S^m)")
     pi.add_argument("n", type=_integer)
     pi.add_argument("m", type=_integer)
     pi.add_argument("--table", help="extra homotopy-table file")
-    wedge = spheres_actions.add_parser("wedge")
+    wedge = spheres_actions.add_parser("wedge", help="pi_n of a wedge of spheres")
     wedge.add_argument("n", type=_integer)
     wedge.add_argument("dims", help="comma-separated sphere dimensions, e.g. 2,2")
     wedge.add_argument("--table", help="extra homotopy-table file")

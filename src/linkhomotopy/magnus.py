@@ -25,8 +25,8 @@ are decoded into monomials.  Degree ``d`` is ``r**max(0, d-m)`` chunks of
 ``r**min(d, m)`` slots, ``m = max(1, T - 2)``, keyed by its last letters.
 A syllable ``x_a^e`` costs at most ``T`` binomial terms however large
 ``|e|`` is: ``X_a^j`` adds each nonzero chunk of degree ``d - j`` onto one
-chunk of degree ``d``, shifted inside it only when it is a whole lower
-degree, so a term touches about ``r**(T-1) * (r+1)/(r-1)`` slots, not
+chunk of degree ``d``, as it is unless it is a whole lower degree, shifted
+inside it, so a term touches about ``r**(T-1) * (r+1)/(r-1)`` slots, not
 ``sum_{d <= T} r**d``.  As ``|C(e, j)| <= [t^j] (1-t)^-|e|``, no
 coefficient of a word of ``E`` letters exceeds ``C(E + T - 1, T)`` in
 absolute value; ``B`` is its bit length plus a sign bit, in whole bytes.
@@ -251,12 +251,14 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, int, 
                  *divmod(width * a * (ones[d] - ones[d - j]), width * r**m), j)
                 for d in (range(1, truncation + 1) if exponent < 0 else range(truncation, 0, -1))
                 for j in range(1, min(d, k) + 1)]
-        # the term X_a^j has coefficient C(|e|, j), which is 1 only at j = |e|
+        # the term X_a^j has coefficient C(|e|, j), which is 1 only at j = |e|,
+        # and an unshifted move adds the chunk as it is (<< 0 would copy it)
         step, e = add if exponent > 0 else sub, abs(exponent)
         for to, source, hop, shift, j in plan:
             for c, block in enumerate(source, hop):
                 if block:
-                    to[c] = step(to[c], block << shift if j == e else comb(e, j) * block << shift)
+                    block = block if j == e else comb(e, j) * block
+                    to[c] = step(to[c], block << shift if shift else block)
     return support, width, m, blocks
 
 
@@ -317,20 +319,20 @@ def _reduced_terms(w: Word, support: tuple[int, ...], truncation: int) -> dict[M
     blocks = [1] + [0] * ((1 << r) - 1)
     for index, exponent in w.syllables:
         # the targets all hold a and the sources do not: any order will do.
-        # Exponents +-1 skip the multiplication (a quarter of the time on
-        # the tower words, whose exponents are all +-1)
+        # Exponents +-1 skip the multiplication (one loop for every exponent
+        # costs tower words 5%); a set with no letter below a adds its block
         if exponent == 1:
             for source, target, shift in steps[index]:
                 if block := blocks[source]:
-                    blocks[target] += block << shift
+                    blocks[target] += block << shift if shift else block
         elif exponent == -1:
             for source, target, shift in steps[index]:
                 if block := blocks[source]:
-                    blocks[target] -= block << shift
+                    blocks[target] -= block << shift if shift else block
         else:
             for source, target, shift in steps[index]:
                 if block := blocks[source]:
-                    blocks[target] += exponent * (block << shift)
+                    blocks[target] += exponent * (block << shift if shift else block)
     found = [(s, _nonzero_fields(block, factorial[s.bit_count()], width))
              for s, block in enumerate(blocks) if block]
     _check_letters(sum(len(fields) for _, fields in found),

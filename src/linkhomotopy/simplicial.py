@@ -43,7 +43,6 @@ from .words import (
     Word,
     _check_syllables,
     _join,
-    _push,
     _set_syllables,
     _word,
     commutator,
@@ -142,10 +141,10 @@ def _eliminate(degree: int, syllables: tuple[Syllable, ...]) -> tuple[Syllable, 
 
     A power ``x_{degree+1}^e`` is joined as ``|e|`` copies of the run
     ``x_degree^-1 ... x1^-1`` (or of its inverse), which are reduced from
-    degree 2 on; at degree 1 it is the syllable ``x1^-e``, and at degree 0,
-    where ``x1`` is the only generator, the whole word is the identity.
-    Syllables without ``x_{degree+1}`` are returned as they are, so only a
-    word that holds it builds the two runs.
+    degree 2 on, and other syllables are pushed inline; at degree 1, where
+    ``x2 = x1^-1``, it is ``x1`` to an exponent sum, and at degree 0 the
+    identity.  Syllables without ``x_{degree+1}`` are returned as they are,
+    so only a word that holds it builds the two runs.
     """
     last = degree + 1
     for start, (gen, _) in enumerate(syllables):
@@ -153,21 +152,28 @@ def _eliminate(degree: int, syllables: tuple[Syllable, ...]) -> tuple[Syllable, 
             break
     else:
         return syllables
-    if degree == 0:
-        return ()
+    if degree < 2:
+        total = sum(exp if gen == 1 else -exp for gen, exp in syllables) if degree else 0
+        return ((1, total),) if total else ()
     _check_syllables(degree, "the prefix product")
     # (x1 ... x_degree)^-1 and x1 ... x_degree, indexed by exp < 0
     runs = (tuple([(i, -1) for i in range(degree, 0, -1)]),
             tuple([(i, 1) for i in range(1, last)]))
     stack: list[Syllable] = list(syllables[:start])
-    for gen, exp in syllables[start:]:
-        if gen != last:
-            _push(stack, gen, exp)
-        elif degree == 1:
-            _push(stack, 1, -exp)
-        else:
+    top = stack[-1][0] if stack else 0  # the generator of stack[-1], 0 for none
+    for syllable in syllables[start:]:
+        gen, exp = syllable
+        if gen == last:
             _check_syllables(len(stack) + abs(exp) * degree, "the image")
             _join(stack, runs[exp < 0] * abs(exp))
+            top = stack[-1][0] if stack else 0
+        elif gen != top:
+            stack.append(syllable)
+            top = gen
+        elif exp := stack.pop()[1] + exp:
+            stack.append((gen, exp))
+        else:
+            top = stack[-1][0] if stack else 0
     return tuple(stack)
 
 
@@ -255,12 +261,12 @@ def is_moore_chain(e: SimplicialElement) -> bool:
     ``x_{i+1}`` reduces the word to 1 (:func:`in_normal_closure`, no face
     built).  A word other than the identity fails at the first generator it
     lacks, so the loop never runs past its length, and the identity needs
-    no loop.  Only ``d_n``, which rewrites ``x_n``, is built.
+    no loop.  ``d_n``, which rewrites ``x_n``, is tested on its syllables.
     """
     n = e.degree
     return e.is_identity or (
         all(in_normal_closure(e.word, a) for a in range(2, n + 1))
-        and face(n, e).is_identity
+        and not _eliminate(n - 1, e.word.syllables)
     )
 
 

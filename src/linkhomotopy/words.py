@@ -27,15 +27,17 @@ The module also provides a parser/printer for a small expression grammar::
 
 Whitespace and ``'*'`` are interchangeable separators, ``[u, v]`` denotes
 the commutator ``u v u^-1 v^-1``, and the literal ``1`` is the identity.
-The printer emits the reduced syllable form, e.g.
-``"x1 x2 x1 x2^-1 x1^-2"`` (``"1"`` for the identity), which the parser
-accepts back.
+The parser reads a generator factor in one regular-expression match, onto
+one reduced stack; a malformed one is read again on the token path, so its
+error keeps its position.  The printer emits the reduced syllable form,
+e.g. ``"x1 x2 x1 x2^-1 x1^-2"`` (``"1"`` for the identity), which the
+parser accepts back.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 from . import _decimal, _Frozen, _unwritable
 
@@ -73,13 +75,11 @@ def _check_syllables(bound: int, what: str) -> None:
 
 def _push(stack: list[Syllable], gen: int, exp: int) -> None:
     """Append one syllable to a reduced syllable stack, cancelling as needed."""
-    if exp == 0:
+    if not exp:
         return
     if stack and stack[-1][0] == gen:
-        merged = stack[-1][1] + exp
-        stack.pop()
-        if merged != 0:
-            stack.append((gen, merged))
+        if exp := stack.pop()[1] + exp:
+            stack.append((gen, exp))
     else:
         stack.append((gen, exp))
 
@@ -143,7 +143,7 @@ class Word(_Frozen):
         return max((gen for gen, _ in self.syllables), default=0)
 
     def __invert__(self) -> "Word":
-        return _word(tuple((gen, -exp) for gen, exp in reversed(self.syllables)))
+        return _word(tuple([(gen, -exp) for gen, exp in reversed(self.syllables)]))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -225,7 +225,10 @@ def commutator(a: Word, b: Word) -> Word:
     """The commutator ``[a, b] = a b a^-1 b^-1`` (this sign convention is
     used throughout the package)."""
     _check_syllables(2 * (len(a.syllables) + len(b.syllables)), "the commutator")
-    return a * b * ~a * ~b
+    stack = list(a.syllables)  # the four reduced factors, joined on one stack
+    for factor in (b, ~a, ~b):
+        _join(stack, factor.syllables)
+    return _word(tuple(stack))
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -289,9 +292,7 @@ def in_normal_closure(w: Word, index: int) -> bool:
         if gen != top:
             stack.append(syllable)
             top = gen
-            continue
-        exp = stack.pop()[1] + syllable[1]
-        if exp:
+        elif exp := stack.pop()[1] + syllable[1]:
             stack.append((gen, exp))
         else:
             top = stack[-1][0] if stack else 0
@@ -317,8 +318,8 @@ def print_word(w: Word, letter: str = "x") -> str:
 _MAX_NESTING = 100
 
 _SEPARATORS = re.compile(r"[ \t*]*")
-_INDEX = re.compile(r"\d*")  # after the generator letter
 _EXPONENT = re.compile(r"\^([+-]?)(\d*)")
+_FACTOR = re.compile(r"(.)(\d*)(?:\^([+-]?\d*))?[ \t*]*", re.S)
 _WORD_ENDS = ("", ")", "]", ",")
 
 
@@ -362,26 +363,28 @@ class _Parser:
 
     def word(self) -> Word:
         """Factors up to ``)``, ``]``, ``,`` or the end, on one stack, so
-        each syllable is pushed once; a generator factor is pushed as its
-        syllable."""
+        each syllable is pushed once; a run of generator factors is read one
+        match of :data:`_FACTOR` a factor, separators included."""
         stack: list[Syllable] = []
         ch = self.skip()
         if ch in _WORD_ENDS:
             raise WordSyntaxError("expected a word", self.pos)
+        text, letter = self.text, self.letter
         while ch not in _WORD_ENDS:
-            if ch == self.letter:
-                digits = _INDEX.match(self.text, self.pos + 1)
-                if not digits[0]:
-                    raise WordSyntaxError(
-                        f"expected a generator index after {self.letter!r}", digits.start())
-                index = _integer(digits[0], digits.start())
-                if index == 0:
-                    raise WordSyntaxError("generator index must be >= 1", digits.start())
-                self.pos = digits.end()
-                exp = self.exponent()
-                if exp and len(stack) >= _MAX_SYLLABLES:  # compared inline, per syllable
-                    _check_syllables(len(stack) + 1, "the word")
-                _push(stack, index, exp)
+            if ch == letter:
+                pos = self.pos
+                while (m := _FACTOR.match(text, pos)) and m[1] == letter:
+                    try:
+                        gen, exp = int(m[2]), 1 if m[3] is None else int(m[3])
+                    except ValueError:  # no digits, or over the digit limit
+                        gen = 0
+                    if not gen:
+                        self.refuse(m)
+                    pos = m.end()
+                    if exp and len(stack) >= _MAX_SYLLABLES:  # compared inline, per syllable
+                        _check_syllables(len(stack) + 1, "the word")
+                    _push(stack, gen, exp)
+                self.pos = pos
             elif ch == "1":
                 self.pos += 1
                 self.exponent()  # every power of the identity is the identity
@@ -393,6 +396,15 @@ class _Parser:
                 raise WordSyntaxError(f"unexpected character {ch!r}", self.pos)
             ch = self.skip()
         return _word(tuple(stack))
+
+    def refuse(self, m: re.Match) -> NoReturn:
+        """Raise the token path's error for the malformed generator factor ``m``."""
+        if not m[2]:
+            raise WordSyntaxError(f"expected a generator index after {self.letter!r}", m.start(2))
+        if not _integer(m[2], m.start(2)):
+            raise WordSyntaxError("generator index must be >= 1", m.start(2))
+        self.pos = m.end(2)
+        self.exponent()  # the exponent is malformed, so this raises
 
     def bracket(self, ch: str) -> Word:
         """``(w)`` or ``[u, v]``, from its opening bracket ``ch``."""
@@ -428,9 +440,9 @@ def parse_word(text: str, letter: str = "x") -> Word:
     int/str digit limit (at its first digit) and brackets nested deeper
     than ``_MAX_NESTING`` levels.
     """
-    parser = _Parser(text, letter)
-    if not parser.skip():
+    if not text.strip(" \t*"):  # nothing but separators
         return IDENTITY
+    parser = _Parser(text, letter)
     word = parser.word()
     if parser.pos < len(text):
         raise WordSyntaxError(f"unexpected character {text[parser.pos]!r}", parser.pos)

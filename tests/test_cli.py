@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import linkhomotopy
-from linkhomotopy.cli import EXIT_INPUT, main
+from linkhomotopy.cli import EXIT_INPUT, build_parser, main
 from conftest import LONG_DIGITS, TOO_LONG
 
 DATA = Path(__file__).parent / "data"
@@ -635,6 +637,23 @@ def test_module_entry_point():
     proc = fresh_python("-m", "linkhomotopy", "word", "reduce", "x2 x2^-1")
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_every_subcommand_is_listed_in_its_parents_help():
+    # a subparser without help= shows only in its parent's {a,b,...} choices,
+    # with no line of its own; walk every level from the top parser
+    pending, listed = [build_parser()], []
+    while pending:
+        parser = pending.pop()
+        text = parser.format_help()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    assert re.search(rf"^ +{name} +\S", text, re.M), (parser.prog, name)
+                    listed.append(child.prog)
+                    pending.append(child)
+    assert len(listed) == 24
+    assert {"linkhomotopy magnus expand", "linkhomotopy spheres wedge"} <= set(listed)
 
 
 LAYERS = ("homotopy", "links", "magnus", "simplicial", "words")

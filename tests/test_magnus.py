@@ -238,6 +238,15 @@ def _chunk_cases():
         for t in (5, 6, 7, 8):
             yield w, t
             yield w ** -1, t
+    # exponents +-1 and +-2 take the coefficient-one path on every kind of
+    # move; a chunk-to-chunk or degree-m move, and any move by the lowest
+    # generator (2 here), adds the chunk unshifted
+    for syllables in (((2, 1), (3, -1), (2, -2), (3, 2)),
+                      ((2, -1), (5, 2), (2, 1), (3, -2), (2, 2), (5, -1)),
+                      ((3, 1), (2, 1), (8, -2), (2, -1), (5, 1), (2, -2), (3, -1), (8, 2))):
+        for t in (5, 6, 7, 8):
+            yield reduce_word(syllables), t
+            yield reduce_word(syllables) ** -1, t
     for t in (5, 6, 7, 8):
         yield parse_word(""), t
 

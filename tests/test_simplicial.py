@@ -197,6 +197,38 @@ def test_eliminated_generator_matches_substitution():
             assert_canonical_element(last_face)
 
 
+def test_elimination_cascades_match_letter_oracle():
+    # words dense in x_{n+1}^k: x_{n+1}^k after a tail x_i ... x_n of the
+    # prefix product cancels through it, and x_{n+1}^-k = (x1 ... x_n)^k
+    # before x_n^-1 ... cancels through the pushes that follow it
+    rng = random.Random(28)
+    for n in range(1, 7):
+        last = n + 1
+        run = [(i, 1) for i in range(1, last)]
+        for _ in range(150):
+            raw = []
+            for _ in range(rng.randint(1, 8)):
+                k = rng.choice((1, -1, 2, -2, 3))
+                raw += rng.choice((
+                    [(last, k)],
+                    run[rng.randrange(n):] * abs(k) + [(last, abs(k))],
+                    [(last, -abs(k))] + [(i, -1) for i in range(n, 0, -1)][: rng.randint(1, n)],
+                    [(rng.randint(1, n), k)]))
+            w = reduce_word(raw)
+            letters = oracles.letters_of(w.syllables)
+            got = element(n, w)
+            assert oracles.letters_of(got.word.syllables) == oracles.canonical(letters, n), w
+            assert_canonical_element(got)
+            e = element(last, w)
+            assert face(last, e) == got
+            assert is_moore_chain(e) == all(
+                not oracles.face(i, letters, last) for i in range(1, last + 1)), w
+    # the refusal counts what is already built
+    with pytest.raises(ValueError) as info:
+        element(3, parse_word("x1 x4^1048576"))
+    assert str(info.value) == "the image may have 3145729 syllables; the limit is 1048576"
+
+
 def test_operations_return_canonical_elements():
     # operations skip SimplicialElement's check; rebuilding each result
     # through SimplicialElement(...) confirms that they stay canonical

@@ -254,6 +254,21 @@ def test_commutator_antisymmetry():
         assert commutator(a, b) == ~commutator(b, a)
 
 
+def test_commutator_matches_the_product_of_its_factors():
+    # the four factors go onto one stack; the operators build the same word
+    # through three products and two inverses.  b = a, b = a^-1, identities
+    # and factors sharing a prefix or suffix with a make the joins cancel
+    # through several syllables
+    rng = random.Random(29)
+    for _ in range(200):
+        a, u = random_word(rng, 3), random_word(rng, 3)
+        for b in (random_word(rng, 3), a, ~a, IDENTITY, a * u, u * ~a, ~a * u * a, a ** 2):
+            for left, right in ((a, b), (b, a), (IDENTITY, b), (b, IDENTITY)):
+                got = commutator(left, right)
+                assert got == left * right * ~left * ~right
+                assert_canonical_word(got)
+
+
 def test_conjugate_examples():
     assert conjugate(x2, x1) == parse_word("x1 x2 x1^-1")
     w = parse_word("x2 x3")
@@ -355,6 +370,12 @@ SYNTAX_ERRORS = [
     # at the first digit of an index or an exponent
     (f"x{LONG_DIGITS}", TOO_LONG, 1),
     (f"x1 x2^-{LONG_DIGITS}", TOO_LONG, 7),
+    # a malformed factor after a run of well-formed ones
+    ("x1 x2 x3^", "expected an integer", 9),
+    ("x1 x2 x0", "generator index must be >= 1", 7),
+    ("x1x2^2^3", "unexpected character '^'", 6),
+    ("x1*x2 x", "expected a generator index after 'x'", 7),
+    (f"x1 x2 x3^{LONG_DIGITS}", TOO_LONG, 9),
 ]
 
 
@@ -416,6 +437,38 @@ def test_parse_long_flat_word_is_linear():
     assert time.process_time() - start < 2.0
     assert w == reduce_word(letters)
     assert len(w.syllables) > 20_000
+
+
+# ASCII, Arabic-Indic and fullwidth decimal digits
+DIGIT_SETS = [str.maketrans("0123456789", "".join(chr(zero + i) for i in range(10)))
+              for zero in (0x30, 0x660, 0xFF10)]
+
+
+def _flat_text(rng, syllables, letter):
+    """One spelling of ``syllables`` as flat parser input: each index and
+    exponent with leading zeros and digits of a random script, ``^+k``, and
+    any separator or none between factors."""
+    def number(n):
+        return ("0" * rng.choice((0, 0, 1, 2)) + str(n)).translate(rng.choice(DIGIT_SETS))
+
+    pieces = [rng.choice(("", " ", "\t"))]
+    for gen, exp in syllables:
+        pieces.append(letter + number(gen))
+        if exp != 1 or rng.random() < 0.3:
+            pieces.append("^" + ("-" if exp < 0 else rng.choice(("", "+"))) + number(abs(exp)))
+        pieces.append(rng.choice(("", " ", "\t", "*", " * ", "\t ")))
+    return "".join(pieces)
+
+
+def test_flat_texts_match_a_letter_level_reading():
+    rng = random.Random(41)
+    for _ in range(400):
+        letter = rng.choice("xa")
+        syllables = [(rng.randint(1, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 12))]
+        text = _flat_text(rng, syllables, letter)
+        w = parse_word(text, letter)
+        assert_canonical_word(w)
+        assert letters_of(w.syllables) == reduce_letters(letters_of(syllables)), text
 
 
 def test_alternate_letter():
