@@ -27,10 +27,12 @@ Validation happens where values enter: a direct ``SimplicialElement(...)``
 call checks the degree and the canonical generator range, :func:`element`
 checks its input word's range, and :func:`eta_word` checks that its input
 is a cycle.  Faces, degeneracies, the elimination of the last generator and
-the tower step build their canonical results directly, the element and its
-word in one unchecked step; the tests rebuild such results through
-``SimplicialElement(...)`` to confirm the invariant.  Element equality is
-structural on ``(degree, syllables)``.
+the tower step build their canonical results directly, in one unchecked
+step; the tests rebuild such results through ``SimplicialElement(...)`` to
+confirm the invariant.  An element holds its degree and its syllables, and
+``word`` wraps the syllables in a :class:`Word` each time it is read, so
+faces, degeneracies and the elimination build no ``Word``.  Element
+equality is structural on ``(degree, syllables)``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .words import (
     Word,
     _check_syllables,
     _join,
-    _set_syllables,
     _word,
     commutator,
     conjugate,
@@ -79,11 +80,14 @@ class NotACycleError(ValueError):
 class SimplicialElement(_Frozen):
     """An element of the degree-``degree`` group, in canonical form.
 
-    The stored word uses only generators ``x1..x_degree``; construct
-    through :func:`element`, which rewrites ``x_{degree+1}`` away.
+    The element holds its reduced syllables, using only generators
+    ``x1..x_degree``, and ``word`` wraps them in a :class:`Word` on each
+    read; construct through :func:`element`, which rewrites
+    ``x_{degree+1}`` away.
     """
 
-    __slots__ = __match_args__ = ("degree", "word")
+    __slots__ = ("degree", "_syllables")
+    __match_args__ = ("degree", "word")
 
     def __init__(self, degree: int, word: Word) -> None:
         if degree < 0:
@@ -94,11 +98,15 @@ class SimplicialElement(_Frozen):
                 f"{degree} words use only x1..x{degree}"
             )
         _set_degree(self, degree)
-        _set_word(self, word)
+        _set_syllables(self, word.syllables)
+
+    @property
+    def word(self) -> Word:
+        return _word(self._syllables)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.degree == other.degree and self.word.syllables == other.word.syllables
+            return self.degree == other.degree and self._syllables == other._syllables
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -106,26 +114,24 @@ class SimplicialElement(_Frozen):
 
     @property
     def is_identity(self) -> bool:
-        return self.word.is_identity
+        return not self._syllables
 
     def __str__(self) -> str:
         return f"degree={self.degree}; word={print_word(self.word)}"
 
 
 _set_degree = SimplicialElement.__dict__["degree"].__set__
-_set_word = SimplicialElement.__dict__["word"].__set__
+_set_syllables = SimplicialElement.__dict__["_syllables"].__set__
 
 
 def _element(degree: int, syllables: tuple[Syllable, ...]) -> SimplicialElement:
     """An element from syllables already reduced and canonical at
-    ``degree``, unchecked: the word and the element are written through
-    their slots' descriptors, past the frozen ``__setattr__`` and the checks
-    of ``__init__``."""
-    w = object.__new__(Word)
-    _set_syllables(w, syllables)
+    ``degree``, unchecked: one object, its two slots written through their
+    descriptors, past the frozen ``__setattr__`` and the checks of
+    ``__init__``; no :class:`Word` is built until ``word`` is read."""
     e = object.__new__(SimplicialElement)
     _set_degree(e, degree)
-    _set_word(e, w)
+    _set_syllables(e, syllables)
     return e
 
 
@@ -209,12 +215,12 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range 0..{n}")
     if i == n:
-        return _element(n - 1, _eliminate(n - 1, e.word.syllables))
+        return _element(n - 1, _eliminate(n - 1, e._syllables))
     # delete, relabel and cancel in one pass, as in_normal_closure does;
     # top is the generator of stack[-1], 0 for an empty stack
     j, top = i + 1, 0
     stack: list[Syllable] = []
-    for syllable in e.word.syllables:
+    for syllable in e._syllables:
         gen, exp = syllable
         if gen > j:
             gen -= 1
@@ -240,7 +246,7 @@ def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
     # the relabelling is injective and x_j^e is written out as alternating
     # x_j, x_{j+1} letters, so no two neighbours share a generator
     out: list[Syllable] = []
-    for syllable in e.word.syllables:
+    for syllable in e._syllables:
         gen, exp = syllable
         if gen < j:
             out.append(syllable)
@@ -263,10 +269,10 @@ def is_moore_chain(e: SimplicialElement) -> bool:
     lacks, so the loop never runs past its length, and the identity needs
     no loop.  ``d_n``, which rewrites ``x_n``, is tested on its syllables.
     """
-    n = e.degree
+    n, w = e.degree, e.word
     return e.is_identity or (
-        all(in_normal_closure(e.word, a) for a in range(2, n + 1))
-        and not _eliminate(n - 1, e.word.syllables)
+        all(in_normal_closure(w, a) for a in range(2, n + 1))
+        and not _eliminate(n - 1, w.syllables)
     )
 
 

@@ -57,9 +57,9 @@ __all__ = [
 
 Syllable = tuple[int, int]
 
-#: Most syllables a power, commutator, substitution, prefix product, tower
-#: step or parsed word may build, checked from a closed-form bound before
-#: building; the largest word in use, ``eta_tower(7)``, has 8,062.
+#: Most syllables a product, power, commutator, substitution, prefix product,
+#: tower step or parsed word may build, checked from a closed-form bound
+#: before building; the largest word in use, ``eta_tower(7)``, has 8,062.
 _MAX_SYLLABLES = 2**20
 
 
@@ -95,6 +95,13 @@ def _join(stack: list[Syllable], syllables: tuple[Syllable, ...]) -> None:
         if exp:
             stack.append((gen, exp))
     stack.extend(syllables[j:])
+
+
+def _product(u: tuple[Syllable, ...], v: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
+    """The reduced syllables of ``u v``, unchecked."""
+    stack = list(u)
+    _join(stack, v)
+    return tuple(stack)
 
 
 class Word(_Frozen):
@@ -148,9 +155,8 @@ class Word(_Frozen):
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        stack = list(self.syllables)
-        _join(stack, other.syllables)
-        return _word(tuple(stack))
+        _check_syllables(len(self.syllables) + len(other.syllables), "the product")
+        return _word(_product(self.syllables, other.syllables))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
@@ -166,16 +172,17 @@ class Word(_Frozen):
             _check_syllables(2 * u + (1 if core == 1 else abs(n) * core), "the power")
         if len(s) == 1:
             return _word(((s[0][0], s[0][1] * n),))
-        base = self if n > 0 else ~self
+        # the bound above covers every partial product: joined unchecked
+        base = s if n > 0 else (~self).syllables
         n = abs(n)
-        result = Word()
+        result: tuple[Syllable, ...] = ()
         while True:
             if n & 1:
-                result = result * base
+                result = _product(result, base)
             n >>= 1
             if not n:
-                return result
-            base = base * base
+                return _word(result)
+            base = _product(base, base)
 
     def __str__(self) -> str:
         return print_word(self)

@@ -1,6 +1,7 @@
 import random
 import time
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from linkhomotopy import (
     GeneratorMap,
     NotACycleError,
     SimplicialElement,
+    Word,
     commutator,
     conjugate,
     degeneracy,
@@ -74,6 +76,38 @@ def test_element_value_contract():
         SimplicialElement(-1, IDENTITY)
     for value in (e, element(0, ""), eta_tower(3)):
         assert_frozen_value(value)
+
+
+def test_built_elements_read_as_degree_and_word():
+    # every builder writes the element's syllables without a Word; the
+    # fields still read, match, hash, copy and refuse writes as (degree, word)
+    sample = symmetric_commutator_sample(3, 12345)
+    letters = oracles.letters_of(sample.word.syllables)
+    golden = (Path(__file__).parent / "golden" / "tower3.txt").read_text()
+    tower3 = parse_word(golden.partition("; word=")[2].strip())
+    cases = [
+        (element(3, "x4 x2^2"), 3, parse_word("x3^-1 x2^-1 x1^-1 x2^2")),
+        (sample, 3, None),
+        (face(1, sample), 2, oracles.face(1, letters, 3)),
+        (face(3, sample), 2, oracles.face(3, letters, 3)),
+        (degeneracy(2, sample), 4, oracles.degeneracy(2, letters, 3)),
+        (eta_tower(3), 3, tower3),
+        (symmetric_commutator_sample(2, 0), 2, element(2, "[[x1, x2], x3]").word),
+        (element(0, "x1^5"), 0, IDENTITY),
+    ]
+    for e, degree, expected in cases:
+        match e:
+            case SimplicialElement(degree=d, word=w):
+                pass
+        assert d == degree and type(w) is Word
+        if isinstance(expected, list):
+            assert oracles.letters_of(w.syllables) == expected
+        elif expected is not None:
+            assert w == expected
+        assert SimplicialElement(d, w) == e
+        assert e.word == e.word and type(e.word) is Word
+        assert hash(e) == hash((e.degree, e.word))
+        assert_frozen_value(e)
 
 
 def test_face_examples():

@@ -177,6 +177,7 @@ def test_power_budget_is_the_closed_form_bound(monkeypatch):
         n = rng.choice([-1, 1]) * rng.randint(1, 6)
         if w.is_identity:
             continue
+        monkeypatch.undo()  # the oracle's products run under the real limit
         bound = _power_bound(w, n)
         monkeypatch.setattr(words, "_MAX_SYLLABLES", bound)
         assert len((w ** n).syllables) <= bound
@@ -225,6 +226,38 @@ def test_commutator_syllable_budget(monkeypatch):
     assert len(parse_word(text).syllables) == 2 ** (depth + 1)
     with pytest.raises(ValueError, match="the commutator may have 130 syllables"):
         parse_word("[" + text + ", x2]")
+
+
+def test_product_syllable_budget(monkeypatch):
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 100)
+    u, v = parse_word("x1 x2") ** 30, parse_word("x3 x4") ** 20
+    assert len((u * v).syllables) == 100
+    with pytest.raises(ValueError, match="the product may have 101 syllables; the limit is 100"):
+        u * v * x1
+    # the bound is checked before cancelling: u u^-1 is refused, not 1
+    with pytest.raises(ValueError, match="the product may have 120 syllables"):
+        u * ~u
+    # conjugate is two products: g x1 (51 syllables), then g x1 g^-1
+    g = parse_word("x3 x4") ** 25
+    assert len(conjugate(x1, g * generator(4, -1)).syllables) == 99
+    with pytest.raises(ValueError, match="the product may have 101 syllables"):
+        conjugate(x1, g)
+    # a loop of products, each one under the limit, stops at the limit
+    w = IDENTITY
+    with pytest.raises(ValueError, match="the product may have 101 syllables"):
+        for _ in range(100):
+            w = w * x1 * x2
+    assert len(w.syllables) == 100
+
+
+def test_power_of_a_long_conjugate_is_not_a_product():
+    # (w x1 w^-1)^3 = w x1^3 w^-1: squaring would pass the product bound,
+    # but the power's own bound 2|w| + 1 holds for every partial product
+    w = Word(tuple((2 + i % 2, 1) for i in range(2**18)))
+    c = w * x1 * ~w
+    assert 2 * len(c.syllables) > words._MAX_SYLLABLES
+    assert c ** 3 == w * generator(1, 3) * ~w
+    assert c ** -3 == w * generator(1, -3) * ~w
 
 
 def test_generator_map_syllable_budget(monkeypatch):
