@@ -7,14 +7,14 @@ decomposition minus one.  Conventions: the empty sublink has genus -1, a
 single component has genus 0, and a k-component sublink has genus between
 0 and k-1.  Accepting a profile is *not* a realizability claim; only the
 constraints proved for actual links are enforced (see
-:func:`realizability_findings`).  A profile caches values derived from
-``nu`` (its label set, its splittable sublinks, its :func:`chi2` by label
-pair, the answers of :func:`strongly_nonsplittable` by base sublink, each
-checked to lie within the profile, and :func:`classify_A`'s two-component
-results by label pair), so ``nu`` must not be mutated after construction.
-Base answers are kept because every meridian sublink over one base asks
-the same superset question; there are at most ``2^n`` bases, one per entry
-of ``nu``, and ``C(n, 2)`` pairs, so the cache never outgrows the profile.
+:func:`realizability_findings`).  A profile computes its label set, its
+splittable sublinks and its :func:`chi2` by label pair from ``nu`` when it
+is built, and keeps the answers of :func:`strongly_nonsplittable` by base
+sublink (each checked to lie within the profile) and :func:`classify_A`'s
+two-component results by label pair, so ``nu`` must not be mutated after
+construction.  Base answers are kept because every meridian sublink over
+one base asks the same superset question; there are at most ``2^n`` bases,
+one per entry of ``nu``, and ``C(n, 2)`` pairs, so they never outgrow it.
 
 From a profile the module computes the deletion inclusion-exclusion
 invariants :func:`chi2` and :func:`chi3`, the homotopy types of the
@@ -26,7 +26,6 @@ commutator subgroup -- in terms of homotopy groups of spheres.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from typing import Collection, Iterable, Mapping
 
@@ -87,10 +86,10 @@ class LinkProfile(_Frozen):
     """Splitting genus of every sublink of an ``size``-component link.
 
     ``nu`` maps each subset of ``{1..size}`` (as a frozenset) to its genus.
-    Instances are validated on construction; treat them as immutable: the
-    label set, the splittable sublinks, ``chi2`` by label pair, the
-    strong-nonsplittability answers by base and the two-component
-    classifications by label pair are cached from ``nu``.
+    Construction validates ``nu`` and computes the label set, the splittable
+    sublinks and ``chi2`` by label pair from it; treat instances as
+    immutable.  Strong-nonsplittability answers by base and two-component
+    classifications by label pair are kept as they are asked.
     """
 
     __match_args__ = ("size", "nu")
@@ -106,8 +105,8 @@ class LinkProfile(_Frozen):
             raise ProfileError(
                 f"profile must assign a genus to all {expected} sublinks, got {count}"
             )
-        self.__dict__.update(size=size, nu=nu)
-        full = self.full_set
+        full = frozenset(range(1, size + 1))
+        splittable: list[frozenset[int]] = []
         for subset, genus in nu.items():
             if not subset <= full:
                 raise ProfileError(f"sublink {set(subset)} is not within 1..{size}")
@@ -125,47 +124,32 @@ class LinkProfile(_Frozen):
                     f"genus of {sorted(subset)} must lie in 0..{len(subset) - 1}, "
                     f"got {genus}"
                 )
-
-    @cached_property
-    def full_set(self) -> frozenset[int]:
-        return frozenset(range(1, self.size + 1))
-
-    @cached_property
-    def _splittable(self) -> tuple[frozenset[int], ...]:
-        # Largest first: the full set or a size n-1 sublink usually ends a query.
-        splittable = [s for s, genus in self.nu.items() if genus > 0]
-        return tuple(sorted(splittable, key=len, reverse=True))
-
-    @cached_property
-    def _chi2(self) -> dict[frozenset[int], int]:
-        # chi2 by label pair: a two-component classification reads one entry
-        full = self.full_set
-        return {frozenset(pair): _chi2_within(self, full, *pair)
-                for pair in combinations(sorted(full), 2)}
-
-    @cached_property
-    def _two_component(self) -> dict[frozenset[int], ClassificationResult]:
-        # classify_A's two-component results by label pair, filled on first ask
-        return {}
-
-    @cached_property
-    def _strong(self) -> dict[frozenset[int], bool]:
-        # strongly_nonsplittable answers by base sublink, filled on first ask
-        return {}
+            elif genus > 0:
+                splittable.append(subset)
+        # splittable sublinks largest first: the full set or a size n-1
+        # sublink usually ends a query
+        self.__dict__.update(
+            size=size, nu=nu, full_set=full,
+            _splittable=tuple(sorted(splittable, key=len, reverse=True)),
+            _chi2={frozenset(pair): _chi2_within(nu, full, *pair)
+                   for pair in combinations(range(1, size + 1), 2)},
+            _strong={}, _two_component={},
+        )
 
     def genus(self, subset: Iterable[int]) -> int:
         return self.nu[frozenset(subset)]
 
 
-def _preset_value(kind: str, subset: frozenset[int], n: int) -> int:
-    if not subset:
+def _preset_value(kind: str, k: int, n: int) -> int:
+    # the genus a preset gives every sublink of k of the n components
+    if not k:
         return -1
     if kind == "hopf":
         return 0
     if kind == "trivial":
-        return len(subset) - 1
+        return k - 1
     if kind == "brunnian":
-        return 0 if len(subset) == n else len(subset) - 1
+        return 0 if k == n else k - 1
     raise ValueError(f"unknown preset {kind!r}; expected one of {PRESETS}")
 
 
@@ -175,20 +159,8 @@ def preset_profile(kind: str, n: int) -> LinkProfile:
     ``hopf``: every sublink nonsplittable (genus 0), as for the fibration
     links. ``trivial``: every sublink splits completely. ``brunnian``: the
     full link is nonsplittable but every proper sublink splits completely.
-    Above ``_MAX_PRESET_COMPONENTS`` components raises :class:`ProfileError`
-    before any sublink is built.
     """
-    if n > _MAX_PRESET_COMPONENTS:
-        raise ProfileError(
-            f"preset profiles have at most {_MAX_PRESET_COMPONENTS} components "
-            f"({2 ** _MAX_PRESET_COMPONENTS} sublinks), got {n}"
-        )
-    nu = {
-        frozenset(sub): _preset_value(kind, frozenset(sub), n)
-        for r in range(n + 1)
-        for sub in combinations(range(1, n + 1), r)
-    }
-    return LinkProfile(n, nu)
+    return build_profile(n, kind)
 
 
 def build_profile(
@@ -198,11 +170,22 @@ def build_profile(
 ) -> LinkProfile:
     """Assemble a profile from an optional preset plus explicit values.
 
-    Without a preset the overrides must cover all ``2^n`` sublinks.
+    Without a preset the overrides must cover all ``2^n`` sublinks.  A
+    preset above ``_MAX_PRESET_COMPONENTS`` components raises
+    :class:`ProfileError` before any sublink is built.
     """
     nu: dict[frozenset[int], int] = {}
     if preset is not None:
-        nu = dict(preset_profile(preset, n).nu)
+        if n > _MAX_PRESET_COMPONENTS:
+            raise ProfileError(
+                f"preset profiles have at most {_MAX_PRESET_COMPONENTS} components "
+                f"({2 ** _MAX_PRESET_COMPONENTS} sublinks), got {n}"
+            )
+        nu = {
+            frozenset(sub): _preset_value(preset, r, n)
+            for r in range(n + 1)
+            for sub in combinations(range(1, n + 1), r)
+        }
     if overrides:
         nu.update({frozenset(k): v for k, v in overrides.items()})
     return LinkProfile(n, nu)
@@ -216,8 +199,8 @@ def _check_labels(p: LinkProfile, labels: tuple[int, ...]) -> None:
             raise ValueError(f"label {label} out of range 1..{p.size}")
 
 
-def _chi2_within(p: LinkProfile, full: frozenset[int], i: int, j: int) -> int:
-    return p.nu[full - {i, j}] - p.nu[full - {i}] - p.nu[full - {j}] + p.nu[full]
+def _chi2_within(nu: Mapping[frozenset[int], int], full: frozenset[int], i: int, j: int) -> int:
+    return nu[full - {i, j}] - nu[full - {i}] - nu[full - {j}] + nu[full]
 
 
 def chi2(p: LinkProfile, i: int, j: int) -> int:
@@ -236,7 +219,7 @@ def chi3(p: LinkProfile, i: int, j: int, k: int) -> int:
     profile itself, and is invariant under permuting the labels.
     """
     _check_labels(p, (i, j, k))
-    return _chi2_within(p, p.full_set - {k}, i, j) - p._chi2[frozenset((i, j))]
+    return _chi2_within(p.nu, p.full_set - {k}, i, j) - p._chi2[frozenset((i, j))]
 
 
 def delete_component(p: LinkProfile, k: int) -> LinkProfile:

@@ -5,12 +5,15 @@ the three presets with 2..5 components and on every ``tests/data/*.lnk``
 profile, the base L0, the meridian sublink, ``main_line()``, ``method`` and
 ``notes``.  Regenerate it with ``PYTHONPATH=src python
 tests/test_classify_pairs.py`` only when a classification is meant to
-change.  ``chi2`` and the two-component notes, which read a profile's
-cached table, are checked against the benchmark's sum formula.
+change.  ``chi2`` and the two-component notes, which read the table a
+profile computes when it is built, are checked against the benchmark's sum
+formula, and so is every value the profile computes then.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import combinations
 from pathlib import Path
@@ -243,18 +246,33 @@ def test_two_component_results_are_shared_by_pair():
 
 
 def _chi2_profiles() -> list[LinkProfile]:
-    """Presets with 2..8 components, the data files, 200 random profiles of
+    """Presets with 1..8 components, the data files, 200 random profiles of
     2..6 components, and every profile one deletion away from those."""
     rng = random.Random(2003)
-    profiles = [preset_profile(kind, n) for kind in PRESETS for n in range(2, 9)]
+    profiles = [preset_profile(kind, n) for kind in PRESETS for n in range(1, 9)]
     profiles += [load_profile(str(path)) for path in sorted((TESTS / "data").glob("*.lnk"))]
     profiles += [random_profile(rng, rng.randint(2, 6)) for _ in range(200)]
-    return profiles + [delete_component(p, k) for p in profiles for k in p.full_set]
+    return profiles + [delete_component(p, k) for p in profiles if p.size > 1
+                       for k in p.full_set]
+
+
+def _assert_built_fields(p: LinkProfile) -> None:
+    """The values a new profile computes from ``nu``, read again from ``nu``."""
+    full = frozenset(range(1, p.size + 1))
+    assert p.full_set == full
+    splittable = {s for s, genus in p.nu.items() if genus > 0}
+    assert len(p._splittable) == len(splittable) and set(p._splittable) == splittable
+    sizes = [len(s) for s in p._splittable]
+    assert sizes == sorted(sizes, reverse=True), (p.nu, p._splittable)
+    assert p._chi2 == {frozenset((i, j)): nu_chi2(p.nu, full, i, j)
+                       for i, j in combinations(range(1, p.size + 1), 2)}
+    assert p._strong == {} and p._two_component == {}
 
 
 def test_chi2_and_two_component_notes_match_the_sum_formula():
     infinite = 0
     for p in _chi2_profiles():
+        _assert_built_fields(p)
         full = p.full_set
         for i, j in combinations(sorted(full), 2):
             expected = nu_chi2(p.nu, full, i, j)
@@ -268,6 +286,20 @@ def test_chi2_and_two_component_notes_match_the_sum_formula():
                 assert r.notes == notes, (p.nu, l0, sub)
                 infinite += bool(notes)
     assert infinite  # some pair reaches the note
+
+
+def test_copies_get_new_empty_answer_dicts():
+    p = preset_profile("trivial", 5)
+    for l0, sub in _pairs(p.size):
+        classify_A(p, l0, sub)
+    assert p._strong and p._two_component
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and q is not p
+        _assert_built_fields(q)
+        assert (q.full_set, q._splittable, q._chi2) == (p.full_set, p._splittable, p._chi2)
+        classify_A(q, (), (1, 2))
+        assert p._strong is not q._strong and p._two_component is not q._two_component
+        assert len(q._strong) == len(q._two_component) == 1
 
 
 if __name__ == "__main__":

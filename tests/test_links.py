@@ -62,21 +62,55 @@ def test_presets():
     brunnian = preset_profile("brunnian", 3)
     assert brunnian.genus((1, 2, 3)) == 0
     assert brunnian.genus((1, 2)) == 1
-    with pytest.raises(ValueError):
-        preset_profile("borromean", 3)
+    unknown = r"^unknown preset 'borromean'; expected one of \('hopf', 'trivial', 'brunnian'\)$"
+    for route in (preset_profile, lambda kind, n: build_profile(n, kind)):
+        with pytest.raises(ValueError, match=unknown) as caught:
+            route("borromean", 3)
+        assert type(caught.value) is ValueError
     for n in (0, -2):
         with pytest.raises(ProfileError, match=f"component count must be >= 1, got {n}"):
             preset_profile("hopf", n)
 
 
-def test_preset_profile_component_limit():
-    # a preset assigns all 2^n sublinks, so a large n is refused before that
+def test_preset_profile_component_limit(monkeypatch):
+    # a preset assigns all 2^n sublinks, so a large n is refused before any
+    # sublink's genus is asked for, by both routes and with the same text
     assert preset_profile("hopf", 12).size == 12
-    for n in (13, 40, 10**9):
-        with pytest.raises(ProfileError, match=f"at most 12 components .*, got {n}"):
-            preset_profile("hopf", n)
+
+    def never(*args):
+        raise AssertionError(f"_preset_value{args} was called")
+
+    monkeypatch.setattr("linkhomotopy.links._preset_value", never)
+    for kind in PRESETS:
+        for n in (13, 40, 10**9):
+            message = rf"^preset profiles have at most 12 components \(4096 sublinks\), got {n}$"
+            with pytest.raises(ProfileError, match=message):
+                preset_profile(kind, n)
+            with pytest.raises(ProfileError, match=message):
+                build_profile(n, kind)
     with pytest.raises(ProfileFormatError, match="<profile>: preset profiles have at most"):
         parse_profile("components 40\npreset trivial\n")
+
+
+@pytest.mark.parametrize("kind", PRESETS)
+def test_preset_routes_agree(kind):
+    # preset_profile, build_profile and a profile file's 'preset' line build
+    # one profile, with its sublinks in one order; so does an override
+    for n in range(1, 13):
+        full = frozenset(range(1, n + 1))
+        routes = [preset_profile(kind, n), build_profile(n, kind),
+                  parse_profile(f"components {n}\npreset {kind}\n")]
+        genus = 0 if routes[0].nu[full] else n - 1
+        routes += [
+            LinkProfile(n, {**routes[0].nu, full: genus}),
+            build_profile(n, kind, {full: genus}),
+            parse_profile(f"components {n}\npreset {kind}\nnu full {genus}\n"),
+        ]
+        assert routes[3].genus(full) == genus
+        for first, *others in (routes[:3], routes[3:]):
+            for p in others:
+                assert p == first
+                assert list(p.nu) == list(first.nu) and p._splittable == first._splittable
 
 
 def test_profile_invariants_enforced():

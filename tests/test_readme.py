@@ -6,6 +6,7 @@ Every example in the "Command line" section that states a result with
 result may sit on the command's own line or alone on the line after it.
 """
 
+import ast
 import importlib
 import re
 import shlex
@@ -80,3 +81,21 @@ def test_readme_states_each_limit(constant):
     value = getattr(importlib.import_module(f"linkhomotopy.{module}"), name)
     text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     assert LIMITS[constant](value) in text
+
+
+def test_readme_lists_every_module_the_layers_import():
+    # every module a layer imports anywhere in its source, by top-level name,
+    # except __future__ and the package's own modules
+    package = importlib.import_module("linkhomotopy")
+    imported = set()
+    for layer in package._LAYERS:
+        path = ROOT / "src" / "linkhomotopy" / f"{layer}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    imported = {name.split(".")[0] for name in imported} - {"__future__", "linkhomotopy"}
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    listed = re.search(r"the layers import only ([^.]*)\.", text).group(1)
+    assert imported == set(re.findall(r"`(\w+)`", listed))
