@@ -63,18 +63,21 @@ def _unwritable(values: _Iterable[int]) -> ValueError:
                       f"limit is {_sys.get_int_max_str_digits()}")
 
 
-class _Frozen:
+class _Value:
     """Base of the package's immutable values.
 
     A subclass names its fields once, in order, in ``__match_args__`` (which
-    class patterns read too), and its ``__init__`` checks the arguments and
-    writes the fields past the frozen ``__setattr__``: through
-    ``self.__dict__``, or through its slots' descriptors in a slotted class.
-    Values are equal when they have the same class and equal fields, hash
-    by their fields (so a value holding a dict does not hash), print as
-    ``Name(field=value, ...)``, and copy and pickle by calling the class on
-    their fields.  ``Word`` and ``SimplicialElement`` spell out ``__eq__``
-    and ``__hash__`` for speed.
+    class patterns read too).  Values are equal when they have the same
+    class and equal fields, hash by their fields (so a value holding a dict
+    does not hash), print as ``Name(field=value, ...)``, and copy and pickle
+    by calling the class on their fields.
+
+    ``Word`` and ``SimplicialElement`` derive from it directly, spell out
+    ``__eq__`` and ``__hash__`` for speed, and keep their fields in private
+    slots behind read-only properties.  Only their constructors write the
+    slots, with plain stores, as every face and degeneracy builds an
+    element: that takes about 0.19 us, against 0.32 us with stores through
+    the slots' descriptors past a Python-level ``__setattr__``.
     """
 
     __slots__ = ()
@@ -82,12 +85,6 @@ class _Frozen:
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -103,6 +100,19 @@ class _Frozen:
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._fields()
+
+
+class _Frozen(_Value):
+    """A value whose ``__init__`` checks its arguments and writes its fields
+    through ``self.__dict__``; assigning or deleting an attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _export_layers() -> None:

@@ -179,7 +179,7 @@ def _field_width(w: Word, degree: int, slots: int, layout: str) -> int:
     n, k = w.length + degree - 1, min(degree, w.length - 1)
     if k > 64:
         _check_bytes(slots, max(0, int(k * (log2(n) - log2(k))) - 1), "at least ", layout)
-    bound = comb(n, degree) if w.syllables else 0
+    bound = comb(n, degree) if w._syllables else 0
     return _check_bytes(slots, bound.bit_length(), "", layout)
 
 
@@ -217,7 +217,7 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, int, 
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    support = tuple(sorted({index for index, _ in w.syllables}))
+    support = tuple(sorted({index for index, _ in w._syllables}))
     r = len(support)
     # sum_{d <= T} r**d slots; past degree 64 the count is only a lower bound
     # (it is cheap and already above the limit)
@@ -229,7 +229,7 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, int, 
     if r < 2:
         # one syllable x^e, or none: degree d's one slot holds C(e, d), yielded
         # as found and none past d = e >= 0, as T may be in the millions
-        e = w.syllables[0][1] if r else 0
+        e = w._syllables[0][1] if r else 0
         steps = range(truncation if e < 0 else min(e, truncation))
         binomials = accumulate(steps, lambda c, d: c * (e - d) // (d + 1), initial=1)
         return support, width, m, ([c] for c in binomials)
@@ -241,7 +241,7 @@ def _dense_blocks(w: Word, truncation: int) -> tuple[tuple[int, ...], int, int, 
     blocks = [[1]] + [[0] * r ** max(0, d - m) for d in range(1, truncation + 1)]
     # the moves of each letter and signed k, built once: T <= 23 (slot limit)
     plans: dict[tuple[int, int], list] = {}
-    for index, exponent in w.syllables:
+    for index, exponent in w._syllables:
         # multiplying by (1 + X_a)^k reads the old lower degrees, so degrees
         # descend; dividing by it reads the new ones, so they ascend
         a, k = letter[index], min(abs(exponent), truncation)
@@ -273,7 +273,7 @@ def magnus_expand(w: Word, truncation: int) -> MagnusSeries:
     if r == 1:
         # x^e is nonzero in degrees 0..D, D = T for e < 0 and min(e, T) else:
         # counted in closed form, before any degree is decoded
-        e = w.syllables[0][1]
+        e = w._syllables[0][1]
         top = truncation if e < 0 else min(e, truncation)
         _check_letters(top + 1, top * (top + 1) // 2)
     # degree d has chunks of r**min(d, m) fields; only the nonzero ones are read
@@ -317,7 +317,7 @@ def _reduced_terms(w: Word, support: tuple[int, ...], truncation: int) -> dict[M
             if not s & bit
         ]
     blocks = [1] + [0] * ((1 << r) - 1)
-    for index, exponent in w.syllables:
+    for index, exponent in w._syllables:
         # the targets all hold a and the sources do not: any order will do.
         # Exponents +-1 skip the multiplication (one loop for every exponent
         # costs tower words 5%); a set with no letter below a adds its block
@@ -361,7 +361,7 @@ def reduced_expand(w: Word, truncation: int) -> MagnusSeries:
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    support = tuple(sorted({index for index, _ in w.syllables}))
+    support = tuple(sorted({index for index, _ in w._syllables}))
     if truncation < len(support):
         terms = magnus_expand(w, truncation).terms
         terms = {m: c for m, c in terms.items() if not _has_repeat(m)}
@@ -387,7 +387,7 @@ def gamma_class_lower_bound(w: Word, max_degree: int) -> int | None:
         blocks = _dense_blocks(w, max_degree)[3]
     except ValueError as refusal:
         # the identity has no nonzero degree; those below d were zero before
-        for d in range(1, max_degree if w.syllables else 1):
+        for d in range(1, max_degree if w._syllables else 1):
             try:
                 if any(map(any, list(_dense_blocks(w, d)[3])[1:])):
                     return d
@@ -418,7 +418,7 @@ def mu_coefficient(w: Word, indices: Sequence[int]) -> int:
     # matched[p] is the coefficient of X_{indices[0]} ... X_{indices[p-1]}
     # in the expansion of the prefix read so far
     matched = [1] + [0] * len(indices)
-    for index, exponent in w.syllables:
+    for index, exponent in w._syllables:
         p = position.get(index)
         if p is not None:
             matched[p + 1] += exponent * matched[p]

@@ -29,17 +29,19 @@ checks its input word's range, and :func:`eta_word` checks that its input
 is a cycle.  Faces, degeneracies, the elimination of the last generator and
 the tower step build their canonical results directly, in one unchecked
 step; the tests rebuild such results through ``SimplicialElement(...)`` to
-confirm the invariant.  An element holds its degree and its syllables, and
-``word`` wraps the syllables in a :class:`Word` each time it is read, so
-faces, degeneracies and the elimination build no ``Word``.  Element
-equality is structural on ``(degree, syllables)``.
+confirm the invariant.  An element keeps its degree and syllables in two
+private slots behind read-only properties, and ``word`` wraps the syllables
+in a :class:`Word` each time it is read, so faces, degeneracies and the
+elimination build no ``Word``: one object and two plain slot stores.
+Element equality is structural on ``(degree, syllables)``.
 """
 
 from __future__ import annotations
 
 from math import factorial
+from operator import attrgetter
 
-from . import _Frozen
+from . import _Value
 from .words import (
     Syllable,
     Word,
@@ -77,16 +79,17 @@ class NotACycleError(ValueError):
     """A Moore-cycle precondition failed."""
 
 
-class SimplicialElement(_Frozen):
+class SimplicialElement(_Value):
     """An element of the degree-``degree`` group, in canonical form.
 
-    The element holds its reduced syllables, using only generators
-    ``x1..x_degree``, and ``word`` wraps them in a :class:`Word` on each
-    read; construct through :func:`element`, which rewrites
-    ``x_{degree+1}`` away.
+    The element holds its degree and its reduced syllables, using only
+    generators ``x1..x_degree``, in private slots; ``degree`` and ``word``
+    are read-only properties, and ``word`` wraps the syllables in a
+    :class:`Word` on each read.  Construct through :func:`element`, which
+    rewrites ``x_{degree+1}`` away.
     """
 
-    __slots__ = ("degree", "_syllables")
+    __slots__ = ("_degree", "_syllables")
     __match_args__ = ("degree", "word")
 
     def __init__(self, degree: int, word: Word) -> None:
@@ -97,8 +100,10 @@ class SimplicialElement(_Frozen):
                 f"word uses x{word.max_generator} but canonical degree-"
                 f"{degree} words use only x1..x{degree}"
             )
-        _set_degree(self, degree)
-        _set_syllables(self, word.syllables)
+        self._degree = degree
+        self._syllables = word._syllables
+
+    degree = property(attrgetter("_degree"), doc="The simplicial degree.")
 
     @property
     def word(self) -> Word:
@@ -106,11 +111,12 @@ class SimplicialElement(_Frozen):
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.degree == other.degree and self._syllables == other._syllables
+            return self._degree == other._degree and self._syllables == other._syllables
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.word))
+        # hash((degree, word)), as Word hashes as hash((syllables,))
+        return hash((self._degree, (self._syllables,)))
 
     @property
     def is_identity(self) -> bool:
@@ -120,18 +126,14 @@ class SimplicialElement(_Frozen):
         return f"degree={self.degree}; word={print_word(self.word)}"
 
 
-_set_degree = SimplicialElement.__dict__["degree"].__set__
-_set_syllables = SimplicialElement.__dict__["_syllables"].__set__
-
-
 def _element(degree: int, syllables: tuple[Syllable, ...]) -> SimplicialElement:
     """An element from syllables already reduced and canonical at
-    ``degree``, unchecked: one object, its two slots written through their
-    descriptors, past the frozen ``__setattr__`` and the checks of
-    ``__init__``; no :class:`Word` is built until ``word`` is read."""
+    ``degree``, unchecked: one object and two plain slot stores, past the
+    checks of ``__init__``; no :class:`Word` is built until ``word`` is
+    read."""
     e = object.__new__(SimplicialElement)
-    _set_degree(e, degree)
-    _set_syllables(e, syllables)
+    e._degree = degree
+    e._syllables = syllables
     return e
 
 
@@ -199,7 +201,7 @@ def element(degree: int, word: Word | str) -> SimplicialElement:
         raise ValueError(
             f"word uses x{top}; degree-{degree} elements allow at most x{degree + 1}"
         )
-    return _element(degree, _eliminate(degree, word.syllables))
+    return _element(degree, _eliminate(degree, word._syllables))
 
 
 def face(i: int, e: SimplicialElement) -> SimplicialElement:
@@ -209,7 +211,7 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
     above it; ``d_n`` keeps every generator, and rewrites ``x_n``, the one
     eliminated at degree ``n - 1``, as :func:`element` does.
     """
-    n = e.degree
+    n = e._degree
     if n == 0:
         raise ValueError("degree-0 elements have no faces")
     if not 0 <= i <= n:
@@ -239,7 +241,7 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
 
 def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
     """The ``i``-th degeneracy, a homomorphism from degree ``n`` to ``n + 1``."""
-    n = e.degree
+    n = e._degree
     if not 0 <= i <= n:
         raise ValueError(f"degeneracy index {i} out of range 0..{n}")
     j = i + 1
@@ -269,10 +271,10 @@ def is_moore_chain(e: SimplicialElement) -> bool:
     lacks, so the loop never runs past its length, and the identity needs
     no loop.  ``d_n``, which rewrites ``x_n``, is tested on its syllables.
     """
-    n, w = e.degree, e.word
+    n, w = e._degree, e.word
     return e.is_identity or (
         all(in_normal_closure(w, a) for a in range(2, n + 1))
-        and not _eliminate(n - 1, w.syllables)
+        and not _eliminate(n - 1, e._syllables)
     )
 
 
@@ -303,9 +305,9 @@ def _eta_step(z: SimplicialElement) -> SimplicialElement:
     """``[s_0 z, s_1 z]`` for a cycle ``z`` of degree >= 1, unchecked."""
     # a degeneracy turns each letter into at most two syllables, so the
     # commutator has at most eight per letter of z; checked before building
-    _check_syllables(8 * z.word.length, "the tower step")
+    _check_syllables(8 * sum(abs(exp) for _, exp in z._syllables), "the tower step")
     word = commutator(degeneracy(0, z).word, degeneracy(1, z).word)
-    return _element(z.degree + 1, word.syllables)
+    return _element(z._degree + 1, word._syllables)
 
 
 def eta_tower(k: int) -> SimplicialElement:
@@ -397,7 +399,7 @@ def symmetric_commutator_sample(degree: int, seed: int) -> SimplicialElement:
         entry = conjugate(core, _decode_conjugator(conj_index, degree))
         word = entry if word is None else commutator(word, entry)
     assert word is not None
-    return _element(degree, word.syllables)
+    return _element(degree, word._syllables)
 
 
 def meridian_word(k: int) -> SimplicialElement:

@@ -37,9 +37,10 @@ parser accepts back.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable, Mapping, NoReturn
 
-from . import _decimal, _Frozen, _unwritable
+from . import _decimal, _Frozen, _unwritable, _Value
 
 __all__ = [
     "Word",
@@ -104,15 +105,17 @@ def _product(u: tuple[Syllable, ...], v: tuple[Syllable, ...]) -> tuple[Syllable
     return tuple(stack)
 
 
-class Word(_Frozen):
+class Word(_Value):
     """A freely reduced word; ``Word()`` is the identity.
 
     Direct construction checks the reduction invariant and raises
     ``ValueError`` on malformed input; use :func:`reduce_word` to build a
-    word from an arbitrary syllable sequence.
+    word from an arbitrary syllable sequence.  ``syllables`` is a read-only
+    property over the private ``_syllables`` slot.
     """
 
-    __slots__ = __match_args__ = ("syllables",)
+    __slots__ = ("_syllables",)
+    __match_args__ = ("syllables",)
 
     def __init__(self, syllables: tuple[Syllable, ...] = ()) -> None:
         previous = 0
@@ -125,43 +128,45 @@ class Word(_Frozen):
             if gen == previous:
                 raise ValueError("adjacent syllables share a generator; word is not reduced")
             previous = gen
-        _set_syllables(self, syllables)
+        self._syllables = syllables
+
+    syllables = property(attrgetter("_syllables"), doc="The reduced syllables, a tuple.")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.syllables == other.syllables
+            return self._syllables == other._syllables
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.syllables,))
+        return hash((self._syllables,))
 
     @property
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not self._syllables
 
     @property
     def length(self) -> int:
         """Number of letters, counting exponent multiplicity."""
-        return sum(abs(exp) for _, exp in self.syllables)
+        return sum(abs(exp) for _, exp in self._syllables)
 
     @property
     def max_generator(self) -> int:
         """Largest generator index occurring in the word (0 for the identity)."""
-        return max((gen for gen, _ in self.syllables), default=0)
+        return max((gen for gen, _ in self._syllables), default=0)
 
     def __invert__(self) -> "Word":
-        return _word(tuple([(gen, -exp) for gen, exp in reversed(self.syllables)]))
+        return _word(tuple([(gen, -exp) for gen, exp in reversed(self._syllables)]))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        _check_syllables(len(self.syllables) + len(other.syllables), "the product")
-        return _word(_product(self.syllables, other.syllables))
+        _check_syllables(len(self._syllables) + len(other._syllables), "the product")
+        return _word(_product(self._syllables, other._syllables))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return Word()
-        s = self.syllables
+        s = self._syllables
         if abs(n) * len(s) > _MAX_SYLLABLES:
             # self = u c u^-1 with c cyclically reduced: u c^n u^-1, and a
             # one-syllable c takes its power in place
@@ -173,7 +178,7 @@ class Word(_Frozen):
         if len(s) == 1:
             return _word(((s[0][0], s[0][1] * n),))
         # the bound above covers every partial product: joined unchecked
-        base = s if n > 0 else (~self).syllables
+        base = s if n > 0 else (~self)._syllables
         n = abs(n)
         result: tuple[Syllable, ...] = ()
         while True:
@@ -191,15 +196,11 @@ class Word(_Frozen):
         return f"Word({print_word(self)!r})"
 
 
-_set_syllables = Word.__dict__["syllables"].__set__
-
-
 def _word(syllables: tuple[Syllable, ...]) -> Word:
-    """A word from syllables already known to be reduced, unchecked: the
-    field is written through its slot's descriptor, past the frozen
-    ``__setattr__`` and the checks of ``__init__``."""
+    """A word from syllables already known to be reduced, unchecked: one
+    object and one plain slot store, past the checks of ``__init__``."""
     w = object.__new__(Word)
-    _set_syllables(w, syllables)
+    w._syllables = syllables
     return w
 
 
@@ -231,10 +232,10 @@ def generator(index: int, exponent: int = 1) -> Word:
 def commutator(a: Word, b: Word) -> Word:
     """The commutator ``[a, b] = a b a^-1 b^-1`` (this sign convention is
     used throughout the package)."""
-    _check_syllables(2 * (len(a.syllables) + len(b.syllables)), "the commutator")
-    stack = list(a.syllables)  # the four reduced factors, joined on one stack
+    _check_syllables(2 * (len(a._syllables) + len(b._syllables)), "the commutator")
+    stack = list(a._syllables)  # the four reduced factors, joined on one stack
     for factor in (b, ~a, ~b):
-        _join(stack, factor.syllables)
+        _join(stack, factor._syllables)
     return _word(tuple(stack))
 
 
@@ -259,24 +260,24 @@ class GeneratorMap(_Frozen):
 
     def __call__(self, w: Word) -> Word:
         stack: list[Syllable] = []
-        for gen, exp in w.syllables:
+        for gen, exp in w._syllables:
             image = self.images.get(gen)
             if image is None:
                 _push(stack, gen, exp)
                 continue
-            if not image.syllables:
+            if not image._syllables:
                 continue
-            if len(image.syllables) == 1:
+            if len(image._syllables) == 1:
                 # single-syllable images commute with taking powers
-                g, e = image.syllables[0]
+                g, e = image._syllables[0]
                 _push(stack, g, e * exp)
                 continue
-            bound = len(stack) + abs(exp) * len(image.syllables)
+            bound = len(stack) + abs(exp) * len(image._syllables)
             if bound > _MAX_SYLLABLES:  # compared here, as this runs per syllable
                 _check_syllables(bound, "the image")
             piece = image if exp > 0 else ~image
             for _ in range(abs(exp)):
-                for g, e in piece.syllables:
+                for g, e in piece._syllables:
                     _push(stack, g, e)
         return _word(tuple(stack))
 
@@ -292,7 +293,7 @@ def in_normal_closure(w: Word, index: int) -> bool:
         raise ValueError(f"generator index must be >= 1, got {index}")
     stack: list[Syllable] = []
     top = 0  # the generator of stack[-1], 0 for an empty stack
-    for syllable in w.syllables:
+    for syllable in w._syllables:
         gen = syllable[0]
         if gen == index:
             continue
@@ -312,10 +313,10 @@ def print_word(w: Word, letter: str = "x") -> str:
         return "1"
     parts = []
     try:
-        for gen, exp in w.syllables:
+        for gen, exp in w._syllables:
             parts.append(f"{letter}{gen}" if exp == 1 else f"{letter}{gen}^{exp}")
     except ValueError:  # an exponent past the int/str digit limit
-        raise _unwritable(exp for _, exp in w.syllables) from None
+        raise _unwritable(exp for _, exp in w._syllables) from None
     return " ".join(parts)
 
 
@@ -396,7 +397,7 @@ class _Parser:
                 self.pos += 1
                 self.exponent()  # every power of the identity is the identity
             elif ch in ("(", "["):
-                factor = (self.bracket(ch) ** self.exponent()).syllables
+                factor = (self.bracket(ch) ** self.exponent())._syllables
                 _check_syllables(len(stack) + len(factor), "the word")
                 _join(stack, factor)
             else:

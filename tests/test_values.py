@@ -175,3 +175,41 @@ def test_value_refusals(make, args, error, message):
         make(*args)
     assert type(refused.value) is error
     assert str(refused.value) == message
+
+
+SLOTTED = (Word, SimplicialElement)
+
+
+def test_slotted_values_keep_object_setattr():
+    # their constructors write the private slots with plain stores, which
+    # a Python-level __setattr__ in the class's MRO would slow down
+    for cls in SLOTTED:
+        assert cls.__setattr__ is object.__setattr__
+        assert cls.__delattr__ is object.__delattr__
+    e = VALUES["SimplicialElement"][0]
+    assert e.word.__reduce__() == (Word, (e.word.syllables,))
+    assert e.__reduce__() == (SimplicialElement, (e.degree, e.word))
+    for value in (e.word, e):
+        assert not hasattr(value, "__dict__")
+        for name in type(value).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = 1
+    assert (e.degree, e.word) == (2, Word(((2, -1), (1, -1))))
+
+
+@pytest.mark.parametrize("name", [name for name, row in VALUES.items()
+                                  if type(row[0]) not in SLOTTED])
+def test_dict_backed_values_refuse_writes(name):
+    value = VALUES[name][0]
+    for field in (*type(value).__match_args__, "other"):
+        with pytest.raises(AttributeError) as refused:
+            setattr(value, field, None)
+        assert str(refused.value) == f"cannot assign to field {field!r}"
+        with pytest.raises(AttributeError) as refused:
+            delattr(value, field)
+        assert str(refused.value) == f"cannot delete field {field!r}"
+    assert value == VALUES[name][1]
