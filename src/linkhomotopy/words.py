@@ -27,18 +27,17 @@ The module also provides a parser/printer for a small expression grammar::
 
 Whitespace and ``'*'`` are interchangeable separators, ``[u, v]`` denotes
 the commutator ``u v u^-1 v^-1``, and the literal ``1`` is the identity.
-The parser reads a generator factor in one regular-expression match, onto
-one reduced stack; a malformed one is read again on the token path, so its
-error keeps its position.  The printer emits the reduced syllable form,
-e.g. ``"x1 x2 x1 x2^-1 x1^-2"`` (``"1"`` for the identity), which the
-parser accepts back.
+The parser reads each factor, malformed ones too, in one regular-expression
+match, and keeps the words around open brackets on an explicit stack.  The
+printer emits the reduced syllable form, e.g. ``"x1 x2 x1 x2^-1 x1^-2"``
+(``"1"`` for the identity), which the parser accepts back.
 """
 
 from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Iterable, Mapping, NoReturn
+from typing import Iterable, Mapping
 
 from . import _decimal, _Frozen, _unwritable, _Value
 
@@ -320,15 +319,14 @@ def print_word(w: Word, letter: str = "x") -> str:
     return " ".join(parts)
 
 
-# The parser recurses two frames per bracket level (``_Parser.word`` and
-# ``_Parser.bracket``); this keeps deep input a syntax error instead of a
-# RecursionError.
+#: Most brackets that may be open at once; deeper input is a syntax error.
 _MAX_NESTING = 100
 
-_SEPARATORS = re.compile(r"[ \t*]*")
-_EXPONENT = re.compile(r"\^([+-]?)(\d*)")
-_FACTOR = re.compile(r"(.)(\d*)(?:\^([+-]?\d*))?[ \t*]*", re.S)
-_WORD_ENDS = ("", ")", "]", ",")
+#: One factor and the separators after it: any character but ``1`` and the
+#: brackets and comma (group 1) with its index digits (group 2), or ``1`` or
+#: a closing bracket (group 3), then an optional exponent (group 4); or an
+#: opening bracket or comma (group 5) alone; or the end of the text.
+_FACTOR = re.compile(r"(?:([^1()\[\],])(\d*)|([1)\]]))(?:\^([+-]?\d*))?[ \t*]*|([(\[,])[ \t*]*|\Z")
 
 
 class WordSyntaxError(ValueError):
@@ -339,102 +337,20 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-def _integer(digits: str, position: int) -> int:
+def _integer(token: str, position: int, missing: str = "expected an integer") -> int:
+    """The integer an index or a signed exponent spells, ``token`` starting
+    at ``position`` in the text.  Raises ``missing`` when it has no digits,
+    and the digit limit's message over that limit, at its first digit; so
+    a factor that ``int`` refuses is reported from the groups read once."""
+    digits = token.lstrip("+-")
+    position += len(token) - len(digits)
+    if not digits:
+        raise WordSyntaxError(missing, position)
     try:
-        return _decimal(digits)
-    except ValueError as exc:  # over the digit limit, located at the first digit
+        value = _decimal(digits)
+    except ValueError as exc:
         raise WordSyntaxError(str(exc), position) from None
-
-
-class _Parser:
-    def __init__(self, text: str, letter: str):
-        self.text = text
-        self.letter = letter
-        self.pos = 0
-        self.depth = 0
-
-    def skip(self) -> str:
-        """Skip separators; return the next character, ``""`` at the end."""
-        self.pos = _SEPARATORS.match(self.text, self.pos).end()
-        return self.text[self.pos:self.pos + 1]
-
-    def exponent(self) -> int:
-        """A ``^`` and signed integer right after a base, else 1."""
-        m = _EXPONENT.match(self.text, self.pos)
-        if m is None:
-            return 1
-        if not m[2]:
-            raise WordSyntaxError("expected an integer", m.start(2))
-        self.pos = m.end()
-        exp = _integer(m[2], m.start(2))
-        return -exp if m[1] == "-" else exp
-
-    def word(self) -> Word:
-        """Factors up to ``)``, ``]``, ``,`` or the end, on one stack, so
-        each syllable is pushed once; a run of generator factors is read one
-        match of :data:`_FACTOR` a factor, separators included."""
-        stack: list[Syllable] = []
-        ch = self.skip()
-        if ch in _WORD_ENDS:
-            raise WordSyntaxError("expected a word", self.pos)
-        text, letter = self.text, self.letter
-        while ch not in _WORD_ENDS:
-            if ch == letter:
-                pos = self.pos
-                while (m := _FACTOR.match(text, pos)) and m[1] == letter:
-                    try:
-                        gen, exp = int(m[2]), 1 if m[3] is None else int(m[3])
-                    except ValueError:  # no digits, or over the digit limit
-                        gen = 0
-                    if not gen:
-                        self.refuse(m)
-                    pos = m.end()
-                    if exp and len(stack) >= _MAX_SYLLABLES:  # compared inline, per syllable
-                        _check_syllables(len(stack) + 1, "the word")
-                    _push(stack, gen, exp)
-                self.pos = pos
-            elif ch == "1":
-                self.pos += 1
-                self.exponent()  # every power of the identity is the identity
-            elif ch in ("(", "["):
-                factor = (self.bracket(ch) ** self.exponent())._syllables
-                _check_syllables(len(stack) + len(factor), "the word")
-                _join(stack, factor)
-            else:
-                raise WordSyntaxError(f"unexpected character {ch!r}", self.pos)
-            ch = self.skip()
-        return _word(tuple(stack))
-
-    def refuse(self, m: re.Match) -> NoReturn:
-        """Raise the token path's error for the malformed generator factor ``m``."""
-        if not m[2]:
-            raise WordSyntaxError(f"expected a generator index after {self.letter!r}", m.start(2))
-        if not _integer(m[2], m.start(2)):
-            raise WordSyntaxError("generator index must be >= 1", m.start(2))
-        self.pos = m.end(2)
-        self.exponent()  # the exponent is malformed, so this raises
-
-    def bracket(self, ch: str) -> Word:
-        """``(w)`` or ``[u, v]``, from its opening bracket ``ch``."""
-        if self.depth == _MAX_NESTING:
-            raise WordSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", self.pos)
-        self.depth += 1
-        self.pos += 1
-        inner = self.word()
-        if ch == "[":
-            self.close(",", "expected ',' in commutator")
-            inner = commutator(inner, self.word())
-            self.close("]", "expected ']'")
-        else:
-            self.close(")", "expected ')'")
-        self.depth -= 1
-        return inner
-
-    def close(self, char: str, message: str) -> None:
-        # word() has stopped on the next character, past any separators
-        if not self.text.startswith(char, self.pos):
-            raise WordSyntaxError(message, self.pos)
-        self.pos += 1
+    return -value if token[0] == "-" else value
 
 
 def parse_word(text: str, letter: str = "x") -> Word:
@@ -442,16 +358,78 @@ def parse_word(text: str, letter: str = "x") -> Word:
     the identity so that ``"1"``-producing pipelines round-trip.
 
     ``letter`` is the one character that names generators (``"x"`` reads
-    ``x1 x2``, ``"a"`` reads ``a1 a2``).  Raises :class:`WordSyntaxError`
-    with the offending position, in ``0..len(text)``, on malformed input,
-    including a generator index of 0, an integer over the interpreter's
-    int/str digit limit (at its first digit) and brackets nested deeper
-    than ``_MAX_NESTING`` levels.
+    ``x1 x2``, ``"a"`` reads ``a1 a2``); any other string, a decimal digit,
+    a separator or a character of the grammar raises ``ValueError``.
+    Raises :class:`WordSyntaxError` with the offending position, in
+    ``0..len(text)``, on malformed input, including a generator index of 0,
+    an integer over the interpreter's int/str digit limit (at its first
+    digit) and more than ``_MAX_NESTING`` open brackets.
+
+    One loop reads the text, one match of :data:`_FACTOR` a factor, and
+    pushes each syllable once, onto the innermost open word.  An opening
+    bracket keeps the word around it on an explicit stack until its closing
+    bracket joins the bracket's power onto that word.
     """
+    if len(letter) != 1 or letter.isdecimal() or letter in " \t^+-*()[],":
+        raise ValueError(f"cannot name generators by {letter!r}")
     if not text.strip(" \t*"):  # nothing but separators
         return IDENTITY
-    parser = _Parser(text, letter)
-    word = parser.word()
-    if parser.pos < len(text):
-        raise WordSyntaxError(f"unexpected character {text[parser.pos]!r}", parser.pos)
-    return word
+    stack: list[Syllable] = []  # the innermost open word
+    # per open bracket: the character that may end its word, the word
+    # around it and, once a commutator has read its ',', its left word
+    brackets: list[tuple[str, list[Syllable], Word | None]] = []
+    start = pos = len(text) - len(text.lstrip(" \t*"))  # where the innermost word starts
+    while True:
+        m = _FACTOR.match(text, pos)
+        if (ch := m[1]) == letter:
+            digits, power = m[2], m[4]
+            try:
+                gen, exp = int(digits), 1 if power is None else int(power)
+            except ValueError:  # no digits, or over the digit limit
+                gen = 0
+            if not gen:
+                if not _integer(digits, m.start(2), f"expected a generator index after {letter!r}"):
+                    raise WordSyntaxError("generator index must be >= 1", m.start(2))
+                _integer(power, m.start(4))  # the exponent is malformed, so this raises
+            if exp and len(stack) >= _MAX_SYLLABLES:  # compared inline, per syllable
+                _check_syllables(len(stack) + 1, "the word")
+            _push(stack, gen, exp)
+            pos = m.end()
+            continue
+        if ch is not None:
+            raise WordSyntaxError(f"unexpected character {ch!r}", pos)
+        ch = m[3] or m[5] or ""  # "" at the end of the text
+        if ch == "1":
+            if m[4] is not None:
+                _integer(m[4], m.start(4))  # every power of the identity is the identity
+            pos = m.end()
+            continue
+        if ch == "(" or ch == "[":
+            if len(brackets) == _MAX_NESTING:
+                raise WordSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", pos)
+            brackets.append((")" if ch == "(" else ",", stack, None))
+            stack = []
+            start = pos = m.end()
+            continue
+        # ch ends the innermost word: ',', ')', ']' or the end of the text
+        if pos == start:
+            raise WordSyntaxError("expected a word", pos)
+        if not brackets:
+            if ch:
+                raise WordSyntaxError(f"unexpected character {ch!r}", pos)
+            return _word(tuple(stack))
+        end, outer, left = brackets.pop()
+        inner = _word(tuple(stack)) if left is None else commutator(left, _word(tuple(stack)))
+        if ch != end:
+            raise WordSyntaxError(f"expected {end!r}" + " in commutator" * (end == ","), pos)
+        if ch == ",":
+            brackets.append(("]", outer, inner))
+            stack = []
+            start = pos = m.end()
+            continue
+        if m[4] is not None:
+            inner **= _integer(m[4], m.start(4))
+        _check_syllables(len(outer) + len(inner._syllables), "the word")
+        _join(outer, inner._syllables)
+        stack = outer
+        pos = m.end()

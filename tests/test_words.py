@@ -375,6 +375,8 @@ def test_parse_nested_commutator_power_matches_composed_ops():
 def test_parse_separators_and_juxtaposition():
     assert parse_word("x1*x2") == parse_word("x1 x2") == parse_word("x1x2")
     assert parse_word("(x1 x2)^-1") == ~(x1 * x2)
+    assert parse_word("(x1 x2)^-0") == IDENTITY
+    assert parse_word("x01^+02") == x1**2
     assert parse_word("  ") == IDENTITY
     assert parse_word("") == IDENTITY
 
@@ -383,6 +385,11 @@ def test_parse_identity_literal():
     assert parse_word("1") == IDENTITY
     assert parse_word("x1 1 x2") == x1 * x2
     assert parse_word("[1, x1]") == IDENTITY
+    assert parse_word("(1)") == IDENTITY
+    assert parse_word("1^-5 x2") == x2
+    # digits after '1' or a closing bracket start the next factor
+    assert parse_word("11") == IDENTITY
+    assert parse_word("(x1)1 x2") == x1 * x2
 
 
 # every error message: text, message, position (0..len(text))
@@ -409,6 +416,20 @@ SYNTAX_ERRORS = [
     ("x1x2^2^3", "unexpected character '^'", 6),
     ("x1*x2 x", "expected a generator index after 'x'", 7),
     (f"x1 x2 x3^{LONG_DIGITS}", TOO_LONG, 9),
+    # digits after '1' or a closing bracket, and exponents with no digits
+    ("12", "unexpected character '2'", 1),
+    ("(x1)2", "unexpected character '2'", 4),
+    ("(x1)^", "expected an integer", 5),
+    ("1^", "expected an integer", 2),
+    ("x1^-", "expected an integer", 4),
+    ("[x1, x2]^+", "expected an integer", 10),
+    ("(x1) ^2", "unexpected character '^'", 5),
+    # a bracket closed by the wrong character, or an empty word
+    ("[x1, x2, x3]", "expected ']'", 7),
+    ("[x1)", "expected ',' in commutator", 3),
+    ("(x1,", "expected ')'", 3),
+    ("(,x1)", "expected a word", 1),
+    (",", "expected a word", 0),
 ]
 
 
@@ -459,6 +480,47 @@ def test_print_parse_round_trip(w, letter):
     assert print_word(IDENTITY) == "1"
 
 
+def _power(base):
+    """``(text, word)`` with an optional exponent ``^e``, ``|e| <= 3``, on
+    the base ``(text, word)``."""
+    return st.builds(lambda b, e, plus: (b[0] + "^" + "+" * (plus and e >= 0) + str(e), b[1] ** e),
+                     base, st.integers(-3, 3), st.booleans()) | base
+
+
+SEPARATORS = st.sampled_from(("", " ", "*", " * ", "\t", "  "))
+
+
+def _juxtapose(factors, separators):
+    text, w = factors[0]
+    for (piece, factor), sep in zip(factors[1:], separators):
+        if not sep and text[-1].isdigit() and piece[0].isdigit():
+            sep = " "  # digits would run on into the next factor's
+        text, w = text + sep + piece, w * factor
+    return text, w
+
+
+# expression trees: generators, '1', (u)^e, [u, v]^e and juxtaposition,
+# each as its text in letter 'x' and the word built by *, ** and commutator
+EXPRESSIONS = st.recursive(
+    _power(st.integers(0, 4).map(lambda i: (f"x{i}", generator(i)) if i else ("1", IDENTITY))),
+    lambda inner: (
+        _power(inner.map(lambda u: ("(" + u[0] + ")", u[1])))
+        | _power(st.builds(lambda u, sep, v: ("[" + u[0] + sep + v[0] + "]", commutator(u[1], v[1])),
+                           inner, st.sampled_from((",", ", ", " ,", ",\t", " * , ")), inner))
+        | st.builds(_juxtapose, st.lists(inner, min_size=2, max_size=4),
+                    st.lists(SEPARATORS, min_size=3, max_size=3))
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(expression=EXPRESSIONS, letter=st.sampled_from("xa"), before=SEPARATORS, after=SEPARATORS)
+def test_parse_nested_expressions_match_composed_ops(expression, letter, before, after):
+    text, expected = expression
+    assert parse_word(before + text.replace("x", letter) + after, letter) == expected
+
+
 def test_parse_long_flat_word_is_linear():
     # each factor's syllables go onto one stack; multiplying the accumulated
     # word by every factor copies it each time, about 13 s for these letters
@@ -470,6 +532,14 @@ def test_parse_long_flat_word_is_linear():
     assert time.process_time() - start < 2.0
     assert w == reduce_word(letters)
     assert len(w.syllables) > 20_000
+
+
+def test_parse_long_bracketed_word_is_linear():
+    # each bracket's power is joined onto the word around it, once
+    start = time.process_time()
+    w = parse_word("[x1, x2]^2 " * 20_000)
+    assert time.process_time() - start < 1.0
+    assert w == commutator(x1, x2) ** 40_000
 
 
 # ASCII, Arabic-Indic and fullwidth decimal digits
@@ -508,3 +578,14 @@ def test_alternate_letter():
     w = parse_word("a1 a2^-1", letter="a")
     assert w == x1 * ~x2
     assert print_word(w, letter="a") == "a1 a2^-1"
+
+
+@pytest.mark.parametrize("letter", ["", "xa", "1", "0", "9", "\u0661", "\uff12", " ", "\t",
+                                    "^", "+", "-", "*", "(", ")", "[", "]", ","])
+def test_parse_refuses_letters_that_cannot_name_generators(letter):
+    # '1' is the identity and '(' opens a bracket: neither names generators
+    for text in ("1", "(1", "x1", ""):
+        with pytest.raises(ValueError) as info:
+            parse_word(text, letter=letter)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"cannot name generators by {letter!r}"
