@@ -13,12 +13,11 @@ from linkhomotopy import (
     chi3,
     classify_A,
     classify_X3,
-    preset_profile,
     realizability_findings,
     strongly_nonsplittable,
 )
 
-hopf = {n: preset_profile("hopf", n) for n in (3, 4, 5, 6)}
+hopf = {n: build_profile(n, "hopf") for n in (3, 4, 5, 6)}
 print("Fibration-link profiles are strongly nonsplittable:")
 print(f"  strongly_nonsplittable(hopf 4) -> {strongly_nonsplittable(hopf[4])}")
 print(f"  chi3(hopf 3) = {chi3(hopf[3], 1, 2, 3)}"
@@ -43,11 +42,11 @@ one_split = build_profile(3, overrides={
     frozenset({1, 2, 3}): 0,
 })
 for label, profile in [
-    ("three separate knots", preset_profile("trivial", 3)),
+    ("three separate knots", build_profile(3, "trivial")),
     ("linked pair + loose knot", chain3),
-    ("brunnian", preset_profile("brunnian", 3)),
+    ("brunnian", build_profile(3, "brunnian")),
     ("splits after one deletion", one_split),
-    ("strongly nonsplittable", preset_profile("hopf", 3)),
+    ("strongly nonsplittable", build_profile(3, "hopf")),
 ]:
     result = classify_A(profile, (), (1, 2, 3))
     print(f"  {label:28} chi3={chi3(profile, 1, 2, 3):>2}  ->  {result.main_line()}")

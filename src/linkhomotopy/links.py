@@ -9,12 +9,11 @@ single component has genus 0, and a k-component sublink has genus between
 constraints proved for actual links are enforced (see
 :func:`realizability_findings`).  A profile computes its label set, its
 splittable sublinks and its :func:`chi2` by label pair from ``nu`` when it
-is built, and keeps the answers of :func:`strongly_nonsplittable` by base
-sublink (each checked to lie within the profile) and :func:`classify_A`'s
-two-component results by label pair, so ``nu`` must not be mutated after
-construction.  Base answers are kept because every meridian sublink over
-one base asks the same superset question; there are at most ``2^n`` bases,
-one per entry of ``nu``, and ``C(n, 2)`` pairs, so they never outgrow it.
+is built, and keeps one kind of answer: :func:`strongly_nonsplittable` by
+base sublink (each checked to lie within the profile), so ``nu`` must not
+be mutated after construction.  Base answers are kept because every
+meridian sublink over one base asks the same superset question; there are
+at most ``2^n`` bases, one per entry of ``nu``, so they never outgrow it.
 
 From a profile the module computes the deletion inclusion-exclusion
 invariants :func:`chi2` and :func:`chi3`, the homotopy types of the
@@ -49,7 +48,6 @@ __all__ = [
     "ProfileFormatError",
     "UnrealizableProfileError",
     "ClassificationResult",
-    "preset_profile",
     "build_profile",
     "parse_profile",
     "load_profile",
@@ -88,8 +86,8 @@ class LinkProfile(_Frozen):
     ``nu`` maps each subset of ``{1..size}`` (as a frozenset) to its genus.
     Construction validates ``nu`` and computes the label set, the splittable
     sublinks and ``chi2`` by label pair from it; treat instances as
-    immutable.  Strong-nonsplittability answers by base and two-component
-    classifications by label pair are kept as they are asked.
+    immutable.  The one answer kept as it is asked is strong
+    nonsplittability by base.
     """
 
     __match_args__ = ("size", "nu")
@@ -133,7 +131,7 @@ class LinkProfile(_Frozen):
             _splittable=tuple(sorted(splittable, key=len, reverse=True)),
             _chi2={frozenset(pair): _chi2_within(nu, full, *pair)
                    for pair in combinations(range(1, size + 1), 2)},
-            _strong={}, _two_component={},
+            _strong={},
         )
 
     def genus(self, subset: Iterable[int]) -> int:
@@ -153,16 +151,6 @@ def _preset_value(kind: str, k: int, n: int) -> int:
     raise ValueError(f"unknown preset {kind!r}; expected one of {PRESETS}")
 
 
-def preset_profile(kind: str, n: int) -> LinkProfile:
-    """A named profile family.
-
-    ``hopf``: every sublink nonsplittable (genus 0), as for the fibration
-    links. ``trivial``: every sublink splits completely. ``brunnian``: the
-    full link is nonsplittable but every proper sublink splits completely.
-    """
-    return build_profile(n, kind)
-
-
 def build_profile(
     n: int,
     preset: str | None = None,
@@ -170,9 +158,12 @@ def build_profile(
 ) -> LinkProfile:
     """Assemble a profile from an optional preset plus explicit values.
 
-    Without a preset the overrides must cover all ``2^n`` sublinks.  A
-    preset above ``_MAX_PRESET_COMPONENTS`` components raises
-    :class:`ProfileError` before any sublink is built.
+    Presets name profile families: ``hopf``, every sublink nonsplittable
+    (genus 0), as for the fibration links; ``trivial``, every sublink splits
+    completely; ``brunnian``, the full link is nonsplittable but every
+    proper sublink splits completely.  Without a preset the overrides must
+    cover all ``2^n`` sublinks.  A preset above ``_MAX_PRESET_COMPONENTS``
+    components raises :class:`ProfileError` before any sublink is built.
     """
     nu: dict[frozenset[int], int] = {}
     if preset is not None:
@@ -341,6 +332,9 @@ _PAIRWISE_COLLAPSE = _trivial_result(
     _TWO_COMPONENT, "links of at most three components give pairwise collapse")
 _TWO_COMPONENT_TRIVIAL = _trivial_result(_TWO_COMPONENT)
 _NOT_CLASSIFIED = ClassificationResult(None, None, ClassificationResult.NOT_CLASSIFIED)
+# Countable two-component results by (sub, chi2 > 0), which fix them as some
+# component lies outside sub; below n^3 entries for n components (chi2 < 2n).
+_COUNTABLE: dict[tuple[frozenset[int], int], ClassificationResult] = {}
 
 
 def classify_A(
@@ -370,10 +364,10 @@ def classify_A(
       intersection (the two agree for 3-component links).
 
     Anything else returns an explicit not-classified result rather than a
-    guess.  Results are immutable, and routes whose result depends on
-    nothing but the route return one shared instance, as do two-component
-    results of one profile and ``sub``.  A base answer the profile keeps
-    stands for the check on the base; ``sub`` is checked on every call.
+    guess.  Results are immutable and shared wherever they depend on the
+    route alone or on ``sub`` and ``chi2``.  The one answer the profile
+    keeps, strong nonsplittability by base, stands for the check on the
+    base; ``sub`` is checked on every call.
     """
     l0 = frozenset(l0)
     sub = frozenset(sub)
@@ -413,13 +407,14 @@ def classify_A(
     if n == 2:
         if p.size <= 3:
             return _PAIRWISE_COLLAPSE
-        result = p._two_component.get(sub)
+        chi = p._chi2[sub]
+        if chi <= 0:
+            return _TWO_COMPONENT_TRIVIAL
+        result = _COUNTABLE.get((sub, chi))
         if result is None:
-            chi = p._chi2[sub]
-            result = p._two_component[sub] = _TWO_COMPONENT_TRIVIAL if chi <= 0 else (
-                ClassificationResult(
-                    FreeAbelian(COUNTABLE), PiOfWedge(2, _deletion_wedge(p, sub, chi)),
-                    _TWO_COMPONENT, (f"chi2 = {chi} > 0 forces infinite rank",)))
+            result = _COUNTABLE[sub, chi] = ClassificationResult(
+                FreeAbelian(COUNTABLE), PiOfWedge(2, _deletion_wedge(p, sub, chi)),
+                _TWO_COMPONENT, (f"chi2 = {chi} > 0 forces infinite rank",))
         return result
 
     if n == 3 and sub_is_rest:

@@ -494,11 +494,9 @@ def milnor_invisibility_report(n: int) -> InvisibilityReport:
     """
     # the only use of the simplicial layer here, so that expanding a word
     # does not load it
-    from .simplicial import VARIANT_ETA_DEGREE3, VARIANT_ETA_DEGREE4, eta_tower, is_cycle
+    from .simplicial import VARIANT_ETA_DEGREE3, VARIANT_ETA_DEGREE4, is_cycle, meridian_word
 
-    if n not in (4, 5):
-        raise ValueError(f"unsupported link size {n}; expected 4 or 5")
-    tower = eta_tower(n - 1)
+    tower = meridian_word(n)
     variant = VARIANT_ETA_DEGREE3 if n == 4 else VARIANT_ETA_DEGREE4
     return InvisibilityReport(
         link_size=n,

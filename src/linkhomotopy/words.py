@@ -30,7 +30,8 @@ the commutator ``u v u^-1 v^-1``, and the literal ``1`` is the identity.
 The parser reads each factor, malformed ones too, in one regular-expression
 match, and keeps the words around open brackets on an explicit stack.  The
 printer emits the reduced syllable form, e.g. ``"x1 x2 x1 x2^-1 x1^-2"``
-(``"1"`` for the identity), which the parser accepts back.
+(``"1"`` for the identity), which the parser reads back with the same
+letter; both refuse a letter that could not be read back.
 """
 
 from __future__ import annotations
@@ -306,8 +307,14 @@ def in_normal_closure(w: Word, index: int) -> bool:
     return not stack
 
 
+def _check_letter(letter: str) -> None:
+    if len(letter) != 1 or letter.isdecimal() or letter in " \t^+-*()[],":
+        raise ValueError(f"cannot name generators by {letter!r}")
+
+
 def print_word(w: Word, letter: str = "x") -> str:
     """Render the reduced syllable form, ``"1"`` for the identity."""
+    _check_letter(letter)
     if w.is_identity:
         return "1"
     parts = []
@@ -370,8 +377,7 @@ def parse_word(text: str, letter: str = "x") -> Word:
     bracket keeps the word around it on an explicit stack until its closing
     bracket joins the bracket's power onto that word.
     """
-    if len(letter) != 1 or letter.isdecimal() or letter in " \t^+-*()[],":
-        raise ValueError(f"cannot name generators by {letter!r}")
+    _check_letter(letter)
     if not text.strip(" \t*"):  # nothing but separators
         return IDENTITY
     stack: list[Syllable] = []  # the innermost open word

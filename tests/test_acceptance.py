@@ -37,7 +37,6 @@ from linkhomotopy import (
     magnus_expand,
     mu_coefficient,
     parse_word,
-    preset_profile,
     reduced_expand,
 )
 from linkhomotopy.cli import main as cli_main
@@ -182,11 +181,11 @@ def test_criterion_05_three_component_catalog():
         frozenset({1, 2, 3}): 0,
     })
     cases = [
-        ("genus 2", preset_profile("trivial", 3), 0, Trivial()),
+        ("genus 2", build_profile(3, "trivial"), 0, Trivial()),
         ("genus 1", chain3, 0, Trivial()),
-        ("genus 0, chi3 2", preset_profile("brunnian", 3), 2, DirectSum((Z, Z, Z))),
+        ("genus 0, chi3 2", build_profile(3, "brunnian"), 2, DirectSum((Z, Z, Z))),
         ("genus 0, chi3 0", one_split, 0, Trivial()),
-        ("genus 0, chi3 -1", preset_profile("hopf", 3), -1, Z),
+        ("genus 0, chi3 -1", build_profile(3, "hopf"), -1, Z),
     ]
     failures: list[str] = []
     for label, profile, expected_chi, expected_group in cases:
@@ -205,7 +204,7 @@ def test_criterion_06_fibration_links_against_table():
     expected = {3: Z, 4: Cyclic(2), 5: Cyclic(2), 6: Cyclic(12)}
     failures: list[str] = []
     for n, group in expected.items():
-        result = classify_A(preset_profile("hopf", n), (), range(1, n + 1))
+        result = classify_A(build_profile(n, "hopf"), (), range(1, n + 1))
         if result.group != group:
             failures.append(f"n={n}: {result.group} != {group}")
         if homotopy_table_lookup(n, 3) != group:
@@ -263,7 +262,7 @@ def test_criterion_08_chi_coherence():
             break
 
     # case constructions: presets plus the strongly nonsplittable composite
-    catalog = [preset_profile(kind, n)
+    catalog = [build_profile(n, kind)
                for kind in ("hopf", "trivial", "brunnian") for n in (3, 4, 5, 6)]
     rings = {
         frozenset(s): 0

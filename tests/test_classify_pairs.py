@@ -32,6 +32,7 @@ from linkhomotopy.homotopy import (
 )
 from linkhomotopy.links import (
     PRESETS,
+    _TWO_COMPONENT_TRIVIAL,
     ClassificationResult,
     LinkProfile,
     build_profile,
@@ -39,7 +40,6 @@ from linkhomotopy.links import (
     classify_A,
     delete_component,
     load_profile,
-    preset_profile,
     realizability_findings,
     strongly_nonsplittable,
 )
@@ -72,7 +72,7 @@ def _token(subset: frozenset[int]) -> str:
 
 def _golden_profiles() -> list[tuple[str, LinkProfile]]:
     profiles = [
-        (f"preset {kind} {n}", preset_profile(kind, n))
+        (f"preset {kind} {n}", build_profile(n, kind))
         for kind in PRESETS
         for n in range(2, 6)
     ]
@@ -186,7 +186,7 @@ def _memo_profiles(rng: random.Random) -> list[LinkProfile]:
     for n in range(2, 8):
         multi = [frozenset(s) for r in range(2, n + 1) for s in combinations(range(1, n + 1), r)]
         for kind in PRESETS:
-            profiles.append(preset_profile(kind, n))
+            profiles.append(build_profile(n, kind))
             accepted = 0
             while accepted < 2:
                 picks = rng.sample(multi, min(len(multi), rng.randint(1, 4)))
@@ -206,6 +206,7 @@ def test_classify_A_matches_literal_definition_in_any_order():
     profiles = _memo_profiles(rng)
     routes = set()
     for p in profiles:
+        fields = set(vars(p))
         pairs = _pairs(p.size)
         rng.shuffle(pairs)
         for l0, sub in pairs:
@@ -213,6 +214,8 @@ def test_classify_A_matches_literal_definition_in_any_order():
             assert _fields(classify_A(p, l0, sub)) == expected, (p.nu, l0, sub)
             assert strongly_nonsplittable(p, l0) == _literally_strong(p, l0)
             routes.add(expected[2])
+        # the one kept answer is strong nonsplittability by base
+        assert set(vars(p)) == fields and set(p._strong) <= set(p.nu), p.nu
         # a warm cache still refuses a base outside the profile, every time
         outside = (p.size + 1,)
         for _ in range(2):
@@ -224,22 +227,27 @@ def test_classify_A_matches_literal_definition_in_any_order():
 
 
 def test_two_component_results_are_shared_by_pair():
-    # with chi2 > 0 the result depends on the profile and the pair alone, so
-    # every base that is not strongly nonsplittable gets one kept instance
-    shared = 0
+    # the result depends on the pair and chi2 alone: with chi2 > 0 every base
+    # that is not strongly nonsplittable, in any profile, gets one instance,
+    # and with chi2 <= 0 the shared trivial one
+    shared = {}
     for p in _chi2_profiles():
         full = p.full_set
         for i, j in combinations(sorted(full), 2):
             sub = frozenset((i, j))
-            if p.size <= 3 or nu_chi2(p.nu, full, i, j) <= 0:
+            if p.size <= 3:
                 continue
-            bases = [l0 for l0 in _subsets(full - sub) if not _literally_strong(p, l0)]
-            results = [classify_A(p, l0, sub) for l0 in reversed(bases)]
-            for l0, result in zip(reversed(bases), results):
-                assert result is results[0], (p.nu, l0, sub)
+            chi = nu_chi2(p.nu, full, i, j)
+            for l0 in _subsets(full - sub):
+                if _literally_strong(p, l0):
+                    continue
+                result = classify_A(p, l0, sub)
                 assert _fields(result) == _fields(_oracle_classify(p, l0, sub)), (p.nu, l0, sub)
-            shared += len(bases) > 1
-    assert shared  # some pair is asked over more than one base
+                if chi <= 0:
+                    assert result is _TWO_COMPONENT_TRIVIAL, (p.nu, l0, sub)
+                else:
+                    assert shared.setdefault((sub, chi), result) is result, (p.nu, l0, sub)
+    assert shared  # some pair reaches chi2 > 0
 
 
 # -- chi2 by label pair against the sum formula -----------------------------
@@ -249,7 +257,7 @@ def _chi2_profiles() -> list[LinkProfile]:
     """Presets with 1..8 components, the data files, 200 random profiles of
     2..6 components, and every profile one deletion away from those."""
     rng = random.Random(2003)
-    profiles = [preset_profile(kind, n) for kind in PRESETS for n in range(1, 9)]
+    profiles = [build_profile(n, kind) for kind in PRESETS for n in range(1, 9)]
     profiles += [load_profile(str(path)) for path in sorted((TESTS / "data").glob("*.lnk"))]
     profiles += [random_profile(rng, rng.randint(2, 6)) for _ in range(200)]
     return profiles + [delete_component(p, k) for p in profiles if p.size > 1
@@ -266,7 +274,7 @@ def _assert_built_fields(p: LinkProfile) -> None:
     assert sizes == sorted(sizes, reverse=True), (p.nu, p._splittable)
     assert p._chi2 == {frozenset((i, j)): nu_chi2(p.nu, full, i, j)
                        for i, j in combinations(range(1, p.size + 1), 2)}
-    assert p._strong == {} and p._two_component == {}
+    assert p._strong == {}
 
 
 def test_chi2_and_two_component_notes_match_the_sum_formula():
@@ -289,17 +297,17 @@ def test_chi2_and_two_component_notes_match_the_sum_formula():
 
 
 def test_copies_get_new_empty_answer_dicts():
-    p = preset_profile("trivial", 5)
+    p = build_profile(5, "trivial")
     for l0, sub in _pairs(p.size):
         classify_A(p, l0, sub)
-    assert p._strong and p._two_component
+    assert p._strong
     for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert q == p and q is not p
         _assert_built_fields(q)
         assert (q.full_set, q._splittable, q._chi2) == (p.full_set, p._splittable, p._chi2)
         classify_A(q, (), (1, 2))
-        assert p._strong is not q._strong and p._two_component is not q._two_component
-        assert len(q._strong) == len(q._two_component) == 1
+        assert p._strong is not q._strong
+        assert list(q._strong) == [frozenset()]
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from linkhomotopy import (
     classify_X3,
     delete_component,
     parse_profile,
-    preset_profile,
     realizability_findings,
     strongly_nonsplittable,
 )
@@ -53,29 +52,33 @@ ONE_SPLITTING_DELETION = build_profile(3, overrides={
 
 
 def test_presets():
-    hopf = preset_profile("hopf", 3)
+    hopf = build_profile(3, "hopf")
     assert all(hopf.nu[s] == 0 for s in hopf.nu if s)
-    trivial = preset_profile("trivial", 3)
+    trivial = build_profile(3, "trivial")
     assert trivial.genus((1, 2, 3)) == 2
     assert trivial.genus((1, 2)) == 1
     assert trivial.genus((2,)) == 0
-    brunnian = preset_profile("brunnian", 3)
+    brunnian = build_profile(3, "brunnian")
     assert brunnian.genus((1, 2, 3)) == 0
     assert brunnian.genus((1, 2)) == 1
     unknown = r"^unknown preset 'borromean'; expected one of \('hopf', 'trivial', 'brunnian'\)$"
-    for route in (preset_profile, lambda kind, n: build_profile(n, kind)):
-        with pytest.raises(ValueError, match=unknown) as caught:
-            route("borromean", 3)
-        assert type(caught.value) is ValueError
+    with pytest.raises(ValueError, match=unknown) as caught:
+        build_profile(3, "borromean")
+    assert type(caught.value) is ValueError
+    # a profile file names only known presets, and says which
+    with pytest.raises(ProfileFormatError, match=r"^<profile>:2: expected "
+                       r"'preset <hopf\|trivial\|brunnian>'$"):
+        parse_profile("components 3\npreset borromean\n")
     for n in (0, -2):
         with pytest.raises(ProfileError, match=f"component count must be >= 1, got {n}"):
-            preset_profile("hopf", n)
+            build_profile(n, "hopf")
 
 
 def test_preset_profile_component_limit(monkeypatch):
     # a preset assigns all 2^n sublinks, so a large n is refused before any
-    # sublink's genus is asked for, by both routes and with the same text
-    assert preset_profile("hopf", 12).size == 12
+    # sublink's genus is asked for, by build_profile and by a profile file's
+    # 'preset' line, with the same text
+    assert build_profile(12, "hopf").size == 12
 
     def never(*args):
         raise AssertionError(f"_preset_value{args} was called")
@@ -85,29 +88,26 @@ def test_preset_profile_component_limit(monkeypatch):
         for n in (13, 40, 10**9):
             message = rf"^preset profiles have at most 12 components \(4096 sublinks\), got {n}$"
             with pytest.raises(ProfileError, match=message):
-                preset_profile(kind, n)
-            with pytest.raises(ProfileError, match=message):
                 build_profile(n, kind)
-    with pytest.raises(ProfileFormatError, match="<profile>: preset profiles have at most"):
-        parse_profile("components 40\npreset trivial\n")
+            with pytest.raises(ProfileFormatError, match=message.replace("^", "^<profile>: ")):
+                parse_profile(f"components {n}\npreset {kind}\n")
 
 
 @pytest.mark.parametrize("kind", PRESETS)
 def test_preset_routes_agree(kind):
-    # preset_profile, build_profile and a profile file's 'preset' line build
-    # one profile, with its sublinks in one order; so does an override
+    # build_profile and a profile file's 'preset' line build one profile,
+    # with its sublinks in one order; so does an override
     for n in range(1, 13):
         full = frozenset(range(1, n + 1))
-        routes = [preset_profile(kind, n), build_profile(n, kind),
-                  parse_profile(f"components {n}\npreset {kind}\n")]
+        routes = [build_profile(n, kind), parse_profile(f"components {n}\npreset {kind}\n")]
         genus = 0 if routes[0].nu[full] else n - 1
         routes += [
             LinkProfile(n, {**routes[0].nu, full: genus}),
             build_profile(n, kind, {full: genus}),
             parse_profile(f"components {n}\npreset {kind}\nnu full {genus}\n"),
         ]
-        assert routes[3].genus(full) == genus
-        for first, *others in (routes[:3], routes[3:]):
+        assert routes[2].genus(full) == genus
+        for first, *others in (routes[:2], routes[2:]):
             for p in others:
                 assert p == first
                 assert list(p.nu) == list(first.nu) and p._splittable == first._splittable
@@ -133,13 +133,13 @@ def test_profile_invariants_enforced():
 
 
 def test_chi2_examples():
-    assert chi2(preset_profile("hopf", 3), 1, 2) == 0
-    assert chi2(preset_profile("trivial", 2), 1, 2) == 0
-    assert chi2(preset_profile("hopf", 2), 1, 2) == -1
+    assert chi2(build_profile(3, "hopf"), 1, 2) == 0
+    assert chi2(build_profile(2, "trivial"), 1, 2) == 0
+    assert chi2(build_profile(2, "hopf"), 1, 2) == -1
     with pytest.raises(ValueError):
-        chi2(preset_profile("hopf", 3), 1, 1)
+        chi2(build_profile(3, "hopf"), 1, 1)
     with pytest.raises(ValueError):
-        chi2(preset_profile("hopf", 3), 1, 4)
+        chi2(build_profile(3, "hopf"), 1, 4)
 
 
 def test_chi2_is_symmetric():
@@ -151,11 +151,11 @@ def test_chi2_is_symmetric():
 
 
 def test_chi3_examples():
-    assert chi3(preset_profile("hopf", 3), 1, 2, 3) == -1
-    assert chi3(preset_profile("brunnian", 3), 1, 2, 3) == 2
-    assert chi3(preset_profile("trivial", 3), 1, 2, 3) == 0
+    assert chi3(build_profile(3, "hopf"), 1, 2, 3) == -1
+    assert chi3(build_profile(3, "brunnian"), 1, 2, 3) == 2
+    assert chi3(build_profile(3, "trivial"), 1, 2, 3) == 0
     with pytest.raises(ValueError):
-        chi3(preset_profile("hopf", 4), 1, 2, 2)
+        chi3(build_profile(4, "hopf"), 1, 2, 2)
 
 
 def test_chi3_equals_chi2_after_deletion_minus_chi2():
@@ -180,10 +180,10 @@ def test_chi3_is_permutation_invariant():
 
 
 def test_delete_component_relabels():
-    assert delete_component(preset_profile("hopf", 4), 2) == preset_profile("hopf", 3)
-    assert delete_component(preset_profile("trivial", 4), 1) == preset_profile("trivial", 3)
+    assert delete_component(build_profile(4, "hopf"), 2) == build_profile(3, "hopf")
+    assert delete_component(build_profile(4, "trivial"), 1) == build_profile(3, "trivial")
     # a brunnian link falls apart after deleting any component
-    assert delete_component(preset_profile("brunnian", 4), 3) == preset_profile("trivial", 3)
+    assert delete_component(build_profile(4, "brunnian"), 3) == build_profile(3, "trivial")
     assert delete_component(CHAIN3, 3).genus((1, 2)) == 0
     # every sublink keeps its genus under the relabelling x -> x + 1 above k
     rng = random.Random(113)
@@ -197,12 +197,12 @@ def test_delete_component_relabels():
 
 
 def test_strongly_nonsplittable():
-    assert strongly_nonsplittable(preset_profile("hopf", 4))
-    assert strongly_nonsplittable(preset_profile("hopf", 4), (2, 3))
-    assert not strongly_nonsplittable(preset_profile("trivial", 3))
-    assert not strongly_nonsplittable(preset_profile("brunnian", 3))
+    assert strongly_nonsplittable(build_profile(4, "hopf"))
+    assert strongly_nonsplittable(build_profile(4, "hopf"), (2, 3))
+    assert not strongly_nonsplittable(build_profile(3, "trivial"))
+    assert not strongly_nonsplittable(build_profile(3, "brunnian"))
     with pytest.raises(ValueError):
-        strongly_nonsplittable(preset_profile("hopf", 3), (5,))
+        strongly_nonsplittable(build_profile(3, "hopf"), (5,))
     # every base against the literal definition, on random profiles and on
     # presets with a few splittable overrides (so both answers occur)
     rng = random.Random(127)
@@ -225,8 +225,8 @@ def test_strongly_nonsplittable():
 
 
 def test_classify_X2_examples():
-    assert classify_X2(preset_profile("hopf", 2), 1, 2) == SphereWedge((3,))
-    assert classify_X2(preset_profile("trivial", 2), 1, 2) == SphereWedge(())
+    assert classify_X2(build_profile(2, "hopf"), 1, 2) == SphereWedge((3,))
+    assert classify_X2(build_profile(2, "trivial"), 1, 2) == SphereWedge(())
     chi_three = build_profile(5, overrides={
         **{fs(*s): 0 for r in range(1, 6) for s in combinations(range(1, 6), r)},
         fs(): -1,
@@ -288,10 +288,10 @@ def test_classify_strong_pairs_collapse_proper_subintersections():
 
 
 def test_classify_X3_examples():
-    assert classify_X3(preset_profile("hopf", 3), 1, 2, 3) == SphereWedge((3,))
-    assert classify_X3(preset_profile("brunnian", 3), 1, 2, 3) == SphereWedge((2, 2))
-    assert classify_X3(preset_profile("trivial", 3), 1, 2, 3) == SphereWedge(())
-    factor = classify_X3(preset_profile("brunnian", 4), 1, 2, 3).group_factor
+    assert classify_X3(build_profile(3, "hopf"), 1, 2, 3) == SphereWedge((3,))
+    assert classify_X3(build_profile(3, "brunnian"), 1, 2, 3) == SphereWedge((2, 2))
+    assert classify_X3(build_profile(3, "trivial"), 1, 2, 3) == SphereWedge(())
+    factor = classify_X3(build_profile(4, "brunnian"), 1, 2, 3).group_factor
     assert factor == "K(G(d_{1,2,3}L),1)"
 
 
@@ -307,23 +307,23 @@ def test_classify_X3_rejects_unrealizable_profiles():
 
 def test_classify_full_hopf_links():
     for n, expected in [(3, Z), (4, Cyclic(2)), (5, Cyclic(2)), (6, Cyclic(12))]:
-        result = classify_A(preset_profile("hopf", n), (), range(1, n + 1))
+        result = classify_A(build_profile(n, "hopf"), (), range(1, n + 1))
         assert result.group == expected
         assert result.symbolic_form == PiOfSphere(n, 3)
-    big = classify_A(preset_profile("hopf", 7), (), range(1, 8))
+    big = classify_A(build_profile(7, "hopf"), (), range(1, 8))
     assert big.group == PiOfSphere(7, 3)
     assert big.main_line() == "pi_7(S^3) [unknown]"
 
 
 def test_classify_proper_subintersection_is_trivial():
-    result = classify_A(preset_profile("hopf", 4), (), (1, 2))
+    result = classify_A(build_profile(4, "hopf"), (), (1, 2))
     assert result.group == Trivial()
-    result = classify_A(preset_profile("hopf", 5), (5,), (1, 2, 3))
+    result = classify_A(build_profile(5, "hopf"), (5,), (1, 2, 3))
     assert result.group == Trivial()
 
 
 def test_classify_nonsplittable_base_is_trivial():
-    result = classify_A(preset_profile("hopf", 5), (4, 5), (1, 2, 3))
+    result = classify_A(build_profile(5, "hopf"), (4, 5), (1, 2, 3))
     assert result.group == Trivial()
     assert "nonsplittable base" in result.method
 
@@ -346,7 +346,7 @@ def test_classify_splittable_base_gives_wedge_module():
 
 def test_classify_two_component_dichotomy_small_links_trivial():
     assert classify_A(CHAIN3, (), (1, 2)).group == Trivial()
-    assert classify_A(preset_profile("brunnian", 3), (), (2, 3)).group == Trivial()
+    assert classify_A(build_profile(3, "brunnian"), (), (2, 3)).group == Trivial()
 
 
 def test_classify_two_component_dichotomy_large_links():
@@ -362,24 +362,24 @@ def test_classify_two_component_dichotomy_large_links():
     assert result.group == FreeAbelian(COUNTABLE)
     assert result.main_line().endswith("= Z^(countable)")
     # pairs with chi2 of zero or below stay trivial
-    assert chi2(preset_profile("trivial", 4), 1, 2) == 0
-    assert classify_A(preset_profile("trivial", 4), (), (1, 2)).group == Trivial()
-    assert chi2(preset_profile("brunnian", 4), 1, 2) == -3
-    assert classify_A(preset_profile("brunnian", 4), (), (1, 2)).group == Trivial()
+    assert chi2(build_profile(4, "trivial"), 1, 2) == 0
+    assert classify_A(build_profile(4, "trivial"), (), (1, 2)).group == Trivial()
+    assert chi2(build_profile(4, "brunnian"), 1, 2) == -3
+    assert classify_A(build_profile(4, "brunnian"), (), (1, 2)).group == Trivial()
 
 
 def test_classify_three_component_bar_quotient():
-    brunnian = classify_A(preset_profile("brunnian", 3), (), (1, 2, 3))
+    brunnian = classify_A(build_profile(3, "brunnian"), (), (1, 2, 3))
     assert brunnian.group.render() == "Z + Z + Z"
     assert brunnian.main_line() == "pi_3(S^2 v S^2) = Z + Z + Z"
     assert any("equals the full quotient" in note for note in brunnian.notes)
 
-    trivial = classify_A(preset_profile("trivial", 3), (), (1, 2, 3))
+    trivial = classify_A(build_profile(3, "trivial"), (), (1, 2, 3))
     assert trivial.group == Trivial()
     assert trivial.main_line() == "0 (trivial)"
 
     # four components: the quotient keeps the aspherical factor symbolic
-    brunnian4 = classify_A(preset_profile("brunnian", 4), (4,), (1, 2, 3))
+    brunnian4 = classify_A(build_profile(4, "brunnian"), (4,), (1, 2, 3))
     assert not brunnian4.group.is_concrete
     assert any("bar-quotient" in note for note in brunnian4.notes)
 
@@ -392,11 +392,11 @@ def test_classify_chain3_full_is_trivial():
 def test_classify_example_catalog():
     # the five 3-component cases: genus 2; genus 1; genus 0 with chi3 2, 0, -1
     cases = [
-        (preset_profile("trivial", 3), 0, "0"),
+        (build_profile(3, "trivial"), 0, "0"),
         (CHAIN3, 0, "0"),
-        (preset_profile("brunnian", 3), 2, "Z + Z + Z"),
+        (build_profile(3, "brunnian"), 2, "Z + Z + Z"),
         (ONE_SPLITTING_DELETION, 0, "0"),
-        (preset_profile("hopf", 3), -1, "Z"),
+        (build_profile(3, "hopf"), -1, "Z"),
     ]
     for profile, expected_chi, expected_render in cases:
         assert chi3(profile, 1, 2, 3) == expected_chi
@@ -413,7 +413,7 @@ def test_classify_not_covered_cases_are_marked():
         assert result.group is None
         assert result.main_line() == ClassificationResult.NOT_CLASSIFIED
     # |sub| == 4 has no implemented route without strong nonsplittability
-    loose = preset_profile("brunnian", 5)
+    loose = build_profile(5, "brunnian")
     assert classify_A(loose, (), (1, 2, 3, 4)).group is None
 
 
@@ -429,7 +429,7 @@ def test_classify_validates_arguments():
         ((2,), (1,), "at least two components"),
     ]
     for kind in PRESETS:
-        p = preset_profile(kind, 4)
+        p = build_profile(4, kind)
         for warm in (False, True):
             if warm:
                 for size in range(3):
@@ -442,8 +442,8 @@ def test_classify_validates_arguments():
 
 
 def test_realizability_findings():
-    assert realizability_findings(preset_profile("hopf", 3)) == []
-    assert realizability_findings(preset_profile("brunnian", 5)) == []
+    assert realizability_findings(build_profile(3, "hopf")) == []
+    assert realizability_findings(build_profile(5, "brunnian")) == []
     flagged = build_profile(3, overrides={
         fs(): -1, fs(1): 0, fs(2): 0, fs(3): 0,
         fs(1, 2): 1, fs(1, 3): 1, fs(2, 3): 0,
@@ -530,7 +530,7 @@ def test_profile_with_a_huge_component_count_is_refused_by_its_size():
     with pytest.raises(ProfileError, match=r"all 2\^1000000000000 sublinks, got 1$"):
         LinkProfile(10**12, {frozenset(): -1})
     with pytest.raises(ProfileError, match="all 8 sublinks, got 4$"):
-        LinkProfile(3, dict(preset_profile("hopf", 2).nu))
+        LinkProfile(3, dict(build_profile(2, "hopf").nu))
 
 
 def test_full_sublink_is_refused_where_no_file_could_be_complete():

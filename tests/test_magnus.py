@@ -14,6 +14,7 @@ from linkhomotopy import (
     gamma_class_lower_bound,
     generator,
     magnus_expand,
+    meridian_word,
     milnor_invisibility_report,
     mu_coefficient,
     parse_word,
@@ -480,8 +481,14 @@ def test_invisibility_report_towers_pass():
         tower = eta_tower(n - 1)
         assert gamma_class_lower_bound(tower.word, n - 1) is None
         assert reduced_expand(tower.word, n - 1).is_one
-    with pytest.raises(ValueError):
-        milnor_invisibility_report(3)
+    # the report takes its tower from meridian_word, so both refuse any
+    # other size with one text
+    for n in (3, 6):
+        for refuse in (meridian_word, milnor_invisibility_report):
+            with pytest.raises(ValueError) as info:
+                refuse(n)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"unsupported link size {n}; expected 4 or 5"
 
 
 def test_invisibility_report_variant_checks():

@@ -21,8 +21,8 @@ from linkhomotopy import (
     SphereWedge,
     Trivial,
     Word,
+    build_profile,
     generator,
-    preset_profile,
 )
 from linkhomotopy.homotopy import SymbolicGroup, TableEntry
 from linkhomotopy.magnus import CheckResult, InvisibilityReport
@@ -30,7 +30,7 @@ from conftest import assert_frozen_value
 
 X1 = generator(1)
 PASS = CheckResult("moore cycle", True, "all faces vanish")
-HOPF2 = preset_profile("hopf", 2)
+HOPF2 = build_profile(2, "hopf")
 
 # name: (value, an equal value built apart, a value of the same class that
 # differs in one field or None, the exact repr, whether it hashes)
@@ -81,7 +81,7 @@ VALUES = {
                    "TableEntry(group=Cyclic(order=2), provenance='builtin', "
                    "user_supplied=False)", True),
     "LinkProfile": (HOPF2, LinkProfile(size=2, nu=dict(HOPF2.nu)),
-                    preset_profile("trivial", 2),
+                    build_profile(2, "trivial"),
                     "LinkProfile(size=2, nu={frozenset(): -1, frozenset({1}): 0, "
                     "frozenset({2}): 0, frozenset({1, 2}): 0})", False),
     "ClassificationResult": (

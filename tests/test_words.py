@@ -583,9 +583,16 @@ def test_alternate_letter():
 @pytest.mark.parametrize("letter", ["", "xa", "1", "0", "9", "\u0661", "\uff12", " ", "\t",
                                     "^", "+", "-", "*", "(", ")", "[", "]", ","])
 def test_parse_refuses_letters_that_cannot_name_generators(letter):
-    # '1' is the identity and '(' opens a bracket: neither names generators
+    # '1' is the identity and '(' opens a bracket: neither names generators,
+    # when parsing or when printing (so every printed word parses back)
+    message = f"cannot name generators by {letter!r}"
     for text in ("1", "(1", "x1", ""):
         with pytest.raises(ValueError) as info:
             parse_word(text, letter=letter)
         assert type(info.value) is ValueError
-        assert str(info.value) == f"cannot name generators by {letter!r}"
+        assert str(info.value) == message
+    for w in (IDENTITY, generator(1), generator(2) ** 3 * ~generator(1)):
+        with pytest.raises(ValueError) as info:
+            print_word(w, letter=letter)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
