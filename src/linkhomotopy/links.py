@@ -73,7 +73,7 @@ class ProfileError(ValueError):
 
 
 class ProfileFormatError(ValueError):
-    """Malformed profile file; messages carry line numbers."""
+    """Malformed profile file; messages name the source and any line at fault."""
 
 
 class UnrealizableProfileError(ValueError):
@@ -470,9 +470,11 @@ def parse_profile(text: str, source: str = "<profile>") -> LinkProfile:
         preset <hopf|trivial|brunnian>      # optional, seeds every value
         nu <subset> <integer>               # subset: "empty", "full", "1,3"
 
-    Blank lines and ``#`` comments are ignored.  Duplicate ``nu`` lines,
-    unknown directives, missing sublinks (when no preset is given) and
-    genus-constraint violations are rejected with line-numbered messages.
+    Blank lines and ``#`` comments are ignored.  Malformed lines, duplicate
+    ``nu`` lines and unknown directives are rejected with line-numbered
+    messages; missing sublinks (when no preset is given) and genus-constraint
+    violations come from building the profile, so their messages name only
+    ``source``.
     """
     n: int | None = None
     preset: str | None = None

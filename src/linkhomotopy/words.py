@@ -15,8 +15,10 @@ without re-checking them; the tests rebuild such results through
 
 Exponents are ordinary Python integers and therefore exact at any size;
 overflow cannot occur.  Products and inverses are the operators ``*`` and
-``~``; substitution homomorphisms are :class:`GeneratorMap` instances,
-called on words.
+``~``; ``w ** n`` splits ``w = u c u^-1``, ``c`` cyclically reduced, and
+builds ``u c^n u^-1`` in one step from ``|n|`` copies of ``c``.
+Substitution homomorphisms are :class:`GeneratorMap` instances, called on
+words.
 
 The module also provides a parser/printer for a small expression grammar::
 
@@ -98,13 +100,6 @@ def _join(stack: list[Syllable], syllables: tuple[Syllable, ...]) -> None:
     stack.extend(syllables[j:])
 
 
-def _product(u: tuple[Syllable, ...], v: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
-    """The reduced syllables of ``u v``, unchecked."""
-    stack = list(u)
-    _join(stack, v)
-    return tuple(stack)
-
-
 class Word(_Value):
     """A freely reduced word; ``Word()`` is the identity.
 
@@ -161,33 +156,33 @@ class Word(_Value):
         if not isinstance(other, Word):
             return NotImplemented
         _check_syllables(len(self._syllables) + len(other._syllables), "the product")
-        return _word(_product(self._syllables, other._syllables))
+        stack = list(self._syllables)
+        _join(stack, other._syllables)
+        return _word(tuple(stack))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
+        if not isinstance(n, int):
+            return NotImplemented
         s = self._syllables
-        if abs(n) * len(s) > _MAX_SYLLABLES:
-            # self = u c u^-1 with c cyclically reduced: u c^n u^-1, and a
-            # one-syllable c takes its power in place
-            u = 0
-            while s[u][0] == s[-1 - u][0] and s[u][1] == -s[-1 - u][1]:
-                u += 1
-            core = len(s) - 2 * u
-            _check_syllables(2 * u + (1 if core == 1 else abs(n) * core), "the power")
-        if len(s) == 1:
-            return _word(((s[0][0], s[0][1] * n),))
-        # the bound above covers every partial product: joined unchecked
-        base = s if n > 0 else (~self)._syllables
-        n = abs(n)
-        result: tuple[Syllable, ...] = ()
-        while True:
-            if n & 1:
-                result = _product(result, base)
-            n >>= 1
-            if not n:
-                return _word(result)
-            base = _product(base, base)
+        if not (n and s):
+            return IDENTITY
+        # s = u c u^-1 with c cyclically reduced: u c^n u^-1, and a
+        # one-syllable c takes its power in place
+        u = 0
+        while s[u][0] == s[-1 - u][0] and s[u][1] == -s[-1 - u][1]:
+            u += 1
+        c = s[u:len(s) - u] if u else s
+        if (bound := 2 * u + (1 if len(c) == 1 else abs(n) * len(c))) > _MAX_SYLLABLES:
+            _check_syllables(bound, "the power")
+        if n < 0 and len(c) > 1:  # (u c u^-1)^-1 = u c^-1 u^-1
+            c, n = tuple([(gen, -exp) for gen, exp in reversed(c)]), -n
+        if len(c) == 1:
+            power = ((c[0][0], c[0][1] * n),)
+        elif c[0][0] != c[-1][0]:
+            power = c * n
+        else:  # the ends merge, never to exponent 0, as u stopped there
+            power = c[:-1] + (((c[0][0], c[0][1] + c[-1][1]),) + c[1:-1]) * (n - 1) + c[-1:]
+        return _word(s[:u] + power + s[len(s) - u:] if u else power)
 
     def __str__(self) -> str:
         return print_word(self)
@@ -262,23 +257,11 @@ class GeneratorMap(_Frozen):
         stack: list[Syllable] = []
         for gen, exp in w._syllables:
             image = self.images.get(gen)
-            if image is None:
-                _push(stack, gen, exp)
-                continue
-            if not image._syllables:
-                continue
-            if len(image._syllables) == 1:
-                # single-syllable images commute with taking powers
-                g, e = image._syllables[0]
-                _push(stack, g, e * exp)
-                continue
-            bound = len(stack) + abs(exp) * len(image._syllables)
-            if bound > _MAX_SYLLABLES:  # compared here, as this runs per syllable
-                _check_syllables(bound, "the image")
-            piece = image if exp > 0 else ~image
-            for _ in range(abs(exp)):
-                for g, e in piece._syllables:
-                    _push(stack, g, e)
+            if image is not None and len(image._syllables) > 1:
+                bound = len(stack) + abs(exp) * len(image._syllables)
+                if bound > _MAX_SYLLABLES:  # compared here, as this runs per syllable
+                    _check_syllables(bound, "the image")
+            _join(stack, ((gen, exp),) if image is None else (image ** exp)._syllables)
         return _word(tuple(stack))
 
 

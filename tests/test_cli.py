@@ -229,6 +229,19 @@ def test_link_malformed_profile_exit_code(capsys, tmp_path):
     assert code == 2 and "sublinks" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("components 2\npreset hopf\nnu 1,2 5\n", "genus of [1, 2] must lie in 0..1, got 5"),
+    ("components 2\nnu empty -1\nnu 1 0\nnu 2 0\n",
+     "profile must assign a genus to all 4 sublinks, got 3"),
+])
+def test_profile_constraint_errors_name_only_the_file(capsys, tmp_path, text, message):
+    # these come from building the profile, after every line is read
+    path = tmp_path / "constrained.lnk"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "link", "check", "--profile", path)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_spheres_pi(capsys):
     assert run_cli(capsys, "spheres", "pi", "6", "3")[:2] == (0, "Z/12\n")
     assert run_cli(capsys, "spheres", "pi", "3", "5")[:2] == (0, "0\n")

@@ -1,6 +1,9 @@
 """The value contract of every immutable type in the package: equality by
 class and fields, hashing, the ``repr`` text, copies and pickle round trips,
-frozen fields, defaults, and the messages of direct-construction checks."""
+frozen fields, defaults, and the messages of direct-construction checks and
+of the public functions' argument checks."""
+
+from operator import mul
 
 import pytest
 
@@ -17,12 +20,20 @@ from linkhomotopy import (
     PiOfSphere,
     PiOfWedge,
     ProfileError,
+    ProfileFormatError,
     SimplicialElement,
     SphereWedge,
     Trivial,
     Word,
     build_profile,
+    element,
+    gamma_class_lower_bound,
     generator,
+    mu_coefficient,
+    parse_profile,
+    reduce_word,
+    reduced_expand,
+    symmetric_commutator_sample,
 )
 from linkhomotopy.homotopy import SymbolicGroup, TableEntry
 from linkhomotopy.magnus import CheckResult, InvisibilityReport
@@ -173,6 +184,37 @@ REFUSALS = [
 def test_value_refusals(make, args, error, message):
     with pytest.raises(error) as refused:
         make(*args)
+    assert type(refused.value) is error
+    assert str(refused.value) == message
+
+
+# (function, arguments, exception type, exact message): argument checks of
+# the public functions, the profile parser's line-numbered refusals, a
+# product with a non-word and powers with a non-integer exponent
+CALL_REFUSALS = [
+    (gamma_class_lower_bound, (X1, 0), ValueError, "max_degree must be >= 1, got 0"),
+    (reduced_expand, (X1, 0), ValueError, "truncation must be >= 1, got 0"),
+    (mu_coefficient, (X1, (0, 1)), ValueError, "indices must be >= 1"),
+    (symmetric_commutator_sample, (2, -1), ValueError, "seed must be nonnegative"),
+    (reduce_word, ([(0, 1)],), ValueError, "generator index must be >= 1, got 0"),
+    (generator, (0,), ValueError, "generator index must be >= 1, got 0"),
+    (element, (-1, "1"), ValueError, "degree must be >= 0, got -1"),
+    (parse_profile, ("nu empty -1\n",), ProfileFormatError,
+     "<profile>:1: 'nu' must follow 'components'"),
+    (parse_profile, ("components 1\nnu empty\n",), ProfileFormatError,
+     "<profile>:2: expected 'nu <subset> <integer>'"),
+    (mul, (X1, 3), TypeError, "unsupported operand type(s) for *: 'Word' and 'int'"),
+    (pow, (X1, 1.5), TypeError, "unsupported operand type(s) for ** or pow(): 'Word' and 'float'"),
+    (pow, (Word(((2, 1), (1, 1), (2, -1))), 2.0), TypeError,
+     "unsupported operand type(s) for ** or pow(): 'Word' and 'float'"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, message", CALL_REFUSALS,
+                         ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(CALL_REFUSALS)])
+def test_call_refusals(call, args, error, message):
+    with pytest.raises(error) as refused:
+        call(*args)
     assert type(refused.value) is error
     assert str(refused.value) == message
 

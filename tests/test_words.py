@@ -29,7 +29,7 @@ from conftest import (
     random_word,
     syllable_text,
 )
-from oracles import letters_of, reduce_letters
+from oracles import _substitute, inverse_letters, letters_of, reduce_letters
 
 x1, x2, x3 = generator(1), generator(2), generator(3)
 
@@ -251,13 +251,63 @@ def test_product_syllable_budget(monkeypatch):
 
 
 def test_power_of_a_long_conjugate_is_not_a_product():
-    # (w x1 w^-1)^3 = w x1^3 w^-1: squaring would pass the product bound,
-    # but the power's own bound 2|w| + 1 holds for every partial product
+    # (w x1 w^-1)^3 = w x1^3 w^-1: as a product of copies it would pass
+    # the product bound, but the power is built under its own bound 2|w| + 1
     w = Word(tuple((2 + i % 2, 1) for i in range(2**18)))
     c = w * x1 * ~w
     assert 2 * len(c.syllables) > words._MAX_SYLLABLES
     assert c ** 3 == w * generator(1, 3) * ~w
     assert c ** -3 == w * generator(1, -3) * ~w
+
+
+def test_power_matches_repeated_products_and_letters():
+    # w ** n builds u c^n u^-1 in one step; |n| products of w (or of w^-1)
+    # and reducing |n| copies of its letters reach w^n apart from it.  The
+    # forced cores have ends that share a generator (x1 x2 x1 merges to
+    # x1^2 between copies, x1^2 x3 x1^-1 to x1) or one syllable, bare and
+    # conjugated by x2
+    rng = random.Random(67)
+    cores = [parse_word(text) for text in ("x1 x2 x1", "x1^2 x3 x1^-1", "x2 x3 x1 x2^-2",
+                                           "x1", "x3^-2", "x1 x2")]
+    ws = cores + [x2 * core * ~x2 for core in cores] + [random_word(rng, 3) for _ in range(300)]
+    for w in ws:
+        for n in range(-7, 8):
+            got = w ** n
+            assert_canonical_word(got)
+            product = IDENTITY
+            for _ in range(abs(n)):
+                product = product * (w if n > 0 else ~w)
+            assert got == product, (w, n)
+            letters = letters_of(w.syllables)
+            if n < 0:
+                letters = inverse_letters(letters)
+            assert letters_of(got.syllables) == reduce_letters(letters * abs(n)), (w, n)
+
+
+def _random_image(rng, length):
+    syllables = []
+    for _ in range(length):
+        gen = rng.choice([g for g in (1, 2, 3) if not syllables or g != syllables[-1][0]])
+        syllables.append((gen, rng.choice((-3, -2, -1, 1, 2, 3))))
+    return Word(tuple(syllables))
+
+
+def test_generator_map_matches_letter_substitution():
+    # images of 0 to 3 syllables and fixed generators, on words with
+    # exponents of both signs, against substituting letter by letter
+    rng = random.Random(71)
+    lengths = set()
+    for _ in range(400):
+        images = {g: _random_image(rng, rng.randint(0, 3))
+                  for g in rng.sample((1, 2, 3), rng.randint(0, 3))}
+        lengths.update(len(image.syllables) for image in images.values())
+        w = random_word(rng, 3, max_exponent=4)
+        got = GeneratorMap(images)(w)
+        assert_canonical_word(got)
+        expected = _substitute(letters_of(w.syllables), lambda g: (
+            letters_of(images[g].syllables) if g in images else [(g, 1)]))
+        assert letters_of(got.syllables) == reduce_letters(expected), (images, w)
+    assert lengths == {0, 1, 2, 3}
 
 
 def test_generator_map_syllable_budget(monkeypatch):
