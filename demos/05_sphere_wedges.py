@@ -8,17 +8,17 @@ Run:  python3 demos/05_sphere_wedges.py
 """
 
 from linkhomotopy import (
+    DEFAULT_TABLE,
     HomotopyTable,
     hilton_pi,
-    homotopy_table_lookup,
     lyndon_words,
 )
 from linkhomotopy.homotopy import TableEntry
 
 print("Builtin table lookups (misses stay symbolic, never guessed):")
 for n, m in [(3, 3), (4, 3), (6, 3), (5, 2), (3, 5), (7, 3)]:
-    value = homotopy_table_lookup(n, m)
-    shown = value.render() if value is not None else "unknown"
+    entry = DEFAULT_TABLE.entry(n, m)
+    shown = entry.group.render() if entry is not None else "unknown"
     print(f"  pi_{n}(S^{m}) = {shown}")
 
 print("\nLyndon words over two letters, lengths up to 3:")
@@ -36,6 +36,6 @@ print(f"  pi_6(S^2 v S^2) = {hilton_pi(6, [2, 2]).render(mark_unknown=True)}")
 print("\nA user table extends coverage (each entry carries provenance):")
 table = HomotopyTable()
 table.entries[(6, 2)] = TableEntry(
-    homotopy_table_lookup(6, 3), "matches the fibration image", user_supplied=True
+    DEFAULT_TABLE.entry(6, 3).group, "matches the fibration image", user_supplied=True
 )
 print(f"  pi_6(S^2 v S^2) = {hilton_pi(6, [2, 2], table).render(mark_unknown=True)}")

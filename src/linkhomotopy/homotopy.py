@@ -12,9 +12,9 @@ Lookups that miss the table stay symbolic; the package never fabricates a
 value.
 
 Every ``pi_n(S^m)`` fact is read through one chain:
-:meth:`HomotopyTable.entry` -> :func:`homotopy_table_lookup` (which alone
-falls back to :data:`DEFAULT_TABLE`) -> :meth:`PiOfSphere.evaluate` ->
-:func:`hilton_pi` and ``links.classify_A``.
+:meth:`HomotopyTable.entry` -> :meth:`PiOfSphere.evaluate` (which alone
+falls back to :data:`DEFAULT_TABLE`) -> :func:`hilton_pi` and
+``links.classify_A``.
 
 :func:`hilton_pi` computes the homotopy group of a wedge of spheres by the
 Hilton-Milnor splitting: one sphere per basic product, that is per Lyndon
@@ -45,7 +45,6 @@ __all__ = [
     "SphereWedge",
     "HomotopyTable",
     "DEFAULT_TABLE",
-    "homotopy_table_lookup",
     "lyndon_words",
     "hilton_pi",
     "COUNTABLE",
@@ -151,8 +150,8 @@ class PiOfSphere(GroupDescription):
         return False
 
     def evaluate(self, table: "HomotopyTable | None" = None) -> GroupDescription:
-        known = homotopy_table_lookup(self.n, self.m, table)
-        return self if known is None else known
+        found = (table or DEFAULT_TABLE).entry(self.n, self.m)
+        return self if found is None else found.group
 
     def render(self, mark_unknown: bool = False) -> str:
         text = f"pi_{self.n}(S^{self.m})"
@@ -290,6 +289,9 @@ class HomotopyTable:
         ``Z^(countable)`` or a ``+``-joined sum of those, and the provenance
         text is mandatory.  A line whose ``(n, m)`` the table already answers
         (a structural index, a builtin or an earlier line) is rejected.
+        Loading into :data:`DEFAULT_TABLE` changes every later default
+        lookup in the process, so build a new ``HomotopyTable()`` for a
+        user table.
         """
         with open(path, encoding="utf-8") as handle:
             for number, raw in enumerate(handle, start=1):
@@ -336,14 +338,6 @@ def parse_group_token(token: str) -> GroupDescription:
 DEFAULT_TABLE = HomotopyTable()
 
 
-def homotopy_table_lookup(
-    n: int, m: int, table: HomotopyTable | None = None
-) -> GroupDescription | None:
-    """Table-backed value of ``pi_n(S^m)``; ``None`` when unknown."""
-    found = (table or DEFAULT_TABLE).entry(n, m)
-    return None if found is None else found.group
-
-
 #: Most Lyndon words :func:`_lyndon_count` may count, each one summand of
 #: :func:`hilton_pi` or one word of :func:`lyndon_words`; the largest wedge in
 #: use, ``pi_12`` of four 2-spheres, has 526,638.
@@ -358,13 +352,11 @@ _MAX_LYNDON_WEIGHTS = 2**16
 _MAX_LYNDON_LETTERS = 2**24
 
 
-def _check_words(count: int, weights: Sequence[int], budget: int) -> None:
-    if count > _MAX_LYNDON_WORDS:
-        raise ValueError(
-            f"Hilton-Milnor splitting needs at least {count} Lyndon words "
-            f"({len(weights)} letters, weight <= {budget}); "
-            f"the limit is {_MAX_LYNDON_WORDS}"
-        )
+def _check_splitting(count: int, limit: int, what: str, weights: Sequence[int],
+                     budget: int) -> None:
+    if count > limit:
+        raise ValueError(f"Hilton-Milnor splitting needs at least {count} {what} "
+                         f"({len(weights)} letters, weight <= {budget}); the limit is {limit}")
 
 
 def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
@@ -395,7 +387,7 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
     # singles[i + 1:ends[i]] are the heavier weights that fit beside singles[i]
     ends = [bisect_right(singles, budget - a) for a in singles]
     least = sum(letters.values()) + sum(max(0, end - i - 1) for i, end in enumerate(ends))
-    _check_words(least, weights, budget)
+    _check_splitting(least, _MAX_LYNDON_WORDS, "Lyndon words", weights, budget)
     # each letter a before a heavier b spells x_a^k x_b for k = 1..(cap - b) // a;
     # no weight up to cap can be past the weight limit, so the walk would refuse
     # these words before the weights.  Over the b that fit, with prefix sums of
@@ -412,7 +404,7 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
             break
         fit, total = counts[end] - counts[i + 1], sums[end] - sums[i + 1]
         least += letters[a] * max(fit, -((total - fit * (cap - a + 1)) // a))
-    _check_words(least, weights, budget)
+    _check_splitting(least, _MAX_LYNDON_WORDS, "Lyndon words", weights, budget)
     terms = [(w, letters[w], letters[w] * w) for w in singles]
     mixed = {a + b for i, a in enumerate(singles) for b in singles[i + 1:ends[i]]}
     mixed.update(2 * a for a in singles if letters[a] > 1 and 2 * a <= budget)
@@ -424,12 +416,7 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
     pending: dict[int, list[int]] = {}
     total = 0
     while heap:
-        if len(lyndon) == _MAX_LYNDON_WEIGHTS:
-            raise ValueError(
-                f"Hilton-Milnor splitting needs at least {len(lyndon) + 1} sphere "
-                f"dimensions ({len(weights)} letters, weight <= {budget}); "
-                f"the limit is {_MAX_LYNDON_WEIGHTS}"
-            )
+        _check_splitting(len(lyndon) + 1, _MAX_LYNDON_WEIGHTS, "sphere dimensions", weights, budget)
         m = heappop(heap)
         # the letters of weight m, each followed by the empty word (N_0 = 1)
         own = letters.get(m, 0)
@@ -457,7 +444,7 @@ def _lyndon_count(weights: Sequence[int], budget: int) -> dict[int, int]:
             pending.setdefault(m + d, []).append(d)
         lyndon[m] = found = (weighted - divided) // m
         total += found
-        _check_words(total, weights, budget)
+        _check_splitting(total, _MAX_LYNDON_WORDS, "Lyndon words", weights, budget)
         if m in mixed:
             if m not in letters:
                 pending.setdefault(2 * m, []).append(m)
@@ -505,11 +492,8 @@ def lyndon_words(alphabet_size: int, max_length: int) -> list[tuple[int, ...]]:
     return out
 
 
-def hilton_pi(
-    n: int,
-    dims: Sequence[int],
-    table: HomotopyTable | None = None,
-) -> GroupDescription:
+def hilton_pi(n: int, dims: Sequence[int],
+              table: HomotopyTable | None = None) -> GroupDescription:
     """``pi_n`` of a wedge of spheres of the given dimensions.
 
     By the Hilton-Milnor splitting (Hilton 1955) the group is the sum of one

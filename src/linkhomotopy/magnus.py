@@ -359,8 +359,6 @@ def reduced_expand(w: Word, truncation: int) -> MagnusSeries:
     sets of generators; below it, it is the dense expansion filtered, as
     the deleted monomials form an ideal.
     """
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
     support = tuple(sorted({index for index, _ in w._syllables}))
     if truncation < len(support):
         terms = magnus_expand(w, truncation).terms

@@ -8,10 +8,12 @@ words represent the same group element exactly when they compare equal.
 
 Validation happens where values enter: a direct ``Word(...)`` call checks
 the reduction invariant, and :func:`reduce_word`, :func:`generator` and
-:func:`parse_word` check generator indices.  Operations (``*``, ``~``,
-``**``, :class:`GeneratorMap`) build their already reduced results directly,
-without re-checking them; the tests rebuild such results through
-``Word(...)`` to confirm the invariant.
+:func:`parse_word` check generator indices.  ``Word(...)``, :func:`reduce_word`
+and :func:`generator` raise ``TypeError`` for an index or exponent that
+``operator.index`` refuses.  Operations (``*``, ``~``, ``**``,
+:class:`GeneratorMap`) build their already reduced results directly, without
+re-checking them; the tests rebuild such results through ``Word(...)`` to
+confirm the invariant.
 
 Exponents are ordinary Python integers and therefore exact at any size;
 overflow cannot occur.  Products and inverses are the operators ``*`` and
@@ -39,7 +41,7 @@ letter; both refuse a letter that could not be read back.
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+from operator import attrgetter, index as _index
 from typing import Iterable, Mapping
 
 from . import _decimal, _Frozen, _unwritable, _Value
@@ -104,9 +106,9 @@ class Word(_Value):
     """A freely reduced word; ``Word()`` is the identity.
 
     Direct construction checks the reduction invariant and raises
-    ``ValueError`` on malformed input; use :func:`reduce_word` to build a
-    word from an arbitrary syllable sequence.  ``syllables`` is a read-only
-    property over the private ``_syllables`` slot.
+    ``ValueError`` on malformed input (``TypeError`` on a non-integer); use
+    :func:`reduce_word` to build a word from an arbitrary syllable sequence.
+    ``syllables`` is a read-only property over the private ``_syllables`` slot.
     """
 
     __slots__ = ("_syllables",)
@@ -116,9 +118,9 @@ class Word(_Value):
         previous = 0
         for syllable in syllables:
             gen, exp = syllable
-            if gen < 1:
+            if _index(gen) < 1:
                 raise ValueError(f"generator index must be >= 1, got {gen}")
-            if exp == 0:
+            if _index(exp) == 0:
                 raise ValueError("zero exponent in word")
             if gen == previous:
                 raise ValueError("adjacent syllables share a generator; word is not reduced")
@@ -209,17 +211,17 @@ def reduce_word(raw: Iterable[Syllable]) -> Word:
     """
     stack: list[Syllable] = []
     for gen, exp in raw:
-        if gen < 1:
+        if _index(gen) < 1:
             raise ValueError(f"generator index must be >= 1, got {gen}")
-        _push(stack, gen, exp)
+        _push(stack, gen, _index(exp))
     return _word(tuple(stack))
 
 
 def generator(index: int, exponent: int = 1) -> Word:
     """The word ``x_index ^ exponent`` (identity when the exponent is 0)."""
-    if index < 1:
+    if _index(index) < 1:
         raise ValueError(f"generator index must be >= 1, got {index}")
-    if exponent == 0:
+    if _index(exponent) == 0:
         return Word()
     return _word(((index, exponent),))
 

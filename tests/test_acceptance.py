@@ -14,11 +14,13 @@ from pathlib import Path
 
 from linkhomotopy import (
     COUNTABLE,
+    DEFAULT_TABLE,
     VARIANT_ETA_DEGREE3,
     VARIANT_ETA_DEGREE4,
     Cyclic,
     DirectSum,
     FreeAbelian,
+    PiOfSphere,
     Trivial,
     chi2,
     chi3,
@@ -32,7 +34,6 @@ from linkhomotopy import (
     gamma_class_lower_bound,
     generator,
     hilton_pi,
-    homotopy_table_lookup,
     is_cycle,
     magnus_expand,
     mu_coefficient,
@@ -207,7 +208,7 @@ def test_criterion_06_fibration_links_against_table():
         result = classify_A(build_profile(n, "hopf"), (), range(1, n + 1))
         if result.group != group:
             failures.append(f"n={n}: {result.group} != {group}")
-        if homotopy_table_lookup(n, 3) != group:
+        if PiOfSphere(n, 3).evaluate() != group:
             failures.append(f"table({n},3) != {group}")
     report("06 fibration links against table", failures)
 
@@ -335,8 +336,8 @@ def test_criterion_10_wedge_calculator():
         failures.append("pi_3(S^2 v S^2) != Z + Z + Z")
     for n in range(2, 7):
         for m in range(2, n + 1):
-            table_value = homotopy_table_lookup(n, m)
-            if table_value is not None and hilton_pi(n, [m]) != table_value:
+            entry = DEFAULT_TABLE.entry(n, m)
+            if entry is not None and hilton_pi(n, [m]) != entry.group:
                 failures.append(f"singleton mismatch at ({n},{m})")
     rng = random.Random(31415)
     for _ in range(50):

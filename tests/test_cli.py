@@ -720,9 +720,11 @@ def test_exit_codes_in_a_fresh_process(tmp_path, argv, code, message):
 def test_package_namespace_is_every_layers_public_names():
     layers = [getattr(linkhomotopy, name) for name in LAYERS]
     public = [name for layer in layers for name in layer.__all__]
-    assert len(public) == len(set(public)) == 62
-    # build_profile is the one profile builder; the removed alias stays gone
-    assert "preset_profile" not in public and not hasattr(linkhomotopy, "preset_profile")
+    assert len(public) == len(set(public)) == 61
+    # build_profile is the one profile builder and PiOfSphere.evaluate reads
+    # the table itself; the removed wrappers stay gone
+    for removed in ("preset_profile", "homotopy_table_lookup"):
+        assert removed not in public and not hasattr(linkhomotopy, removed)
     expected = sorted(public + list(LAYERS))
     # the first lookup in a fresh process loads the layers
     listed = fresh_python("-c", "import linkhomotopy; print(*(n for n in dir(linkhomotopy)"

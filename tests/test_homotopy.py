@@ -19,7 +19,6 @@ from linkhomotopy import (
     Trivial,
     direct_sum,
     hilton_pi,
-    homotopy_table_lookup,
     lyndon_words,
 )
 from linkhomotopy.homotopy import (
@@ -37,26 +36,26 @@ Z = FreeAbelian(1)
 
 
 def test_table_builtin_entries():
-    assert homotopy_table_lookup(6, 3) == Cyclic(12)
-    assert homotopy_table_lookup(4, 3) == Cyclic(2)
-    assert homotopy_table_lookup(5, 3) == Cyclic(2)
-    assert homotopy_table_lookup(3, 2) == Z
-    assert homotopy_table_lookup(4, 2) == Cyclic(2)
-    assert homotopy_table_lookup(5, 2) == Cyclic(2)
+    assert PiOfSphere(6, 3).evaluate() == Cyclic(12)
+    assert PiOfSphere(4, 3).evaluate() == Cyclic(2)
+    assert PiOfSphere(5, 3).evaluate() == Cyclic(2)
+    assert PiOfSphere(3, 2).evaluate() == Z
+    assert PiOfSphere(4, 2).evaluate() == Cyclic(2)
+    assert PiOfSphere(5, 2).evaluate() == Cyclic(2)
 
 
 def test_table_structural_rules():
-    assert homotopy_table_lookup(5, 7) == Trivial()
-    assert homotopy_table_lookup(4, 4) == Z
-    assert homotopy_table_lookup(1, 1) == Z
-    assert homotopy_table_lookup(3, 1) == Trivial()
+    assert PiOfSphere(5, 7).evaluate() == Trivial()
+    assert PiOfSphere(4, 4).evaluate() == Z
+    assert PiOfSphere(1, 1).evaluate() == Z
+    assert PiOfSphere(3, 1).evaluate() == Trivial()
 
 
 def test_table_miss_returns_none():
-    assert homotopy_table_lookup(7, 3) is None
-    assert homotopy_table_lookup(6, 2) is None
+    assert DEFAULT_TABLE.entry(7, 3) is None
+    assert DEFAULT_TABLE.entry(6, 2) is None
     with pytest.raises(ValueError):
-        homotopy_table_lookup(0, 1)
+        DEFAULT_TABLE.entry(0, 1)
 
 
 def test_table_file_loading(tmp_path):
@@ -70,8 +69,8 @@ def test_table_file_loading(tmp_path):
     )
     table = HomotopyTable()
     table.load_file(str(path))
-    assert homotopy_table_lookup(7, 3, table) == Cyclic(2)
-    assert homotopy_table_lookup(7, 4, table) == direct_sum([Z, Cyclic(12)])
+    assert PiOfSphere(7, 3).evaluate(table) == Cyclic(2)
+    assert PiOfSphere(7, 4).evaluate(table) == direct_sum([Z, Cyclic(12)])
     assert table.entry(7, 3).provenance == "classical tables"
     # every loaded entry is user-supplied, whatever its provenance wording
     for n, m in [(7, 3), (7, 4), (8, 3), (8, 4)]:
@@ -83,7 +82,30 @@ def test_table_file_loading(tmp_path):
         assert not table.entry(n, m).user_supplied
     assert table.entry(6, 3).render() == "Z/12"
     # the default table is untouched
-    assert homotopy_table_lookup(7, 3, DEFAULT_TABLE) is None
+    assert DEFAULT_TABLE.entry(7, 3) is None
+
+
+def test_evaluate_is_the_table_entry(tmp_path):
+    path = tmp_path / "sum.tab"
+    path.write_text("pi 7 4 Z+Z/12 classical tables\npi 7 3 Z/2 classical tables\n")
+    loaded = HomotopyTable()
+    loaded.load_file(str(path))
+    for table in (DEFAULT_TABLE, loaded):
+        misses = 0
+        for n in range(1, 13):
+            for m in range(1, 13):
+                pi = PiOfSphere(n, m)
+                entry = table.entry(n, m)
+                if entry is None:
+                    misses += 1
+                    assert pi.evaluate(table) is pi
+                else:
+                    assert pi.evaluate(table) == entry.group
+                if table is DEFAULT_TABLE:
+                    assert pi.evaluate() == pi.evaluate(table)
+        assert 0 < misses < 144
+    assert PiOfSphere(7, 4).evaluate(loaded) == DirectSum((Z, Cyclic(12)))
+    assert PiOfSphere(7, 4).evaluate() == PiOfSphere(7, 4)
 
 
 @pytest.mark.parametrize(
@@ -342,12 +364,12 @@ def test_hilton_two_sphere_wedge_degree4():
 def test_hilton_singleton_agrees_with_table():
     for n in range(2, 7):
         for m in range(2, n + 1):
-            expected = homotopy_table_lookup(n, m)
+            expected = DEFAULT_TABLE.entry(n, m)
             got = hilton_pi(n, [m])
             if expected is None:
                 assert got == PiOfSphere(n, m)
             else:
-                assert got == expected
+                assert got == expected.group
     assert hilton_pi(5, [5]) == Z
 
 

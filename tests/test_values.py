@@ -190,10 +190,15 @@ def test_value_refusals(make, args, error, message):
 
 # (function, arguments, exception type, exact message): argument checks of
 # the public functions, the profile parser's line-numbered refusals, a
-# product with a non-word and powers with a non-integer exponent
+# product with a non-word, powers with a non-integer exponent and words
+# with a non-integer index or exponent
+NOT_INT = "'float' object cannot be interpreted as an integer"
 CALL_REFUSALS = [
     (gamma_class_lower_bound, (X1, 0), ValueError, "max_degree must be >= 1, got 0"),
     (reduced_expand, (X1, 0), ValueError, "truncation must be >= 1, got 0"),
+    (reduced_expand, (IDENTITY, 0), ValueError, "truncation must be >= 1, got 0"),
+    (reduced_expand, (Word(((1, 1), (2, 1), (3, 1))), -5), ValueError,
+     "truncation must be >= 1, got -5"),
     (mu_coefficient, (X1, (0, 1)), ValueError, "indices must be >= 1"),
     (symmetric_commutator_sample, (2, -1), ValueError, "seed must be nonnegative"),
     (reduce_word, ([(0, 1)],), ValueError, "generator index must be >= 1, got 0"),
@@ -207,6 +212,11 @@ CALL_REFUSALS = [
     (pow, (X1, 1.5), TypeError, "unsupported operand type(s) for ** or pow(): 'Word' and 'float'"),
     (pow, (Word(((2, 1), (1, 1), (2, -1))), 2.0), TypeError,
      "unsupported operand type(s) for ** or pow(): 'Word' and 'float'"),
+    (Word, (((1, 1.5),),), TypeError, NOT_INT),
+    (Word, (((1.5, 1),),), TypeError, NOT_INT),
+    (reduce_word, ([(1, 1.5)],), TypeError, NOT_INT),
+    (generator, (1, 1.5), TypeError, NOT_INT),
+    (generator, (1.5,), TypeError, NOT_INT),
 ]
 
 
@@ -217,6 +227,14 @@ def test_call_refusals(call, args, error, message):
         call(*args)
     assert type(refused.value) is error
     assert str(refused.value) == message
+
+
+def test_numpy_integers_still_build_words():
+    np = pytest.importorskip("numpy")
+    one, two = np.int64(1), np.int64(2)
+    for word in (Word(((one, two),)), reduce_word([(one, two)]), generator(one, two)):
+        assert word == Word(((1, 2),))
+        assert str(word) == "x1^2"
 
 
 SLOTTED = (Word, SimplicialElement)
