@@ -196,9 +196,6 @@ NOT_INT = "'float' object cannot be interpreted as an integer"
 CALL_REFUSALS = [
     (gamma_class_lower_bound, (X1, 0), ValueError, "max_degree must be >= 1, got 0"),
     (reduced_expand, (X1, 0), ValueError, "truncation must be >= 1, got 0"),
-    (reduced_expand, (IDENTITY, 0), ValueError, "truncation must be >= 1, got 0"),
-    (reduced_expand, (Word(((1, 1), (2, 1), (3, 1))), -5), ValueError,
-     "truncation must be >= 1, got -5"),
     (mu_coefficient, (X1, (0, 1)), ValueError, "indices must be >= 1"),
     (symmetric_commutator_sample, (2, -1), ValueError, "seed must be nonnegative"),
     (reduce_word, ([(0, 1)],), ValueError, "generator index must be >= 1, got 0"),
@@ -217,6 +214,9 @@ CALL_REFUSALS = [
     (reduce_word, ([(1, 1.5)],), TypeError, NOT_INT),
     (generator, (1, 1.5), TypeError, NOT_INT),
     (generator, (1.5,), TypeError, NOT_INT),
+    (reduced_expand, (IDENTITY, 0), ValueError, "truncation must be >= 1, got 0"),
+    (reduced_expand, (Word(((1, 1), (2, 1), (3, 1))), -5), ValueError,
+     "truncation must be >= 1, got -5"),
 ]
 
 
