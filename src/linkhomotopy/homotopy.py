@@ -9,7 +9,9 @@ classical entries ship as builtins, and further entries can be loaded from
 a text file where every line carries a provenance note; each
 :class:`TableEntry` stores that note and whether it came from such a file.
 Lookups that miss the table stay symbolic; the package never fabricates a
-value.
+value.  :class:`Cyclic`, :class:`SphereWedge`, :class:`PiOfSphere`,
+:func:`hilton_pi` and :func:`lyndon_words` raise ``TypeError`` for an
+order, dimension, degree or size that ``operator.index`` refuses.
 
 Every ``pi_n(S^m)`` fact is read through one chain:
 :meth:`HomotopyTable.entry` -> :meth:`PiOfSphere.evaluate` (which alone
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heappop, heappush
+from operator import index as _index
 from typing import Iterable, Sequence
 
 from . import _decimal, _Frozen
@@ -85,7 +88,7 @@ class Cyclic(GroupDescription):
     __match_args__ = ("order",)
 
     def __init__(self, order: int) -> None:
-        if order < 2:
+        if _index(order) < 2:
             raise ValueError(f"cyclic order must be >= 2, got {order}")
         self.__dict__.update(order=order)
 
@@ -121,7 +124,7 @@ class SphereWedge(_Frozen):
     __match_args__ = ("dims", "group_factor")
 
     def __init__(self, dims: Sequence[int] = (), group_factor: str | None = None) -> None:
-        if any(d < 2 for d in dims):
+        if any(_index(d) < 2 for d in dims):
             raise ValueError("sphere dimensions must be >= 2")
         self.__dict__.update(dims=tuple(sorted(dims)), group_factor=group_factor)
 
@@ -141,7 +144,7 @@ class PiOfSphere(GroupDescription):
     __match_args__ = ("n", "m")
 
     def __init__(self, n: int, m: int) -> None:
-        if n < 1 or m < 1:
+        if _index(n) < 1 or _index(m) < 1:
             raise ValueError("sphere homotopy indices must be >= 1")
         self.__dict__.update(n=n, m=m)
 
@@ -464,7 +467,7 @@ def lyndon_words(alphabet_size: int, max_length: int) -> list[tuple[int, ...]]:
     algebra: Duval's loop (Duval 1988).  More than :data:`_MAX_LYNDON_WORDS`
     words, or than :data:`_MAX_LYNDON_LETTERS` letters (words times
     ``max_length``), raise ``ValueError`` before any word is generated."""
-    if alphabet_size < 1 or max_length < 1:
+    if _index(alphabet_size) < 1 or _index(max_length) < 1:
         return []
     if alphabet_size == 1:
         return [(0,)]
@@ -508,9 +511,9 @@ def hilton_pi(n: int, dims: Sequence[int],
     :data:`_MAX_LYNDON_WEIGHTS` distinct sphere dimensions, raises
     ``ValueError``.
     """
-    if n < 2:
+    if _index(n) < 2:
         raise ValueError(f"wedge homotopy degree must be >= 2, got {n}")
-    if any(d < 2 for d in dims):
+    if any(_index(d) < 2 for d in dims):
         raise ValueError("sphere dimensions must be >= 2")
     counts = _lyndon_count([d - 1 for d in dims], n - 1)
     return direct_sum(group for m, count in counts.items()

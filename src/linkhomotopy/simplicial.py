@@ -21,15 +21,20 @@ additionally lie in ``Ker d_0``.  The homology of the Moore complex
 computes the homotopy groups of the loop space of the 2-sphere, and the
 suspension-Hopf composition acts on cycles by ``z -> [s_0 z, s_1 z]``;
 iterating it from the degree-1 generator yields the tower words returned
-by :func:`eta_tower`.
+by :func:`eta_tower`.  A process keeps the tower levels it has built, so
+each level is built once: about 0.2 MB through level 7 and 5 MB after
+level 10, the last the syllable budget allows.  Refusals do not depend on
+what is kept.
 
 Validation happens where values enter: a direct ``SimplicialElement(...)``
 call checks the degree and the canonical generator range, :func:`element`
 checks its input word's range, and :func:`eta_word` checks that its input
-is a cycle.  Faces, degeneracies, the elimination of the last generator and
-the tower step build their canonical results directly, in one unchecked
-step; the tests rebuild such results through ``SimplicialElement(...)`` to
-confirm the invariant.  An element keeps its degree and syllables in two
+is a cycle; :func:`element`, :func:`eta_tower` and :func:`meridian_word`
+raise ``TypeError`` for a degree or size that ``operator.index`` refuses.
+Faces, degeneracies, the elimination of the last generator and the tower
+step build their canonical results directly, in one unchecked step; the
+tests rebuild such results through ``SimplicialElement(...)`` to confirm
+the invariant.  An element keeps its degree and syllables in two
 private slots behind read-only properties, and ``word`` wraps the syllables
 in a :class:`Word` each time it is read, so faces, degeneracies and the
 elimination build no ``Word``: one object and two plain slot stores.
@@ -39,7 +44,7 @@ Element equality is structural on ``(degree, syllables)``.
 from __future__ import annotations
 
 from math import factorial
-from operator import attrgetter
+from operator import attrgetter, index as _index
 
 from . import _Value
 from .words import (
@@ -194,7 +199,7 @@ def element(degree: int, word: Word | str) -> SimplicialElement:
     """
     if isinstance(word, str):
         word = parse_word(word)
-    if degree < 0:
+    if _index(degree) < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     top = word.max_generator
     if top > degree + 1:
@@ -298,16 +303,29 @@ def eta_word(z: SimplicialElement) -> SimplicialElement:
         raise ValueError("eta_word needs degree >= 1")
     if not is_cycle(z):
         raise NotACycleError(f"not a Moore cycle: {z}")
-    return _eta_step(z)
+    return _eta_step(z, _letters(z._syllables))
 
 
-def _eta_step(z: SimplicialElement) -> SimplicialElement:
-    """``[s_0 z, s_1 z]`` for a cycle ``z`` of degree >= 1, unchecked."""
+def _letters(syllables: tuple[Syllable, ...]) -> int:
+    return sum(abs(exp) for _, exp in syllables)
+
+
+def _eta_step(z: SimplicialElement, letters: int) -> SimplicialElement:
+    """``[s_0 z, s_1 z]`` for a cycle ``z`` of degree >= 1 with ``letters``
+    letters, unchecked."""
     # a degeneracy turns each letter into at most two syllables, so the
     # commutator has at most eight per letter of z; checked before building
-    _check_syllables(8 * sum(abs(exp) for _, exp in z._syllables), "the tower step")
+    _check_syllables(8 * letters, "the tower step")
     word = commutator(degeneracy(0, z).word, degeneracy(1, z).word)
     return _element(z._degree + 1, word._syllables)
+
+
+#: The tower levels this process has built: level -> (element, letters of the
+#: level below, which the step into this level checked).  Filled by
+#: :func:`eta_tower` in increasing level, so a kept level has every level
+#: below it kept too; each write is keyed by its level, so threads can only
+#: write equal values.  The syllable budget bounds it at level 10.
+_TOWER: dict[int, tuple[SimplicialElement, int]] = {1: (element(1, generator(1)), 0)}
 
 
 def eta_tower(k: int) -> SimplicialElement:
@@ -319,12 +337,27 @@ def eta_tower(k: int) -> SimplicialElement:
     No level is re-tested as a cycle: ``x1`` is one, and the step maps
     cycles to cycles.  Each step checks the syllable budget before it
     builds, so ``k >= 11`` raises ``ValueError``.
+
+    A process keeps the levels it has built, each syllable stored once per
+    level and shared by every place that holds it: about 0.2 MB through
+    level 7 and 5 MB after level 10.  A kept level still runs the step's
+    budget check for every level below it, in order, from the kept letter
+    counts, so a refusal does not depend on what is kept.
     """
-    if k < 1:
+    if _index(k) < 1:
         raise ValueError(f"tower degree must be >= 1, got {k}")
-    e = element(1, generator(1))
-    for _ in range(k - 1):
-        e = _eta_step(e)
+    e = _TOWER[1][0]
+    for level in range(2, k + 1):
+        kept = _TOWER.get(level)
+        if kept is None:
+            letters = _letters(e._syllables)
+            shared: dict[Syllable, Syllable] = {}  # one object per distinct syllable
+            syllables = _eta_step(e, letters)._syllables
+            syllables = tuple(map(shared.setdefault, syllables, syllables))
+            kept = _TOWER[level] = (_element(level, syllables), letters)
+        else:
+            _check_syllables(8 * kept[1], "the tower step")
+        e = kept[0]
     return e
 
 
@@ -410,7 +443,7 @@ def meridian_word(k: int) -> SimplicialElement:
     word.  Supported sizes are 4 and 5, the first links whose labelling
     classes are the Hopf classes of order two.
     """
-    if k not in (4, 5):
+    if _index(k) not in (4, 5):
         raise ValueError(f"unsupported link size {k}; expected 4 or 5")
     return eta_tower(k - 1)
 

@@ -10,7 +10,8 @@ Validation happens where values enter: a direct ``Word(...)`` call checks
 the reduction invariant, and :func:`reduce_word`, :func:`generator` and
 :func:`parse_word` check generator indices.  ``Word(...)``, :func:`reduce_word`
 and :func:`generator` raise ``TypeError`` for an index or exponent that
-``operator.index`` refuses.  Operations (``*``, ``~``, ``**``,
+``operator.index`` refuses, and :func:`in_normal_closure` for such an
+index.  Operations (``*``, ``~``, ``**``,
 :class:`GeneratorMap`) build their already reduced results directly, without
 re-checking them; the tests rebuild such results through ``Word(...)`` to
 confirm the invariant.
@@ -274,7 +275,7 @@ def in_normal_closure(w: Word, index: int) -> bool:
     reduces it to the identity, so this is an exact decision procedure.  One
     pass deletes the ``x_i`` syllables and cancels the rest on a stack.
     """
-    if index < 1:
+    if _index(index) < 1:
         raise ValueError(f"generator index must be >= 1, got {index}")
     stack: list[Syllable] = []
     top = 0  # the generator of stack[-1], 0 for an empty stack

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import threading
 import time
 from functools import reduce
 from pathlib import Path
@@ -30,7 +34,7 @@ from linkhomotopy import (
     reduce_word,
     symmetric_commutator_sample,
 )
-from linkhomotopy import words
+from linkhomotopy import simplicial, words
 from conftest import (
     assert_canonical_element,
     assert_frozen_value,
@@ -425,6 +429,86 @@ def test_prefix_product_and_tower_step_syllable_budgets(monkeypatch):
 def test_eta_towers_are_cycles():
     for k in range(1, 6):
         assert is_cycle(eta_tower(k))
+
+
+@pytest.fixture
+def fresh_tower(monkeypatch):
+    """An empty map of kept tower levels but for level 1, as at import."""
+    tower = {1: simplicial._TOWER[1]}
+    monkeypatch.setattr(simplicial, "_TOWER", tower)
+    return tower
+
+
+def checked_towers(top):
+    """Tower levels 1..top built by the checked step, as a list from level 1."""
+    levels = [element(1, "x1")]
+    while len(levels) < top:
+        levels.append(eta_word(levels[-1]))
+    return levels
+
+
+def test_kept_tower_levels_answer_in_any_order(fresh_tower):
+    expected = checked_towers(7)
+    for k in [*range(7, 0, -1), *range(1, 8)]:
+        assert eta_tower(k) == expected[k - 1]
+        assert_canonical_element(eta_tower(k))
+    assert sorted(fresh_tower) == list(range(1, 8))
+    for level, (e, letters) in fresh_tower.items():
+        assert e is eta_tower(level)
+        # the letters of the level below, which the step into this one checked
+        assert letters == (expected[level - 2].word.length if level > 1 else 0)
+        # each distinct syllable is held by one shared object
+        assert len({id(s) for s in e.word.syllables}) == len(set(e.word.syllables))
+
+
+def test_threads_keep_equal_tower_levels(fresh_tower):
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def build(slot):
+        start.wait()
+        results[slot] = eta_tower(7)
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    serial = checked_towers(7)
+    assert results == [serial[-1]] * 4
+    assert {level: e for level, (e, _) in fresh_tower.items()} == dict(enumerate(serial, 1))
+
+
+def test_refused_tower_keeps_only_the_levels_below_the_step(fresh_tower, monkeypatch):
+    # the step from level 4 (120 letters) may build 960 syllables
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 959)
+    with pytest.raises(ValueError,
+                       match="^the tower step may have 960 syllables; the limit is 959$"):
+        eta_tower(7)
+    assert sorted(fresh_tower) == [1, 2, 3, 4]
+    assert eta_tower(4) == checked_towers(4)[-1]
+    # a kept level is refused as a built one is, by the first step over budget
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 223)
+    with pytest.raises(ValueError,
+                       match="^the tower step may have 224 syllables; the limit is 223$"):
+        eta_tower(4)
+    assert eta_tower(3) == checked_towers(3)[-1]
+
+
+def test_importing_builds_no_tower_level_above_one():
+    package_root = str(Path(simplicial.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import linkhomotopy.cli; from linkhomotopy import simplicial;"
+         " print(sorted(simplicial._TOWER))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1]\n", "")
 
 
 def test_eta_of_cycle_is_cycle():

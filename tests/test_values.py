@@ -27,15 +27,19 @@ from linkhomotopy import (
     Word,
     build_profile,
     element,
+    eta_tower,
     gamma_class_lower_bound,
     generator,
+    hilton_pi,
+    in_normal_closure,
+    meridian_word,
     mu_coefficient,
     parse_profile,
     reduce_word,
     reduced_expand,
     symmetric_commutator_sample,
 )
-from linkhomotopy.homotopy import SymbolicGroup, TableEntry
+from linkhomotopy.homotopy import SymbolicGroup, TableEntry, lyndon_words
 from linkhomotopy.magnus import CheckResult, InvisibilityReport
 from conftest import assert_frozen_value
 
@@ -217,6 +221,16 @@ CALL_REFUSALS = [
     (reduced_expand, (IDENTITY, 0), ValueError, "truncation must be >= 1, got 0"),
     (reduced_expand, (Word(((1, 1), (2, 1), (3, 1))), -5), ValueError,
      "truncation must be >= 1, got -5"),
+    (element, (1.5, "x1"), TypeError, NOT_INT),
+    (in_normal_closure, (X1, 1.5), TypeError, NOT_INT),
+    (eta_tower, (3.0,), TypeError, NOT_INT),
+    (meridian_word, (4.0,), TypeError, NOT_INT),
+    (PiOfSphere, (1.5, 2), TypeError, NOT_INT),
+    (Cyclic, (2.5,), TypeError, NOT_INT),
+    (SphereWedge, ((2.5,),), TypeError, NOT_INT),
+    (hilton_pi, (3.5, [2]), TypeError, NOT_INT),
+    (hilton_pi, (3, [2.5]), TypeError, NOT_INT),
+    (lyndon_words, (2.5, 3), TypeError, NOT_INT),
 ]
 
 
