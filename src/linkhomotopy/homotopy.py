@@ -10,8 +10,9 @@ a text file where every line carries a provenance note; each
 :class:`TableEntry` stores that note and whether it came from such a file.
 Lookups that miss the table stay symbolic; the package never fabricates a
 value.  :class:`Cyclic`, :class:`SphereWedge`, :class:`PiOfSphere`,
-:func:`hilton_pi` and :func:`lyndon_words` raise ``TypeError`` for an
-order, dimension, degree or size that ``operator.index`` refuses.
+:meth:`HomotopyTable.entry`, :func:`hilton_pi` and :func:`lyndon_words`
+raise ``TypeError`` for an order, dimension, degree, index or size that
+``operator.index`` refuses.
 
 Every ``pi_n(S^m)`` fact is read through one chain:
 :meth:`HomotopyTable.entry` -> :meth:`PiOfSphere.evaluate` (which alone
@@ -274,7 +275,7 @@ class HomotopyTable:
         self.entries = dict(_BUILTIN_ENTRIES)
 
     def entry(self, n: int, m: int) -> TableEntry | None:
-        if n < 1 or m < 1:
+        if _index(n) < 1 or _index(m) < 1:
             raise ValueError("sphere homotopy indices must be >= 1")
         if n < m:
             return TableEntry(Trivial(), "connectivity")

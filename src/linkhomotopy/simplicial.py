@@ -29,15 +29,19 @@ what is kept.
 Validation happens where values enter: a direct ``SimplicialElement(...)``
 call checks the degree and the canonical generator range, :func:`element`
 checks its input word's range, and :func:`eta_word` checks that its input
-is a cycle; :func:`element`, :func:`eta_tower` and :func:`meridian_word`
-raise ``TypeError`` for a degree or size that ``operator.index`` refuses.
+is a cycle; :func:`element`, :func:`face`, :func:`degeneracy`,
+:func:`eta_tower` and :func:`meridian_word` raise ``TypeError`` for a
+degree, index or size that ``operator.index`` refuses.
 Faces, degeneracies, the elimination of the last generator and the tower
 step build their canonical results directly, in one unchecked step; the
 tests rebuild such results through ``SimplicialElement(...)`` to confirm
 the invariant.  An element keeps its degree and syllables in two
 private slots behind read-only properties, and ``word`` wraps the syllables
 in a :class:`Word` each time it is read, so faces, degeneracies and the
-elimination build no ``Word``: one object and two plain slot stores.
+elimination build no ``Word``: one object and two plain slot stores.  A
+third slot, unset until :func:`is_cycle` first answers, remembers that
+answer at 8 bytes per element, so a kept tower level is tested as a cycle
+once per process; a refusal is never remembered.
 Element equality is structural on ``(degree, syllables)``.
 """
 
@@ -94,7 +98,7 @@ class SimplicialElement(_Value):
     rewrites ``x_{degree+1}`` away.
     """
 
-    __slots__ = ("_degree", "_syllables")
+    __slots__ = ("_degree", "_syllables", "_cycle")  # _cycle: see is_cycle
     __match_args__ = ("degree", "word")
 
     def __init__(self, degree: int, word: Word) -> None:
@@ -219,7 +223,7 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
     n = e._degree
     if n == 0:
         raise ValueError("degree-0 elements have no faces")
-    if not 0 <= i <= n:
+    if not 0 <= _index(i) <= n:
         raise ValueError(f"face index {i} out of range 0..{n}")
     if i == n:
         return _element(n - 1, _eliminate(n - 1, e._syllables))
@@ -247,7 +251,7 @@ def face(i: int, e: SimplicialElement) -> SimplicialElement:
 def degeneracy(i: int, e: SimplicialElement) -> SimplicialElement:
     """The ``i``-th degeneracy, a homomorphism from degree ``n`` to ``n + 1``."""
     n = e._degree
-    if not 0 <= i <= n:
+    if not 0 <= _index(i) <= n:
         raise ValueError(f"degeneracy index {i} out of range 0..{n}")
     j = i + 1
     # the relabelling is injective and x_j^e is written out as alternating
@@ -288,9 +292,20 @@ def is_cycle(e: SimplicialElement) -> bool:
     ``x1``, and :func:`is_moore_chain` checks the rest.
 
     Equivalently the element lies in the normal closure of each generator
-    ``x1..x_{n+1}`` of the degree-``n`` group.
+    ``x1..x_{n+1}`` of the degree-``n`` group.  The element remembers the
+    answer in a private slot (8 bytes per element), so asking again costs
+    no pass over its word; a refusal is not remembered, and a copy or an
+    unpickled element computes the answer afresh.
     """
-    return in_normal_closure(e.word, 1) and is_moore_chain(e)
+    # getattr's default costs about half what a caught AttributeError does
+    # on a miss; the slot holds a bool once set, never None
+    cycle = getattr(e, "_cycle", None)
+    if cycle is not None:
+        return cycle
+    # elements are immutable, so the answer never goes stale, and threads
+    # racing on a miss each store the same bool
+    cycle = e._cycle = in_normal_closure(e.word, 1) and is_moore_chain(e)
+    return cycle
 
 
 def eta_word(z: SimplicialElement) -> SimplicialElement:

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -461,15 +463,17 @@ def test_kept_tower_levels_answer_in_any_order(fresh_tower):
         assert len({id(s) for s in e.word.syllables}) == len(set(e.word.syllables))
 
 
-def test_threads_keep_equal_tower_levels(fresh_tower):
+def in_four_threads(call):
+    """The results of ``call()`` in four threads released together by a
+    barrier, under a 1 us switch interval; each join has a timeout."""
     start = threading.Barrier(4)
     results = [None] * 4
 
-    def build(slot):
+    def run(slot):
         start.wait()
-        results[slot] = eta_tower(7)
+        results[slot] = call()
 
-    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -480,6 +484,11 @@ def test_threads_keep_equal_tower_levels(fresh_tower):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_threads_keep_equal_tower_levels(fresh_tower):
+    results = in_four_threads(lambda: eta_tower(7))
     serial = checked_towers(7)
     assert results == [serial[-1]] * 4
     assert {level: e for level, (e, _) in fresh_tower.items()} == dict(enumerate(serial, 1))
@@ -509,6 +518,85 @@ def test_importing_builds_no_tower_level_above_one():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1]\n", "")
+
+
+def fresh_cycle_answer(e):
+    """``is_cycle(e)`` computed afresh, past any remembered answer."""
+    return in_normal_closure(e.word, 1) and is_moore_chain(e)
+
+
+@pytest.fixture
+def counted_passes(monkeypatch):
+    """Counts the ``in_normal_closure`` passes that ``simplicial`` makes."""
+    calls = []
+
+    def counted(w, index):
+        calls.append(index)
+        return in_normal_closure(w, index)
+
+    monkeypatch.setattr(simplicial, "in_normal_closure", counted)
+    return calls
+
+
+def test_is_cycle_remembers_computed_answers(fresh_tower, monkeypatch):
+    rng = random.Random(37)
+    elements = [eta_tower(k) for k in range(1, 8)]
+    # copies, so that answers given earlier in the process are not read
+    elements += [copy.copy(VARIANT_ETA_DEGREE3), copy.copy(VARIANT_ETA_DEGREE4)]
+    elements += [symmetric_commutator_sample(rng.randint(1, 5), rng.randrange(10 ** 12))
+                 for _ in range(20)]
+    non_cycles = []
+    while len(non_cycles) < 20:
+        e = random_element(rng, rng.randint(1, 6), max_syllables=8)
+        if not fresh_cycle_answer(e):
+            non_cycles.append(e)
+    elements += non_cycles
+    expected = [fresh_cycle_answer(e) for e in elements]
+    assert expected == [True] * 7 + [False] * 2 + [True] * 20 + [False] * 20
+    first = [is_cycle(e) for e in elements]
+
+    def refuse(w, index):
+        raise AssertionError("is_cycle passed over a word it has answered for")
+
+    monkeypatch.setattr(simplicial, "in_normal_closure", refuse)
+    second = [is_cycle(e) for e in elements]
+    assert first == second == expected
+    assert {type(answer) for answer in first} == {bool}
+
+
+def test_is_cycle_remembers_no_refusal(monkeypatch, counted_passes):
+    z = copy.copy(eta_tower(4))
+    # d_4, the last test is_cycle makes, rewrites each x4 as a run of 3
+    # syllables pushed on the reduced prefix before it
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 8)
+    for _ in range(2):
+        with pytest.raises(ValueError,
+                           match="^the image may have 9 syllables; the limit is 8$"):
+            is_cycle(z)
+    assert counted_passes.count(1) == 2  # the second call passed over the word again
+    monkeypatch.setattr(words, "_MAX_SYLLABLES", 2 ** 20)
+    assert is_cycle(z)
+
+
+def test_copies_compute_the_cycle_answer_afresh(counted_passes):
+    e = copy.copy(eta_tower(5))
+    before = (repr(e), hash(e), pickle.dumps(e))
+    assert is_cycle(e)
+    assert (repr(e), hash(e), pickle.dumps(e)) == before
+    for copied in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        del counted_passes[:]
+        assert is_cycle(copied)
+        assert counted_passes  # computed, not read from the original
+        assert copied == e and hash(copied) == hash(e) and repr(copied) == repr(e)
+    del counted_passes[:]
+    assert is_cycle(e) and not counted_passes
+
+
+def test_threads_remember_equal_cycle_answers(counted_passes):
+    z = copy.copy(eta_tower(7))
+    assert in_four_threads(lambda: is_cycle(z)) == [True] * 4
+    del counted_passes[:]
+    assert is_cycle(z) and not counted_passes
 
 
 def test_eta_of_cycle_is_cycle():

@@ -9,6 +9,7 @@ import pytest
 
 from linkhomotopy import (
     COUNTABLE,
+    DEFAULT_TABLE,
     IDENTITY,
     ClassificationResult,
     Cyclic,
@@ -26,8 +27,10 @@ from linkhomotopy import (
     Trivial,
     Word,
     build_profile,
+    degeneracy,
     element,
     eta_tower,
+    face,
     gamma_class_lower_bound,
     generator,
     hilton_pi,
@@ -231,6 +234,10 @@ CALL_REFUSALS = [
     (hilton_pi, (3.5, [2]), TypeError, NOT_INT),
     (hilton_pi, (3, [2.5]), TypeError, NOT_INT),
     (lyndon_words, (2.5, 3), TypeError, NOT_INT),
+    (face, (0.5, element(2, "x1")), TypeError, NOT_INT),
+    (face, (1.0, element(2, "x1")), TypeError, NOT_INT),
+    (degeneracy, (0.5, element(2, "x1")), TypeError, NOT_INT),
+    (DEFAULT_TABLE.entry, (1.5, 2), TypeError, NOT_INT),
 ]
 
 
